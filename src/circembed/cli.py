@@ -40,7 +40,7 @@ from .formats import (read_field_binary, write_field_binary, write_field_csv,
                       write_json, write_manifest, write_spectrum_csv)
 from .kernels import MaternKernel
 from .sampler import batch_sample_values
-from .validation import validate_samples
+from .validation import DENSE_POINTS_CAP, validate_samples
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -72,7 +72,6 @@ def _add_common_flags(p: argparse.ArgumentParser):
                    help="JSON config mirroring the flags; flags override it")
     p.add_argument("--out", type=Path, default=None,
                    help="output directory (reports, CSVs, manifest.json)")
-    p.add_argument("--threads", type=int, default=1)
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
@@ -348,12 +347,16 @@ def cmd_validate(args) -> int:
     params["command"] = "validate"
     _require(params, "samples")
     values, header = read_field_binary(Path(params["samples"]))
+    grid = GridSpec(d=header["d"], m0=header["m0"])
+    if grid.n_points > DENSE_POINTS_CAP:
+        raise ValueError(
+            f"validate: the file's grid has {grid.n_points} points, above the "
+            f"cap of {DENSE_POINTS_CAP} points for the dense covariance check")
     kernel_params = dict(params)
     kernel_params.setdefault("d", header["d"])
     kernel = _kernel_from(kernel_params)
     if kernel.d != header["d"]:
         raise ValueError(f"--d {kernel.d} does not match file d={header['d']}")
-    grid = GridSpec(d=header["d"], m0=header["m0"])
     mean, _ = _parse_mean(params.get("mean"), grid.n_points)
     report_obj = validate_samples(values, kernel, grid, mean=mean)
     _emit(params, report_obj.to_json(), args)
@@ -478,6 +481,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="minimal-extension parameter sweep")
     _add_common_flags(p)
+    p.add_argument("--threads", type=int, default=1,
+                   help="sweep points searched in parallel")
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--m-max", dest="m_max", type=int, default=None)
     p.add_argument("--schedule", choices=["increment", "doubling"],

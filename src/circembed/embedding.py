@@ -15,6 +15,11 @@ Rounding: every spectrum carries a bound b on the float64 error of its
 eigenvalues.  A verdict `min >= -tol` is certified when |min + tol| > b;
 otherwise double precision cannot decide it, and a search that runs out of
 extensions on such a verdict raises PDUndecidableError.
+
+The search screens each attempt with the type-I DCT of the folded (m+1)^d
+block of the even first column, which equals its DFT (Martucci 1994), and
+takes the full FFT `spectrum` only where the screen cannot fix the verdict
+and for the m it returns or runs out at.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 
 from .errors import (CapabilityError, NotPositiveDefiniteError,
                      PDUndecidableError, SymmetryError)
@@ -145,6 +151,12 @@ def first_column(kernel, embedding: Embedding) -> np.ndarray:
     assembled by reflection, so entry(k) = entry((2m - k) mod 2m) holds
     exactly.
     """
+    return _unfold(_folded_column(kernel, embedding), embedding.m)
+
+
+def _folded_column(kernel, embedding: Embedding) -> np.ndarray:
+    """The folded (m+1)^d block of the first column: rho(h0 j) for j in
+    {0..m}^d.  The even column repeats it by reflection (`_unfold`)."""
     grid = embedding.grid
     d, m, h0 = grid.d, embedding.m, grid.h0
     # distinct folded coordinates per axis: h0 * j, j = 0..m
@@ -157,13 +169,16 @@ def first_column(kernel, embedding: Embedding) -> np.ndarray:
             r2 = r2 + ax.reshape(sh) ** 2
         uniq, inv = np.unique(r2, return_inverse=True)
         vals = kernel.kappa(np.sqrt(uniq) / kernel.lam)
-        small = vals[inv].reshape((m + 1,) * d)
-    else:
-        grids = np.meshgrid(*([ax] * d), indexing="ij")
-        pts = np.stack([g.reshape(-1) for g in grids], axis=-1)
-        small = kernel.rho(pts).reshape((m + 1,) * d)
+        return vals[inv].reshape((m + 1,) * d)
+    grids = np.meshgrid(*([ax] * d), indexing="ij")
+    pts = np.stack([g.reshape(-1) for g in grids], axis=-1)
+    return kernel.rho(pts).reshape((m + 1,) * d)
+
+
+def _unfold(block: np.ndarray, m: int) -> np.ndarray:
+    """The even (2m,)*d column whose folded block is `block`."""
     idx = np.minimum(np.arange(2 * m), 2 * m - np.arange(2 * m))
-    return small[np.ix_(*([idx] * d))]
+    return block[np.ix_(*([idx] * block.ndim))]
 
 
 def spectrum(column: np.ndarray, embedding: Embedding,
@@ -194,28 +209,45 @@ def spectrum(column: np.ndarray, embedding: Embedding,
             f"spectrum: imaginary residue {residue:.3e} exceeds "
             f"{imag_tol:.1e} * max|value| = {imag_tol * scale:.3e}; "
             "first column is not even-symmetric")
-    u = np.finfo(float).eps / 2
-    norm1 = _column_norm1(column, values, embedding)
-    bound = (u * np.log2(embedding.s) + column_rel_error) * norm1
+    block = column[(slice(0, embedding.m + 1),) * column.ndim]
+    bound = _rounding_bound(block, values.flat[0], embedding,
+                            column_rel_error)
     return Spectrum(values=values, min_value=float(values.min()),
                     tolerance=0.0, embedding=embedding,
-                    rounding_bound=float(bound))
+                    rounding_bound=bound)
 
 
-def _column_norm1(column: np.ndarray, values: np.ndarray,
-                  embedding: Embedding) -> float:
-    """||column||_1 without a temporary of the column's size: Lambda_0 for
-    a nonnegative column, else the folded (m+1)^d block weighted by how
-    often each entry occurs in the even column (1 at 0 and m, else 2)."""
-    if column.min() >= 0.0:
-        return float(values.flat[0])
-    m = embedding.m
-    weights = np.full(m + 1, 2.0)
-    weights[[0, m]] = 1.0
-    total = np.abs(column[(slice(0, m + 1),) * column.ndim])
-    for _ in range(column.ndim):
-        total = total @ weights
-    return float(total)
+def _rounding_bound(block: np.ndarray, lambda0: float, embedding: Embedding,
+                    column_rel_error: float) -> float:
+    """(u log2(s) + column_rel_error) * ||column||_1 (see `spectrum`) from
+    the folded (m+1)^d block of an even column and its eigenvalue Lambda_0,
+    without a temporary of the column's size: ||column||_1 is Lambda_0 for
+    a nonnegative column, else the block weighted by how often each entry
+    occurs in the column (1 at 0 and m, else 2)."""
+    if block.min() >= 0.0:
+        norm1 = float(lambda0)
+    else:
+        m = embedding.m
+        weights = np.full(m + 1, 2.0)
+        weights[[0, m]] = 1.0
+        total = np.abs(block)
+        for _ in range(block.ndim):
+            total = total @ weights
+        norm1 = float(total)
+    u = np.finfo(float).eps / 2
+    return float((u * np.log2(embedding.s) + column_rel_error) * norm1)
+
+
+@dataclass(frozen=True)
+class _Attempt:
+    """One search attempt: the folded column block, the FFT spectrum when
+    the search needed it (None when the DCT screen decided), and the
+    verdict min >= -tol."""
+
+    emb: Embedding
+    block: np.ndarray
+    spec: Spectrum | None
+    ok: bool
 
 
 def _clamped(spec: Spectrum, tol: float, certified: bool) -> Spectrum:
@@ -262,6 +294,11 @@ def minimal_embedding(kernel, grid: GridSpec, tol: float = 0.0,
     m - 1 fails; it returns the same m as the linear scan whenever the
     passing region is upward closed in m (the cross-schedule tests
     exercise this on a matrix of instances).
+
+    An attempt whose DCT-I minimum lies more than 3 rounding bounds from
+    -tol is decided without the FFT; the results, errors and `certified`
+    flag are those of a search that takes the FFT `spectrum` at every
+    attempt.
     """
     if tol < 0:
         raise ValueError("minimal_embedding: tol must be >= 0")
@@ -276,52 +313,77 @@ def minimal_embedding(kernel, grid: GridSpec, tol: float = 0.0,
     column_rel_error = kernel.eval_rel_error
     certified = True
 
-    def attempt(m: int):
+    def transform(emb: Embedding, block: np.ndarray) -> Spectrum:
         nonlocal certified
-        emb = Embedding(grid, m)
-        spec = spectrum(first_column(kernel, emb), emb,
+        spec = spectrum(_unfold(block, emb.m), emb,
                         column_rel_error=column_rel_error)
         certified = certified and spec.decides(tol)
-        return emb, spec, spec.min_value >= -tol
+        return spec
+
+    def attempt(m: int) -> _Attempt:
+        emb = Embedding(grid, m)
+        block = _folded_column(kernel, emb)
+        # screen: the DCT-I of the folded block is the FFT of the even
+        # column up to rounding, and both lie within the rounding bound b
+        # of the exact eigenvalues of this float64 column, so they differ
+        # by at most 2b.  Beyond 3b from -tol the FFT verdict is known.
+        values = scipy.fft.dctn(block, type=1)
+        bound = _rounding_bound(block, values.flat[0], emb, column_rel_error)
+        low = float(values.min())
+        if abs(low + tol) > 3.0 * bound:
+            return _Attempt(emb, block, None, low >= -tol)
+        spec = transform(emb, block)
+        return _Attempt(emb, block, spec, spec.min_value >= -tol)
+
+    def spectrum_of(result: _Attempt) -> Spectrum:
+        if result.spec is not None:
+            return result.spec
+        return transform(result.emb, result.block)
+
+    def accept(result: _Attempt):
+        spec = spectrum_of(result)
+        return result.emb, _clamped(spec, tol, certified)
+
+    def exhausted(result: _Attempt):
+        return _exhausted(spectrum_of(result), tol, m_max)
 
     if schedule == "increment":
         m = start
         while m <= m_max:
-            emb, spec, ok = attempt(m)
-            if ok:
-                return emb, _clamped(spec, tol, certified)
+            result = attempt(m)
+            if result.ok:
+                return accept(result)
             m += m_step
-        raise _exhausted(spec, tol, m_max)
+        raise exhausted(result)
 
     if schedule == "doubling":
         if m_step != 1:
             raise ValueError("doubling schedule supports m_step=1 only")
-        emb, spec, ok = attempt(start)
-        if ok:
-            return emb, _clamped(spec, tol, certified)
+        result = attempt(start)
+        if result.ok:
+            return accept(result)
         lo = start  # largest known failing m
         m = start
         while True:
             m = min(2 * m, m_max)
-            emb, spec, ok = attempt(m)
-            if ok:
-                hi = m
+            result = attempt(m)
+            if result.ok:
+                hi = result
                 break
             lo = m
             if m == m_max:
-                raise _exhausted(spec, tol, m_max)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            emb, spec, ok = attempt(mid)
-            if ok:
-                hi = mid
+                raise exhausted(result)
+        while hi.emb.m - lo > 1:
+            mid = (lo + hi.emb.m) // 2
+            result = attempt(mid)
+            if result.ok:
+                hi = result
             else:
                 lo = mid
         # boundary property established: lo fails, hi = lo + 1 passes.
         # Equality with the linear scan holds when the passing region is
         # upward closed in m, which the cross-schedule tests exercise.
-        emb, spec, ok = attempt(hi)
-        return emb, _clamped(spec, tol, certified)
+        return accept(hi)
 
     raise ValueError(f"unknown schedule {schedule!r}")
 

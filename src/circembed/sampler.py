@@ -1,10 +1,16 @@
 """Exact field sampling from a nonnegative circulant spectrum.
 
-One sample costs a single complex d-dimensional FFT: scale an s-vector of
-standard normals by the eigenvalue square roots, apply the unitary
+One sample costs one real d-dimensional FFT: scale an s-vector of standard
+normals by the eigenvalue square roots, apply the unitary
 positive-exponent DFT, add real and imaginary parts (the real symmetric
 orthogonal factor of the circulant), and read off the physical grid
-entries.
+entries.  For real input, Re + Im of the positive-exponent DFT is Re - Im
+of the negative-exponent one, so the transform runs as an rfft on the last
+axis and complex FFTs on the others, each cut to indices 0..m0 before the
+next axis (output pruning; m0 <= m makes the cut valid).
+
+Samples are computed in chunks sized from SAMPLE_BUDGET_BYTES, so memory
+does not grow with the number of samples.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+import scipy.fft
 
 from .embedding import Spectrum
 from .specialfn import inv_normal_cdf
@@ -25,6 +32,9 @@ __all__ = [
     "sample",
     "batch_sample",
 ]
+
+# Bytes of normals plus transform output held at once per chunk of samples.
+SAMPLE_BUDGET_BYTES = 64 * 2**20
 
 
 @dataclass
@@ -71,9 +81,36 @@ def importance_ordering(spec: Spectrum) -> np.ndarray:
 
 def _transform(u: np.ndarray) -> np.ndarray:
     """Apply the real symmetric orthogonal circulant factor: the unitary
-    positive-exponent DFT followed by Re + Im."""
+    positive-exponent DFT followed by Re + Im.  Dense reference for the
+    pruned transform the sampler runs."""
     w = np.fft.ifftn(u, norm="ortho")
     return w.real + w.imag
+
+
+def _pruned_transform(u: np.ndarray, m0: int) -> np.ndarray:
+    """`_transform` of each u[i], cut to indices 0..m0 on every axis.
+
+    Axis 0 of `u` indexes samples.  Re + Im of the unitary inverse DFT of
+    a real array is Re - Im of its unitary forward DFT, which is computed
+    as an rfft on the last axis and an fft on each other axis, keeping
+    only indices 0..m0 after every axis.
+    """
+    keep = slice(0, m0 + 1)
+    w = scipy.fft.rfft(u, axis=-1, norm="ortho")[..., keep]
+    for axis in range(1, u.ndim - 1):
+        w = scipy.fft.fft(w, axis=axis, norm="ortho")
+        w = w[(slice(None),) * axis + (keep,)]
+    return w.real - w.imag
+
+
+def _chunk_size(embedding, cap: Optional[int]) -> int:
+    """Samples per chunk: as many as fit SAMPLE_BUDGET_BYTES with their
+    float64 normals and the complex output of the first (rfft) axis, at
+    least one, and at most `cap` when given."""
+    s, m = embedding.s, embedding.m
+    per_sample = 8 * s + 16 * (s // (2 * m)) * (m + 1)
+    size = max(1, SAMPLE_BUDGET_BYTES // per_sample)
+    return size if cap is None else max(1, min(size, cap))
 
 
 def _resolve_mean(mean, n_points: int) -> np.ndarray:
@@ -87,6 +124,30 @@ def _resolve_mean(mean, n_points: int) -> np.ndarray:
         raise ValueError(
             f"mean has {flat.size} entries, grid has {n_points} points")
     return flat
+
+
+def _field_values(spec: Spectrum, mean, n: int, normals, lognormal: bool,
+                  chunk: Optional[int]) -> np.ndarray:
+    """(n, (m0+1)^d) field values; row i is driven by normals(i), an
+    s-vector.  The one transform path of `sample` and the batch samplers."""
+    emb = spec.embedding
+    grid = emb.grid
+    sqrt_vals = np.sqrt(spec.values)
+    mean_flat = _resolve_mean(mean, grid.n_points)
+    out = np.empty((n, grid.n_points))
+    size = _chunk_size(emb, chunk)
+    for lo in range(0, n, size):
+        hi = min(lo + size, n)
+        u = np.empty((hi - lo,) + emb.shape)
+        for i in range(lo, hi):
+            u[i - lo] = normals(i).reshape(emb.shape)
+        u *= sqrt_vals
+        v = _pruned_transform(u, grid.m0)
+        del u  # free this chunk before the next one is allocated
+        out[lo:hi] = v.reshape(hi - lo, -1) + mean_flat
+    if lognormal:
+        np.exp(out, out=out)
+    return out
 
 
 def sample(spec: Spectrum, mean, y: np.ndarray,
@@ -103,18 +164,12 @@ def sample(spec: Spectrum, mean, y: np.ndarray,
     y = np.asarray(y, dtype=float)
     if y.size != emb.s:
         raise ValueError(f"sample: expected {emb.s} normal inputs, got {y.size}")
-    u = np.sqrt(spec.values) * y.reshape(emb.shape)
-    v = _transform(u)
-    grid = emb.grid
-    sub = v[(slice(0, grid.m0 + 1),) * grid.d].reshape(-1)
-    out = sub + _resolve_mean(mean, grid.n_points)
-    if lognormal:
-        out = np.exp(out)
-    return FieldSample(values=out, meta={"lognormal": bool(lognormal)})
+    values = _field_values(spec, mean, 1, lambda i: y, lognormal, chunk=1)
+    return FieldSample(values=values[0], meta={"lognormal": bool(lognormal)})
 
 
 def batch_sample(spec: Spectrum, mean, n: int, seed: int,
-                 lognormal: bool = False, chunk: int = 256,
+                 lognormal: bool = False, chunk: Optional[int] = None,
                  meta: Optional[dict] = None) -> list[FieldSample]:
     """n independent samples using streams 0..n-1 of the given seed.
 
@@ -134,29 +189,17 @@ def batch_sample(spec: Spectrum, mean, n: int, seed: int,
 
 
 def batch_sample_values(spec: Spectrum, mean, n: int, seed: int,
-                        lognormal: bool = False, chunk: int = 256) -> np.ndarray:
+                        lognormal: bool = False,
+                        chunk: Optional[int] = None) -> np.ndarray:
     """Vectorized batch sampling; returns an (n, (m0+1)^d) array.
 
-    Row i equals sample(spec, mean, draw_normal(s, seed, i)).values.
+    Row i equals sample(spec, mean, draw_normal(s, seed, i)).values, bit
+    for bit, whatever the chunking.  Chunks are sized from
+    SAMPLE_BUDGET_BYTES; `chunk`, when given, caps the samples per chunk.
     """
     if spec.values.min() < 0.0:
         raise ValueError("batch_sample: spectrum has negative entries beyond "
                          "the clamp; not a valid factorization")
-    emb = spec.embedding
-    grid = emb.grid
-    d = grid.d
-    sqrt_vals = np.sqrt(spec.values)
-    mean_flat = _resolve_mean(mean, grid.n_points)
-    out = np.empty((n, grid.n_points))
-    axes = tuple(range(1, d + 1))
-    take = (slice(None),) + (slice(0, grid.m0 + 1),) * d
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        ys = np.stack([draw_normal(emb.s, seed, i).reshape(emb.shape)
-                       for i in range(lo, hi)])
-        w = np.fft.ifftn(sqrt_vals * ys, axes=axes, norm="ortho")
-        v = w.real + w.imag
-        out[lo:hi] = v[take].reshape(hi - lo, -1) + mean_flat
-    if lognormal:
-        np.exp(out, out=out)
-    return out
+    s = spec.embedding.s
+    return _field_values(spec, mean, n,
+                         lambda i: draw_normal(s, seed, i), lognormal, chunk)

@@ -10,7 +10,10 @@ import numpy as np
 from .embedding import GridSpec
 
 __all__ = ["ValidationReport", "grid_points", "dense_covariance",
-           "validate_samples"]
+           "validate_samples", "DENSE_POINTS_CAP"]
+
+# Largest grid whose dense covariance matrix validation assembles.
+DENSE_POINTS_CAP = 4096
 
 
 @dataclass
@@ -46,7 +49,8 @@ def grid_points(grid: GridSpec) -> np.ndarray:
     return np.stack([g.reshape(-1) for g in grids], axis=-1)
 
 
-def dense_covariance(kernel, grid: GridSpec, max_points: int = 4096) -> np.ndarray:
+def dense_covariance(kernel, grid: GridSpec,
+                     max_points: int = DENSE_POINTS_CAP) -> np.ndarray:
     """Target covariance matrix R[i, j] = rho(x_i - x_j), assembled densely."""
     pts = grid_points(grid)
     n = pts.shape[0]

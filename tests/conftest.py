@@ -4,14 +4,17 @@ These deliberately avoid the package's FFT path: the extended matrix is
 assembled entry by entry from the reflected covariance and handed to a
 dense symmetric eigensolver, so agreement is a genuine two-route check.
 The long-double spectrum oracle evaluates the Gaussian column and its
-transform with 64-bit mantissas instead of 53.
+transform with 64-bit mantissas instead of 53.  The FFT-only search runs
+the minimal-extension search with a full FFT spectrum at every attempt,
+the reference for the package's screened search.
 """
 
 import numpy as np
 import pytest
 import scipy.fft
 
-from circembed import Embedding, GridSpec, phi
+from circembed import (Embedding, GridSpec, NotPositiveDefiniteError,
+                       PDUndecidableError, first_column, phi, spectrum)
 
 
 def multi_indices(n_per_axis, d):
@@ -78,6 +81,62 @@ def gaussian_spectrum_oracle(kernel, embedding: Embedding) -> np.ndarray:
              for i in range(d))
     block = np.longdouble(kernel.sigma2) * np.exp(-k2 / (2 * lam_over_h0**2))
     return scipy.fft.dctn(block, type=1)
+
+
+def fft_only_search(kernel, grid: GridSpec, tol: float, m_max: int,
+                    schedule: str = "increment"):
+    """Outcome of the minimal-extension search with no screen: every
+    attempt takes the FFT spectrum of `first_column`, and the doubling
+    schedule transforms the final m once more after the bisection.
+
+    Returns ("ok", m, min_value, certified) or (error type name, m_max,
+    min_eig) for a search that runs out at m_max.
+    """
+    certified = True
+
+    def attempt(m):
+        nonlocal certified
+        emb = Embedding(grid, m)
+        spec = spectrum(first_column(kernel, emb), emb,
+                        column_rel_error=kernel.eval_rel_error)
+        certified = certified and spec.decides(tol)
+        return spec, spec.min_value >= -tol
+
+    def exhausted(spec):
+        kind = NotPositiveDefiniteError if spec.decides(tol) \
+            else PDUndecidableError
+        return (kind.__name__, m_max, spec.min_value)
+
+    m = grid.m0
+    spec, ok = attempt(m)
+    if ok:
+        return ("ok", m, spec.min_value, certified)
+    if schedule == "increment":
+        while m < m_max:
+            m += 1
+            spec, ok = attempt(m)
+            if ok:
+                return ("ok", m, spec.min_value, certified)
+        return exhausted(spec)
+    lo = m
+    while True:
+        m = min(2 * m, m_max)
+        spec, ok = attempt(m)
+        if ok:
+            hi = m
+            break
+        lo = m
+        if m == m_max:
+            return exhausted(spec)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        spec, ok = attempt(mid)
+        if ok:
+            hi = mid
+        else:
+            lo = mid
+    spec, _ = attempt(hi)
+    return ("ok", hi, spec.min_value, certified)
 
 
 @pytest.fixture(scope="session")

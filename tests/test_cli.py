@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from circembed.cli import main
-from circembed.formats import read_field_binary
+from circembed.formats import read_field_binary, write_field_binary
 
 
 def run(capsys, *argv):
@@ -143,6 +143,20 @@ class TestSweep:
         assert texts[0] == texts[1]
 
 
+    @pytest.mark.parametrize("command", [
+        ["min-ell", "--m0", "8"], ["eig-decay", "--m0", "8"],
+        ["sample", "--m0", "8"], ["validate", "--samples", "x.bin"],
+        ["theory", "pd-criterion", "--m0", "8", "--ell", "1"],
+    ])
+    def test_threads_flag_only_on_sweep(self, command, capsys):
+        argv = command + ["--d", "1", "--nu", "0.5", "--lambda", "1",
+                          "--threads", "2"]
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert "unrecognized arguments: --threads" in capsys.readouterr().err
+
+
 class TestSample:
     def test_binary_deterministic(self, tmp_path, capsys):
         args = ["sample", "--d", "1", "--nu", "0.5", "--lambda", "0.5",
@@ -222,6 +236,17 @@ class TestValidateCommand:
                             "--sigma2", "9.0")
         assert code == 3
         assert not payload["report"]["passed"]
+
+    def test_over_dense_cap_is_usage_error(self, tmp_path, capsys):
+        # d=2, m0=64: 4225 grid points, above the dense cap of 4096
+        path = write_field_binary(tmp_path / "fields.bin",
+                                  np.zeros((1, 65**2)), d=2, m0=64)
+        code = main(["validate", "--samples", str(path), "--d", "2",
+                     "--nu", "1.5", "--lambda", "0.2"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "4225 points" in err and "cap of 4096" in err
+        assert "Traceback" not in err
 
     def test_missing_file_is_io_error(self, capsys):
         code, _ = run(capsys, "validate", "--samples", "/nonexistent/x.bin",

@@ -231,6 +231,27 @@ class TestMinimalEmbedding:
         assert emb_a.m == emb_b.m
         assert np.array_equal(spec_a.values, spec_b.values)
 
+    @pytest.mark.parametrize("d,m0,nu,m_max", [
+        (3, 16, 1.5, 1600),  # the final m was decided by the DCT screen
+        (2, 16, 8.0, 1024),  # ... and here by the FFT (uncertified)
+    ])
+    def test_doubling_transforms_no_m_twice(self, monkeypatch, d, m0, nu,
+                                            m_max):
+        import circembed.embedding as embedding
+        transformed = []
+        full_spectrum = embedding.spectrum
+
+        def counting(column, emb, *args, **kwargs):
+            transformed.append(emb.m)
+            return full_spectrum(column, emb, *args, **kwargs)
+
+        monkeypatch.setattr(embedding, "spectrum", counting)
+        emb, spec = minimal_embedding(MaternKernel(1.0, 0.5, nu, d),
+                                      GridSpec(d=d, m0=m0), tol=0.0,
+                                      m_max=m_max, schedule="doubling")
+        assert emb.m in transformed
+        assert len(transformed) == len(set(transformed)), transformed
+
     def test_monotone_in_correlation_length(self):
         # minimal ell does not grow when lam shrinks, all else fixed
         grid = GridSpec(d=2, m0=16)

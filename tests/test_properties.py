@@ -1,0 +1,132 @@
+"""Property tests of the transforms the search and the sampler run in
+place of complex (2m)^d FFTs: the DCT-I screen of the extension search
+against an FFT-only search, and the output-pruned real sampler against the
+dense transform."""
+
+import math
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from circembed import (Embedding, GridSpec, MaternKernel,
+                       NotPositiveDefiniteError, Spectrum,
+                       batch_sample_values, draw_normal, minimal_embedding,
+                       sample)
+from circembed.sampler import _transform
+from conftest import fft_only_search
+
+# derandomized and without an example database, so every run checks the
+# same examples
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
+                    database=None)
+
+# largest m0 and m_max / m0 per dimension, so no example runs long
+M0_CAP = {1: 32, 2: 16, 3: 4}
+M_MAX_FACTOR = {1: 16, 2: 8, 3: 8}
+
+
+def screened_outcome(kernel, grid, tol, m_max, schedule):
+    try:
+        emb, spec = minimal_embedding(kernel, grid, tol=tol, m_max=m_max,
+                                      schedule=schedule)
+    except NotPositiveDefiniteError as exc:
+        return (type(exc).__name__, exc.m_max, exc.min_eig)
+    return ("ok", emb.m, spec.min_value, spec.certified)
+
+
+@st.composite
+def search_cases(draw):
+    d = draw(st.sampled_from([1, 2, 3]))
+    m0 = draw(st.integers(2, M0_CAP[d]))
+    nu = draw(st.sampled_from([0.5, 1.0, 1.5, 2.5, 4.0, 8.0, math.inf]))
+    lam = draw(st.floats(0.05, 2.0))
+    tol = draw(st.sampled_from([0.0, 1e-13, 1e-12, 1e-10]))
+    schedule = draw(st.sampled_from(["increment", "doubling"]))
+    m_max = m0 * draw(st.integers(1, M_MAX_FACTOR[d]))
+    return d, m0, nu, lam, tol, schedule, m_max
+
+
+@st.composite
+def floor_cases(draw):
+    """Smooth kernels with lam/h0 in [4, 12], whose spectra reach the
+    float64 rounding floor, so some verdicts fall inside the screen's
+    margin and the FFT must decide them."""
+    d = draw(st.sampled_from([1, 2]))
+    m0 = draw(st.integers(4, M0_CAP[d]))
+    nu = draw(st.sampled_from([8.0, 16.0, math.inf]))
+    lam = draw(st.floats(4.0, 12.0)) / m0
+    tol = draw(st.sampled_from([0.0, 1e-13]))
+    schedule = draw(st.sampled_from(["increment", "doubling"]))
+    m_max = m0 * draw(st.integers(2, M_MAX_FACTOR[d]))
+    return d, m0, nu, lam, tol, schedule, m_max
+
+
+@PROPERTY
+@given(st.one_of(search_cases(), floor_cases()))
+# float64-undecided verdicts, where the FFT must decide in place of the
+# screen: an uncertified accept (nu=8), an undecidable exhaustion and an
+# uncertified Gaussian accept under unit steps
+@example((2, 16, 8.0, 0.5, 0.0, "doubling", 1024))
+@example((2, 32, math.inf, 0.5, 1e-13, "doubling", 512))
+@example((2, 32, math.inf, 0.25, 1e-13, "increment", 128))
+def test_screened_search_equals_fft_only_search(case):
+    d, m0, nu, lam, tol, schedule, m_max = case
+    kernel = MaternKernel(1.0, lam, nu, d)
+    grid = GridSpec(d=d, m0=m0)
+    assert screened_outcome(kernel, grid, tol, m_max, schedule) \
+        == fft_only_search(kernel, grid, tol, m_max, schedule)
+
+
+@st.composite
+def sampler_cases(draw):
+    d = draw(st.sampled_from([1, 2, 3]))
+    m0 = draw(st.integers(1, {1: 12, 2: 6, 3: 3}[d]))
+    m = m0 + draw(st.integers(0, {1: 12, 2: 6, 3: 3}[d]))
+    n = draw(st.integers(1, 9))
+    chunks = draw(st.lists(st.integers(1, 10), min_size=1, max_size=3))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return d, m0, m, n, chunks, seed
+
+
+def random_spectrum(d, m0, m, seed):
+    """A nonnegative spectrum of random values: the sampler's transform is
+    checked on any such input, not only on circulant eigenvalues."""
+    emb = Embedding(GridSpec(d=d, m0=m0), m)
+    values = np.random.default_rng(seed).uniform(0.0, 2.0, emb.shape)
+    return Spectrum(values=values, min_value=float(values.min()),
+                    tolerance=0.0, embedding=emb)
+
+
+@PROPERTY
+@given(sampler_cases())
+def test_pruned_batch_matches_dense_transform(case):
+    d, m0, m, n, chunks, seed = case
+    spec = random_spectrum(d, m0, m, seed)
+    emb = spec.embedding
+    got = batch_sample_values(spec, 0.0, n, seed, chunk=chunks[0])
+    block = (slice(0, m0 + 1),) * d
+    for i in range(n):
+        y = draw_normal(emb.s, seed, i).reshape(emb.shape)
+        want = _transform(np.sqrt(spec.values) * y)[block].reshape(-1)
+        scale = np.abs(want).max()
+        assert np.abs(got[i] - want).max() <= 1e-12 * scale
+
+
+@PROPERTY
+@given(sampler_cases(), st.booleans())
+def test_batch_rows_are_chunk_invariant_and_equal_single_samples(case,
+                                                                  lognormal):
+    d, m0, m, n, chunks, seed = case
+    spec = random_spectrum(d, m0, m, seed)
+    emb = spec.embedding
+    mean = np.random.default_rng(seed + 1).normal(size=emb.grid.n_points)
+    rows = batch_sample_values(spec, mean, n, seed, lognormal=lognormal)
+    for chunk in chunks:
+        again = batch_sample_values(spec, mean, n, seed, lognormal=lognormal,
+                                    chunk=chunk)
+        assert np.array_equal(again, rows)
+    for i in range(n):
+        one = sample(spec, mean, draw_normal(emb.s, seed, i),
+                     lognormal=lognormal)
+        assert np.array_equal(one.values, rows[i])

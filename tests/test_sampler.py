@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -248,3 +249,20 @@ class TestBatchSample:
         emp = centered.T @ centered / (vals.shape[0] - 1)
         r = dense_grid_matrix(k, grid)
         assert np.abs(emp - r).max() <= 0.05
+
+    def test_memory_follows_byte_budget(self):
+        # d=3, m0=16: s = 122^3 normals per sample; a fixed chunk of 256
+        # samples would hold all 64 at once, about 9 GB of transforms
+        from circembed.sampler import SAMPLE_BUDGET_BYTES
+        k = MaternKernel(1.0, 0.5, 0.5, 3)
+        emb, spec = minimal_embedding(k, GridSpec(d=3, m0=16), tol=0.0,
+                                      m_start=61)
+        assert emb.m == 61
+        tracemalloc.start()
+        try:
+            vals = batch_sample_values(spec, 0.0, n=64, seed=9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert vals.shape == (64, 17**3)
+        assert peak < 4 * SAMPLE_BUDGET_BYTES + vals.nbytes
