@@ -99,10 +99,16 @@ def _kernel_from(params: dict) -> MaternKernel:
                         d=int(params["d"]), allow_small_nu=True)
 
 
-def _default_tol(nu: float) -> float:
-    # recommended defaults: exact nonnegativity for finite smoothness, a
-    # 1e-13 absolute allowance for the Gaussian limit
-    return 1e-13 if math.isinf(nu) else 0.0
+def _search_params(params: dict, nu: float, m0: int) -> dict:
+    """tol, m_max and schedule of the minimal-extension search, as keyword
+    arguments of `minimal_embedding`, with their defaults filled in."""
+    tol = params.get("tol")
+    if tol is None:
+        # recommended defaults: exact nonnegativity for finite smoothness,
+        # a 1e-13 absolute allowance for the Gaussian limit
+        tol = 1e-13 if math.isinf(nu) else 0.0
+    return {"tol": float(tol), "m_max": int(params.get("m_max") or 100 * m0),
+            "schedule": params.get("schedule", "increment")}
 
 
 def _emit(params: dict, report: dict, args, files=()):
@@ -140,17 +146,15 @@ def cmd_min_ell(args) -> int:
     kernel = _kernel_from(params)
     _require(params, "m0")
     grid = GridSpec(d=kernel.d, m0=int(params["m0"]))
-    tol = float(params["tol"]) if params.get("tol") is not None \
-        else _default_tol(kernel.nu)
-    m_max = int(params.get("m_max") or 100 * grid.m0)
+    search = _search_params(params, kernel.nu, grid.m0)
     t0 = time.perf_counter()
-    emb, spec = minimal_embedding(kernel, grid, tol=tol, m_max=m_max,
-                                  schedule=params.get("schedule", "increment"),
+    emb, spec = minimal_embedding(kernel, grid, **search,
                                   m_step=int(params.get("m_step") or 1))
     wall = time.perf_counter() - t0
     report = {"m": emb.m, "ell": emb.ell, "s": emb.s,
               "min_eig": spec.min_value, "rounding_bound": spec.rounding_bound,
-              "certified": spec.certified, "wall_time": wall, "tol": tol}
+              "certified": spec.certified, "wall_time": wall,
+              "tol": search["tol"]}
     files = []
     if args.out is not None and params.get("export_spectrum"):
         out = Path(args.out)
@@ -162,16 +166,14 @@ def cmd_min_ell(args) -> int:
 
 # ------------------------------------------------------------------ sweep
 
-def _sweep_point(d, nu, lam, m0, sigma2, tol, m_max, schedule):
+def _sweep_point(d, nu, lam, m0, sigma2, params):
     kernel = MaternKernel(sigma2=sigma2, lam=lam, nu=nu, d=d,
                           allow_small_nu=True)
     grid = GridSpec(d=d, m0=m0)
     t0 = time.perf_counter()
-    point_tol = tol if tol is not None else _default_tol(nu)
     try:
-        emb, spec = minimal_embedding(kernel, grid, tol=point_tol,
-                                      m_max=m_max or 100 * m0,
-                                      schedule=schedule)
+        emb, spec = minimal_embedding(kernel, grid,
+                                      **_search_params(params, nu, m0))
         wall = time.perf_counter() - t0
         return {"d": d, "nu": nu, "lambda": lam, "m0": m0, "ell_min": emb.ell,
                 "m": emb.m, "s": emb.s, "seconds": wall, "error": ""}
@@ -194,9 +196,6 @@ def cmd_sweep(args) -> int:
             grids[key] = [val]
     nus = [_parse_nu(v) for v in grids["nu"]]
     sigma2 = float(params.get("sigma2") or 1.0)
-    tol = float(params["tol"]) if params.get("tol") is not None else None
-    m_max = int(params["m_max"]) if params.get("m_max") else None
-    schedule = params.get("schedule", "increment")
     points = [(int(d), nu, float(lam), int(m0))
               for d in grids["d"] for nu in nus
               for lam in grids["lam"] for m0 in grids["m0"]]
@@ -204,11 +203,9 @@ def cmd_sweep(args) -> int:
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             rows = list(pool.map(
-                lambda pt: _sweep_point(*pt, sigma2, tol, m_max, schedule),
-                points))
+                lambda pt: _sweep_point(*pt, sigma2, params), points))
     else:
-        rows = [_sweep_point(*pt, sigma2, tol, m_max, schedule)
-                for pt in points]
+        rows = [_sweep_point(*pt, sigma2, params) for pt in points]
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -251,11 +248,10 @@ def cmd_eig_decay(args) -> int:
         raise ValueError("eig-decay expects a finite smoothness nu")
     _require(params, "m0")
     grid = GridSpec(d=kernel.d, m0=int(params["m0"]))
-    tol = float(params["tol"]) if params.get("tol") is not None \
-        else _default_tol(kernel.nu)
-    emb, spec = minimal_embedding(kernel, grid, tol=tol,
-                                  m_max=int(params.get("m_max") or 100 * grid.m0),
-                                  schedule=params.get("schedule", "increment"))
+    emb, spec = minimal_embedding(
+        kernel, grid, **_search_params(params, kernel.nu, grid.m0))
+    if params.get("fit_lo") is not None and params.get("fit_hi") is not None:
+        params["fit_range"] = [params["fit_lo"], params["fit_hi"]]
     fit_range = params.get("fit_range")
     rep = decay_report(spec, kernel.nu, kernel.d,
                        fit_range=tuple(fit_range) if fit_range else None,
@@ -308,18 +304,15 @@ def cmd_sample(args) -> int:
     seed = int(params.get("seed") or 0)
     lognormal = bool(params.get("lognormal"))
     fmt = params.get("format") or "bin"
-    tol = float(params["tol"]) if params.get("tol") is not None \
-        else _default_tol(kernel.nu)
-    emb, spec = minimal_embedding(kernel, grid, tol=tol,
-                                  m_max=int(params.get("m_max") or 100 * grid.m0),
-                                  schedule=params.get("schedule", "increment"))
+    search = _search_params(params, kernel.nu, grid.m0)
+    emb, spec = minimal_embedding(kernel, grid, **search)
     mean, mean_meta = _parse_mean(params.get("mean"), grid.n_points)
     values = batch_sample_values(spec, mean, n, seed, lognormal=lognormal)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     sidecar = {
         "kernel": kernel.to_json(), "d": grid.d, "m0": grid.m0,
-        "m": emb.m, "ell": emb.ell, "s": emb.s, "tol": tol,
+        "m": emb.m, "ell": emb.ell, "s": emb.s, "tol": search["tol"],
         "min_eig": spec.min_value, "n_samples": n, "seed": seed,
         "lognormal": lognormal, **mean_meta,
     }
@@ -442,12 +435,8 @@ def cmd_theory(args) -> int:
         kernel = _kernel_from(params)
         _require(params, "m0", "p")
         grid = GridSpec(d=kernel.d, m0=int(params["m0"]))
-        tol = float(params["tol"]) if params.get("tol") is not None \
-            else _default_tol(kernel.nu)
         emb, spec = minimal_embedding(
-            kernel, grid, tol=tol,
-            m_max=int(params.get("m_max") or 100 * grid.m0),
-            schedule=params.get("schedule", "increment"))
+            kernel, grid, **_search_params(params, kernel.nu, grid.m0))
         total = qmc_criterion_sum(spec, float(params["p"]))
         _emit(params, {"m": emb.m, "ell": emb.ell, "s": emb.s,
                        "p": float(params["p"]), "sum": total}, args)
@@ -554,9 +543,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "fit_lo", None) is not None \
-            and getattr(args, "fit_hi", None) is not None:
-        args.fit_range = [args.fit_lo, args.fit_hi]
     try:
         return args.func(args)
     except (ValueError, KeyError) as exc:

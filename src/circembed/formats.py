@@ -71,7 +71,7 @@ def write_field_binary(path, values: np.ndarray, d: int, m0: int,
     path = Path(path)
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, d, m0, n))
-        fh.write(values.astype("<f8").tobytes())
+        fh.write(np.ascontiguousarray(values, dtype="<f8").data)
     if sidecar is not None:
         write_json(path.with_suffix(path.suffix + ".json"), sidecar)
     return path

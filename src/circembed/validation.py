@@ -6,11 +6,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .embedding import GridSpec
 
-__all__ = ["ValidationReport", "grid_points", "dense_covariance",
-           "validate_samples", "DENSE_POINTS_CAP"]
+__all__ = ["ValidationReport", "dense_covariance", "validate_samples",
+           "DENSE_POINTS_CAP"]
 
 # Largest grid whose dense covariance matrix validation assembles.
 DENSE_POINTS_CAP = 4096
@@ -42,24 +43,30 @@ class ValidationReport:
         }
 
 
-def grid_points(grid: GridSpec) -> np.ndarray:
-    """Physical grid points x_k = h0 k, lexicographic, shape (M, d)."""
-    axis = grid.h0 * np.arange(grid.m0 + 1)
-    grids = np.meshgrid(*([axis] * grid.d), indexing="ij")
-    return np.stack([g.reshape(-1) for g in grids], axis=-1)
-
-
 def dense_covariance(kernel, grid: GridSpec,
                      max_points: int = DENSE_POINTS_CAP) -> np.ndarray:
-    """Target covariance matrix R[i, j] = rho(x_i - x_j), assembled densely."""
-    pts = grid_points(grid)
-    n = pts.shape[0]
+    """Target covariance matrix R[i, j] = rho(h0 (k_i - k_j)), assembled
+    densely over the lexicographic grid indices k.
+
+    R is nested block Toeplitz: an entry depends only on the integer lag
+    k_i - k_j in {-m0..m0}^d.  So `kernel.rho` is evaluated once, on the
+    (2 m0 + 1)^d signed lags h0 l, and R is copied out of that table.  The
+    signed table assumes no symmetry of rho in any coordinate.  Raises
+    MemoryError above `max_points` grid points.
+    """
+    d, m0, n = grid.d, grid.m0, grid.n_points
     if n > max_points:
         raise MemoryError(f"dense_covariance: {n} points exceeds cap {max_points}")
-    out = np.empty((n, n))
-    for i in range(n):
-        out[i] = kernel.rho(pts[i][None, :] - pts)
-    return out
+    lag_axis = np.arange(-m0, m0 + 1)
+    lags = np.stack([g.reshape(-1) for g in np.meshgrid(
+        *([lag_axis] * d), indexing="ij")], axis=-1)
+    table = np.asarray(kernel.rho(grid.h0 * lags), dtype=float)
+    # windows[i, b] = table[i + b] over 2d axes (i_1..i_d, b_1..b_d) with
+    # table indexed from lag -m0; b = m0 - j gives the lag i - j
+    windows = sliding_window_view(table.reshape((2 * m0 + 1,) * d),
+                                  (m0 + 1,) * d)
+    flip_j = (Ellipsis,) + (slice(None, None, -1),) * d
+    return np.ascontiguousarray(windows[flip_j]).reshape(n, n)
 
 
 def validate_samples(values: np.ndarray, kernel, grid: GridSpec,
@@ -87,8 +94,10 @@ def validate_samples(values: np.ndarray, kernel, grid: GridSpec,
 
     emp_mean = values.mean(axis=0)
     centered = values - emp_mean
-    emp_cov = centered.T @ centered / (n - 1)
-    max_cov_err = float(np.abs(emp_cov - R).max())
+    emp_cov = centered.T @ centered
+    emp_cov /= n - 1
+    emp_cov -= R
+    max_cov_err = float(np.abs(emp_cov, out=emp_cov).max())
     max_mean_err = float(np.abs(emp_mean - mean_target).max())
 
     if np.allclose(values.var(axis=0), 0.0):

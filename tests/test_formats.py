@@ -1,6 +1,7 @@
 import csv
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -83,3 +84,15 @@ class TestCsvFormats:
         assert data["command"] == "min-ell"
         assert data["parameters"] == {"m0": 8}
         assert "version" in data
+
+
+def test_binary_writer_makes_no_copy_of_the_values(tmp_path, rng):
+    values = rng.normal(size=(64, 33 * 33))  # d=2, m0=32, 545 KiB
+    tracemalloc.start()
+    try:
+        write_field_binary(tmp_path / "f.bin", values, d=2, m0=32)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < values.nbytes // 8
+    assert np.array_equal(read_field_binary(tmp_path / "f.bin")[0], values)

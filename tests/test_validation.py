@@ -1,9 +1,19 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from circembed import (GridSpec, MaternKernel, batch_sample_values,
-                       dense_covariance, minimal_embedding, validate_samples)
+from circembed import (CustomStationaryKernel, GridSpec, MaternKernel,
+                       batch_sample_values, dense_covariance,
+                       minimal_embedding, validate_samples)
 from conftest import dense_grid_matrix
+
+# derandomized and without an example database, so every run checks the
+# same examples
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True,
+                    database=None)
 
 
 class TestDenseCovariance:
@@ -12,6 +22,41 @@ class TestDenseCovariance:
         grid = GridSpec(d=2, m0=3)
         assert np.allclose(dense_covariance(k, grid),
                            dense_grid_matrix(k, grid), atol=1e-15)
+
+    @PROPERTY
+    @given(d=st.sampled_from([1, 2, 3]), m0=st.integers(1, 6),
+           nu=st.sampled_from([0.5, 1.5, 4.0, math.inf]),
+           lam=st.floats(0.05, 2.0))
+    def test_lag_table_equals_pairwise_assembly(self, d, m0, nu, lam):
+        k = MaternKernel(1.0, lam, nu, d, allow_small_nu=True)
+        grid = GridSpec(d=d, m0=m0)
+        R = dense_covariance(k, grid)
+        assert np.array_equal(R, dense_grid_matrix(k, grid))
+        assert np.array_equal(R, R.T)
+
+    def test_signed_lags_for_a_kernel_not_even_per_axis(self):
+        # stationary, but rho(x1, -x2) != rho(x1, x2): a table of |lags|
+        # would fail this
+        k = CustomStationaryKernel(
+            rho_fn=lambda x: np.exp(-(x[:, 0] + 0.5 * x[:, 1]) ** 2), d=2)
+        grid = GridSpec(d=2, m0=4)
+        R = dense_covariance(k, grid)
+        assert np.array_equal(R, dense_grid_matrix(k, grid))
+        # lag (1, 1) from (0, 0) to (1, 1), lag (1, -1) from (0, 1) to (1, 0)
+        assert R[6, 0] != R[5, 1]
+
+    def test_one_kappa_call(self, monkeypatch):
+        k = MaternKernel(1.0, 0.5, 1.5, 3)
+        calls = []
+        kappa = MaternKernel.kappa
+
+        def counting(self, r):
+            calls.append(np.size(r))
+            return kappa(self, r)
+
+        monkeypatch.setattr(MaternKernel, "kappa", counting)
+        dense_covariance(k, GridSpec(d=3, m0=5))
+        assert calls == [11**3]
 
     def test_size_cap(self):
         k = MaternKernel(1.0, 0.5, 1.5, 3)
@@ -34,6 +79,14 @@ class TestValidateSamples:
         report = validate_samples(values, k, grid)
         assert report.passed and report.mean_ok and report.cov_ok
         assert report.max_cov_error <= report.cov_tolerance
+
+    def test_cov_error_against_pairwise_assembly(self, good_run):
+        k, grid, values = good_run
+        centered = values - values.mean(axis=0)
+        emp = centered.T @ centered / (len(values) - 1)
+        report = validate_samples(values, k, grid)
+        assert report.max_cov_error == np.abs(
+            emp - dense_grid_matrix(k, grid)).max()
 
     def test_fails_on_wrong_kernel(self, good_run):
         _, grid, values = good_run
