@@ -18,11 +18,14 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import struct
 from pathlib import Path
 
 import numpy as np
+import scipy
 
+from . import sampler
 from .embedding import GridSpec, Spectrum
 
 MAGIC = b"GRFFLD01"
@@ -45,7 +48,8 @@ def write_json(path, obj) -> None:
 
 def write_manifest(out_dir, command: str, params: dict, outputs=()) -> Path:
     """One manifest per run: command, library version, effective parameters
-    and produced files."""
+    and produced files, plus the sampler's thread count, its FFT backend
+    and the numpy and scipy versions."""
     from . import __version__
 
     out_dir = Path(out_dir)
@@ -56,6 +60,10 @@ def write_manifest(out_dir, command: str, params: dict, outputs=()) -> Path:
         "version": __version__,
         "parameters": params,
         "outputs": [str(o) for o in outputs],
+        "sampler_workers": sampler.worker_count(),
+        "fft_backend": sampler.FFT_BACKEND,
+        "numpy_version": np.__version__,
+        "scipy_version": scipy.__version__,
     })
     return path
 
@@ -80,17 +88,21 @@ def write_field_binary(path, values: np.ndarray, d: int, m0: int,
 def read_field_binary(path):
     """Read a raw binary field file; returns (values (n, M), header dict)."""
     path = Path(path)
-    raw = path.read_bytes()
-    if len(raw) < _HEADER.size:
-        raise ValueError(f"{path}: truncated field file")
-    magic, d, m0, n = _HEADER.unpack_from(raw)
-    if magic != MAGIC:
-        raise ValueError(f"{path}: bad magic {magic!r}")
-    npts = (m0 + 1) ** d
-    data = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size)
-    if data.size != n * npts:
-        raise ValueError(f"{path}: expected {n * npts} values, found {data.size}")
-    values = data.reshape(n, npts).astype(float)
+    with open(path, "rb") as fh:
+        head = fh.read(_HEADER.size)
+        if len(head) < _HEADER.size:
+            raise ValueError(f"{path}: truncated field file")
+        magic, d, m0, n = _HEADER.unpack(head)
+        if magic != MAGIC:
+            raise ValueError(f"{path}: bad magic {magic!r}")
+        npts = (m0 + 1) ** d
+        found = (os.fstat(fh.fileno()).st_size - _HEADER.size) // 8
+        if found != n * npts:
+            raise ValueError(f"{path}: expected {n * npts} values, "
+                             f"found {found}")
+        # read into the one array returned; no copy of the file is held
+        data = np.fromfile(fh, dtype="<f8", count=found)
+    values = data.reshape(n, npts).astype(float, copy=False)
     return values, {"d": int(d), "m0": int(m0), "n_samples": int(n)}
 
 

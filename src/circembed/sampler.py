@@ -10,11 +10,16 @@ axis and complex FFTs on the others, each cut to indices 0..m0 before the
 next axis (output pruning; m0 <= m makes the cut valid).
 
 Samples are computed in chunks sized from SAMPLE_BUDGET_BYTES, so memory
-does not grow with the number of samples.
+does not grow with the number of samples.  Each chunk's normals are drawn
+by one thread per CPU the process may run on, each over a contiguous range
+of rows, and the chunk's FFTs use as many workers.  Row i depends only on
+(seed, i), so the output is the same bit for bit at any worker count.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -36,6 +41,17 @@ __all__ = [
 # Bytes of normals plus transform output held at once per chunk of samples.
 SAMPLE_BUDGET_BYTES = 64 * 2**20
 
+# The module that runs the sampler's transforms (recorded in run manifests).
+FFT_BACKEND = scipy.fft.__name__
+
+
+def worker_count() -> int:
+    """Threads the sampler uses: the CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
 
 @dataclass
 class FieldSample:
@@ -54,9 +70,13 @@ def draw_normal(s: int, seed: int, stream: int = 0) -> np.ndarray:
     """
     if s < 1:
         raise ValueError("draw_normal: s must be >= 1")
+    return _generator(seed, stream).standard_normal(s)
+
+
+def _generator(seed: int, stream: int) -> np.random.Generator:
+    """The Philox generator of stream `stream` of `seed`."""
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream,))
-    gen = np.random.Generator(np.random.Philox(ss))
-    return gen.standard_normal(s)
+    return np.random.Generator(np.random.Philox(ss))
 
 
 def qmc_map(point: np.ndarray, ordering: np.ndarray) -> np.ndarray:
@@ -87,18 +107,19 @@ def _transform(u: np.ndarray) -> np.ndarray:
     return w.real + w.imag
 
 
-def _pruned_transform(u: np.ndarray, m0: int) -> np.ndarray:
+def _pruned_transform(u: np.ndarray, m0: int, workers: int) -> np.ndarray:
     """`_transform` of each u[i], cut to indices 0..m0 on every axis.
 
     Axis 0 of `u` indexes samples.  Re + Im of the unitary inverse DFT of
     a real array is Re - Im of its unitary forward DFT, which is computed
     as an rfft on the last axis and an fft on each other axis, keeping
-    only indices 0..m0 after every axis.
+    only indices 0..m0 after every axis.  `workers` threads share each
+    axis's transforms; they change no value.
     """
     keep = slice(0, m0 + 1)
-    w = scipy.fft.rfft(u, axis=-1, norm="ortho")[..., keep]
+    w = scipy.fft.rfft(u, axis=-1, norm="ortho", workers=workers)[..., keep]
     for axis in range(1, u.ndim - 1):
-        w = scipy.fft.fft(w, axis=axis, norm="ortho")
+        w = scipy.fft.fft(w, axis=axis, norm="ortho", workers=workers)
         w = w[(slice(None),) * axis + (keep,)]
     return w.real - w.imag
 
@@ -126,25 +147,45 @@ def _resolve_mean(mean, n_points: int) -> np.ndarray:
     return flat
 
 
-def _field_values(spec: Spectrum, mean, n: int, normals, lognormal: bool,
+def _field_values(spec: Spectrum, mean, n: int, fill, lognormal: bool,
                   chunk: Optional[int]) -> np.ndarray:
-    """(n, (m0+1)^d) field values; row i is driven by normals(i), an
-    s-vector.  The one transform path of `sample` and the batch samplers."""
+    """(n, (m0+1)^d) field values; fill(row, i) writes the s normals that
+    drive row i into the float64 s-vector `row`.  The one transform path
+    of `sample` and the batch samplers.
+
+    Each chunk's rows are filled and scaled by the eigenvalue square roots
+    in `worker_count()` threads, each over a contiguous range of rows, so
+    a fill must be safe to run in several threads at once.
+    """
     emb = spec.embedding
     grid = emb.grid
-    sqrt_vals = np.sqrt(spec.values)
+    sqrt_vals = np.sqrt(spec.values_flat)
     mean_flat = _resolve_mean(mean, grid.n_points)
     out = np.empty((n, grid.n_points))
     size = _chunk_size(emb, chunk)
-    for lo in range(0, n, size):
-        hi = min(lo + size, n)
-        u = np.empty((hi - lo,) + emb.shape)
-        for i in range(lo, hi):
-            u[i - lo] = normals(i).reshape(emb.shape)
-        u *= sqrt_vals
-        v = _pruned_transform(u, grid.m0)
-        del u  # free this chunk before the next one is allocated
-        out[lo:hi] = v.reshape(hi - lo, -1) + mean_flat
+    workers = worker_count()
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for lo in range(0, n, size):
+            hi = min(lo + size, n)
+            u = np.empty((hi - lo, emb.s))
+
+            def scaled_normals(a: int, b: int) -> None:
+                for i in range(a, b):
+                    row = u[i - lo]
+                    fill(row, i)
+                    row *= sqrt_vals  # while the row is still in cache
+
+            parts = min(workers, hi - lo)
+            if parts == 1:
+                scaled_normals(lo, hi)
+            else:
+                bounds = [lo + (hi - lo) * k // parts
+                          for k in range(parts + 1)]
+                list(pool.map(scaled_normals, bounds[:-1], bounds[1:]))
+            v = _pruned_transform(u.reshape((hi - lo,) + emb.shape),
+                                  grid.m0, workers)
+            del u  # free this chunk before the next one is allocated
+            out[lo:hi] = v.reshape(hi - lo, -1) + mean_flat
     if lognormal:
         np.exp(out, out=out)
     return out
@@ -161,10 +202,11 @@ def sample(spec: Spectrum, mean, y: np.ndarray,
         raise ValueError("sample: spectrum has negative entries beyond the "
                          "clamp; not a valid factorization")
     emb = spec.embedding
-    y = np.asarray(y, dtype=float)
+    y = np.asarray(y, dtype=float).reshape(-1)
     if y.size != emb.s:
         raise ValueError(f"sample: expected {emb.s} normal inputs, got {y.size}")
-    values = _field_values(spec, mean, 1, lambda i: y, lognormal, chunk=1)
+    values = _field_values(spec, mean, 1, lambda row, i: np.copyto(row, y),
+                           lognormal, chunk=1)
     return FieldSample(values=values[0], meta={"lognormal": bool(lognormal)})
 
 
@@ -194,12 +236,13 @@ def batch_sample_values(spec: Spectrum, mean, n: int, seed: int,
     """Vectorized batch sampling; returns an (n, (m0+1)^d) array.
 
     Row i equals sample(spec, mean, draw_normal(s, seed, i)).values, bit
-    for bit, whatever the chunking.  Chunks are sized from
+    for bit, whatever the chunking or worker count.  Chunks are sized from
     SAMPLE_BUDGET_BYTES; `chunk`, when given, caps the samples per chunk.
     """
     if spec.values.min() < 0.0:
         raise ValueError("batch_sample: spectrum has negative entries beyond "
                          "the clamp; not a valid factorization")
-    s = spec.embedding.s
-    return _field_values(spec, mean, n,
-                         lambda i: draw_normal(s, seed, i), lognormal, chunk)
+    return _field_values(
+        spec, mean, n,
+        lambda row, i: _generator(seed, i).standard_normal(out=row),
+        lognormal, chunk)

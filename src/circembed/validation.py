@@ -89,6 +89,10 @@ def validate_samples(values: np.ndarray, kernel, grid: GridSpec,
         raise ValueError(f"validate_samples: need at least {min_samples} "
                          f"samples, got {n}")
     R = dense_covariance(kernel, grid)
+    # the tolerances first, so that |R| and the empirical covariance are
+    # never held at once
+    cov_tol = float(7.0 * (1.0 + np.abs(R).max()) / math.sqrt(n))
+    mean_tol = float(4.0 * math.sqrt(R.diagonal().max() / n))
     mean = np.asarray(mean, dtype=float)
     mean_target = np.full(M, float(mean)) if mean.ndim == 0 else mean.reshape(M)
 
@@ -96,19 +100,19 @@ def validate_samples(values: np.ndarray, kernel, grid: GridSpec,
     centered = values - emp_mean
     emp_cov = centered.T @ centered
     emp_cov /= n - 1
+    # the sample variances (divisor n), from the diagonal before R goes
+    variances = emp_cov.diagonal() * ((n - 1) / n)
     emp_cov -= R
     max_cov_err = float(np.abs(emp_cov, out=emp_cov).max())
     max_mean_err = float(np.abs(emp_mean - mean_target).max())
 
-    if np.allclose(values.var(axis=0), 0.0):
+    if np.allclose(variances, 0.0):
         return ValidationReport(
             n_samples=n, max_mean_error=max_mean_err, mean_tolerance=0.0,
             max_cov_error=max_cov_err, cov_tolerance=0.0, mean_ok=False,
             cov_ok=False, passed=False,
             message="degenerate input: all samples have zero variance")
 
-    cov_tol = float(7.0 * (1.0 + np.abs(R).max()) / math.sqrt(n))
-    mean_tol = float(4.0 * math.sqrt(R.diagonal().max() / n))
     mean_ok = bool(max_mean_err <= mean_tol)
     cov_ok = bool(max_cov_err <= cov_tol)
     return ValidationReport(

@@ -94,6 +94,7 @@ def _search_row(d, lam, m0, tol, m_max):
     return emb.m, spec
 
 
+@pytest.mark.slow
 def test_criterion_1_reference_table_exact():
     """Gaussian-kernel minimal extension lengths for the four
     (lam, m0) pairs with lam*m0 = 8, in d = 2 and 3, at tol = 1e-13 under
@@ -180,6 +181,7 @@ ORACLE_MATRIX = [
 ]
 
 
+@pytest.mark.slow
 def test_criterion_2_dense_oracle_equivalence():
     worst = 0.0
     for d, m0, m, nu, lam in ORACLE_MATRIX:

@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy
 
 from circembed.cli import main
 from circembed.formats import read_field_binary, write_field_binary
+from circembed.sampler import worker_count
 
 
 def run(capsys, *argv):
@@ -64,6 +66,10 @@ class TestMinEll:
         manifest = json.loads((tmp_path / "r" / "manifest.json").read_text())
         assert manifest["command"] == "min-ell"
         assert manifest["parameters"]["m0"] == 4
+        assert manifest["sampler_workers"] == worker_count() >= 1
+        assert manifest["fft_backend"] == "scipy.fft"
+        assert manifest["numpy_version"] == np.__version__
+        assert manifest["scipy_version"] == scipy.__version__
         assert (tmp_path / "r" / "spectrum.csv").exists()
         assert (tmp_path / "r" / "spectrum.csv.json").exists()
         assert (tmp_path / "r" / "report.json").exists()

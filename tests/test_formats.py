@@ -5,8 +5,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy
 
-from circembed import Embedding, GridSpec, MaternKernel, first_column, spectrum
+from circembed import (Embedding, GridSpec, MaternKernel, first_column,
+                       sampler, spectrum)
 from circembed.formats import (MAGIC, read_field_binary, write_field_binary,
                                write_field_csv, write_manifest,
                                write_spectrum_csv)
@@ -49,6 +51,20 @@ class TestBinaryFormat:
         with pytest.raises(ValueError):
             write_field_binary(tmp_path / "f.bin", np.zeros((1, 5)), d=1, m0=2)
 
+    def test_size_errors_count_the_values(self, tmp_path):
+        values = np.zeros((2, 3))
+        path = write_field_binary(tmp_path / "f.bin", values, d=1, m0=2)
+        raw = path.read_bytes()
+        (tmp_path / "cut.bin").write_bytes(raw[:-8])
+        with pytest.raises(ValueError, match="expected 6 values, found 5"):
+            read_field_binary(tmp_path / "cut.bin")
+        (tmp_path / "long.bin").write_bytes(raw + bytes(16))
+        with pytest.raises(ValueError, match="expected 6 values, found 8"):
+            read_field_binary(tmp_path / "long.bin")
+        (tmp_path / "head.bin").write_bytes(raw[:20])
+        with pytest.raises(ValueError, match="truncated"):
+            read_field_binary(tmp_path / "head.bin")
+
 
 class TestCsvFormats:
     def test_field_csv(self, tmp_path):
@@ -84,6 +100,10 @@ class TestCsvFormats:
         assert data["command"] == "min-ell"
         assert data["parameters"] == {"m0": 8}
         assert "version" in data
+        assert data["sampler_workers"] == sampler.worker_count() >= 1
+        assert data["fft_backend"] == "scipy.fft"
+        assert data["numpy_version"] == np.__version__
+        assert data["scipy_version"] == scipy.__version__
 
 
 def test_binary_writer_makes_no_copy_of_the_values(tmp_path, rng):
@@ -96,3 +116,16 @@ def test_binary_writer_makes_no_copy_of_the_values(tmp_path, rng):
         tracemalloc.stop()
     assert peak < values.nbytes // 8
     assert np.array_equal(read_field_binary(tmp_path / "f.bin")[0], values)
+
+
+def test_binary_reader_holds_one_copy_of_the_values(tmp_path, rng):
+    values = rng.normal(size=(64, 33 * 33))  # d=2, m0=32, 545 KiB
+    write_field_binary(tmp_path / "f.bin", values, d=2, m0=32)
+    tracemalloc.start()
+    try:
+        back, _ = read_field_binary(tmp_path / "f.bin")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= values.nbytes + 2**16
+    assert np.array_equal(back, values)

@@ -1,9 +1,11 @@
 """Property tests of the transforms the search and the sampler run in
 place of complex (2m)^d FFTs: the DCT-I screen of the extension search
 against an FFT-only search, and the output-pruned real sampler against the
-dense transform."""
+dense transform and across worker counts."""
 
 import math
+import sys
+from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -12,9 +14,11 @@ from hypothesis import strategies as st
 from circembed import (Embedding, GridSpec, MaternKernel,
                        NotPositiveDefiniteError, Spectrum,
                        batch_sample_values, draw_normal, minimal_embedding,
-                       sample)
+                       sample, sampler)
 from circembed.sampler import _transform
 from conftest import fft_only_search
+
+import test_sampler
 
 # derandomized and without an example database, so every run checks the
 # same examples
@@ -130,3 +134,55 @@ def test_batch_rows_are_chunk_invariant_and_equal_single_samples(case,
         one = sample(spec, mean, draw_normal(emb.s, seed, i),
                      lognormal=lognormal)
         assert np.array_equal(one.values, rows[i])
+
+
+def workers(count):
+    """Run the sampler with `count` threads, whatever the host has."""
+    return mock.patch.object(sampler, "worker_count", return_value=count)
+
+
+@settings(PROPERTY, max_examples=60)
+@given(sampler_cases(), st.booleans(),
+       st.sampled_from(["none", "constant", "array"]))
+def test_batch_rows_are_bit_identical_at_any_worker_count(case, lognormal,
+                                                          mean_kind):
+    d, m0, m, n, chunks, seed = case
+    spec = random_spectrum(d, m0, m, seed)
+    emb = spec.embedding
+    mean = {"none": None, "constant": 1.5,
+            "array": np.random.default_rng(seed + 2).normal(
+                size=emb.grid.n_points)}[mean_kind]
+    with workers(1):
+        rows = batch_sample_values(spec, mean, n, seed, lognormal=lognormal)
+    for count in (1, 2, 3):
+        for chunk in chunks:
+            with workers(count):
+                again = batch_sample_values(spec, mean, n, seed,
+                                            lognormal=lognormal, chunk=chunk)
+            assert np.array_equal(again, rows)
+    with workers(3):
+        for i in range(n):
+            one = sample(spec, mean, draw_normal(emb.s, seed, i),
+                         lognormal=lognormal)
+            assert np.array_equal(one.values, rows[i])
+
+
+def test_memory_follows_byte_budget_with_several_workers():
+    with workers(3):
+        test_sampler.TestBatchSample().test_memory_follows_byte_budget()
+
+
+def test_rows_are_unchanged_by_many_threads_switching_fast():
+    # eight threads, more than a small host has cores, switched every
+    # microsecond
+    spec = random_spectrum(1, 12, 20, 5)
+    with workers(1):
+        want = batch_sample_values(spec, 0.0, 64, 5)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with workers(8):
+            got = batch_sample_values(spec, 0.0, 64, 5)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(got, want)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -105,6 +106,21 @@ class TestValidateSamples:
         report = validate_samples(flat, k, grid)
         assert not report.passed
         assert "zero variance" in report.message
+
+    def test_peak_memory_is_centred_samples_and_two_matrices(self, rng):
+        # one n x M centred copy of the samples, R and the empirical
+        # covariance; no n x M temporaries for the variances and no copy
+        # of |R| next to the empirical covariance
+        grid = GridSpec(d=2, m0=15)
+        values = rng.normal(size=(1000, grid.n_points))
+        tracemalloc.start()
+        try:
+            validate_samples(values, MaternKernel(1.0, 0.2, 1.5, 2), grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        matrix_bytes = 8 * grid.n_points ** 2
+        assert peak <= values.nbytes + 2 * matrix_bytes + 2**17
 
     def test_minimum_sample_count(self, good_run):
         k, grid, values = good_run
