@@ -17,6 +17,7 @@ from .analysis import (
     lattice_ordering,
     matern_ell_bound,
     pd_criterion,
+    plateau_end,
     qmc_criterion_sum,
     sampling_theorem_check,
 )
@@ -64,7 +65,8 @@ __all__ = [
     "BoundConstants", "DecayReport", "OrderedLattice", "PdCriterionResult",
     "calibrate_constants", "continuous_eigenvalue", "decay_report",
     "gaussian_ell_bound", "lattice_ordering", "matern_ell_bound",
-    "pd_criterion", "qmc_criterion_sum", "sampling_theorem_check",
+    "pd_criterion", "plateau_end", "qmc_criterion_sum",
+    "sampling_theorem_check",
     "Embedding", "GridSpec", "Spectrum", "eigen_lower_bound_diagnostic",
     "first_column", "minimal_embedding", "phi", "rho_ext", "spectrum",
     "CapabilityError", "CircembedError", "ConvergenceError",

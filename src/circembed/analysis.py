@@ -34,6 +34,7 @@ __all__ = [
     "gaussian_ell_bound",
     "continuous_eigenvalue",
     "lattice_ordering",
+    "plateau_end",
     "decay_report",
     "qmc_criterion_sum",
     "sampling_theorem_check",
@@ -209,6 +210,15 @@ def lattice_ordering(d: int, J: int) -> OrderedLattice:
     return OrderedLattice(seq=pts[order[:J]])
 
 
+def plateau_end(spec: Spectrum, nu: float, d: int) -> int:
+    """First rank j with Lambda_j <= 2^-(nu + d/2) Lambda_1: how far the
+    Matern density has fallen at its corner frequency, where
+    (2 pi lam xi)^2 = 2 nu.  s when no eigenvalue has fallen that far."""
+    vals = np.sort(spec.values_flat)[::-1]
+    fallen = vals <= 2.0 ** -(nu + 0.5 * d) * vals[0]
+    return int(np.argmax(fallen)) + 1 if fallen.any() else vals.size
+
+
 def decay_report(spec: Spectrum, nu: float, d: int,
                  fit_range: Optional[tuple] = None,
                  rel_tol: float = 0.15) -> DecayReport:
@@ -216,18 +226,22 @@ def decay_report(spec: Spectrum, nu: float, d: int,
     on a log-log scale and compare with the conjectured exponent
     -(1 + 2 nu / d) / 2.
 
-    `fit_range` is an inclusive (j_lo, j_hi) rank window; the default is
-    (s^0.1, s^0.6).  Zero eigenvalues inside the window (clamped or below
-    the floating-point floor) are excluded from the fit.
+    `fit_range` is an inclusive (j_lo, j_hi) rank window.  The default
+    runs from the end of the spectral plateau (`plateau_end`) to s^0.9,
+    past which the asymptotic rate is expected; when the plateau reaches
+    s^0.9 that window is empty and the report is degenerate.  Zero
+    eigenvalues inside the window (clamped or below the floating-point
+    floor) are excluded from the fit.
     """
     flat = spec.values_flat
     s = flat.size
     if fit_range is None:
-        fit_range = (s**0.1, s**0.6)
-    j_lo = max(1, int(math.ceil(fit_range[0])))
-    j_hi = min(s, int(math.floor(fit_range[1])))
-    if not (1 <= j_lo < j_hi <= s):
-        raise ValueError(f"decay_report: invalid fit range {fit_range}")
+        j_lo, j_hi = plateau_end(spec, nu, d), int(math.floor(s**0.9))
+    else:
+        j_lo = max(1, int(math.ceil(fit_range[0])))
+        j_hi = min(s, int(math.floor(fit_range[1])))
+        if not (1 <= j_lo < j_hi <= s):
+            raise ValueError(f"decay_report: invalid fit range {fit_range}")
     vals = np.sort(np.sqrt(np.maximum(flat, 0.0) / s))[::-1]
     j = np.arange(1, s + 1)
     window = (j >= j_lo) & (j <= j_hi)

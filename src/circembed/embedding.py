@@ -44,6 +44,10 @@ __all__ = [
     "eigen_lower_bound_diagnostic",
 ]
 
+# Imaginary residue of a spectrum, relative to its largest value, above
+# which its column cannot be even-symmetric: rounding leaves far less.
+IMAG_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -116,10 +120,6 @@ class Spectrum:
     def values_flat(self) -> np.ndarray:
         return self.values.reshape(-1)
 
-    @property
-    def is_nonnegative(self) -> bool:
-        return bool(self.values.min() >= 0.0)
-
     def decides(self, tol: float) -> bool:
         """True when rounding cannot flip the verdict min >= -tol: the
         minimum lies farther than `rounding_bound` from -tol."""
@@ -182,13 +182,12 @@ def _unfold(block: np.ndarray, m: int) -> np.ndarray:
 
 
 def spectrum(column: np.ndarray, embedding: Embedding,
-             imag_tol: float = 1e-9,
              column_rel_error: float = 0.0) -> Spectrum:
     """Eigenvalues of the circulant with the given first column.
 
     The values are the unnormalized forward d-dimensional DFT of the
     column.  They must come out real (the column is even-symmetric); a
-    relative imaginary residue above `imag_tol` signals a symmetry bug
+    relative imaginary residue above IMAG_TOL signals a symmetry bug
     upstream and raises SymmetryError.  The residue is zeroed.
 
     `rounding_bound` is (u log2(s) + column_rel_error) * ||column||_1 with
@@ -204,10 +203,10 @@ def spectrum(column: np.ndarray, embedding: Embedding,
     values = transform.real
     scale = np.abs(values).max()
     residue = np.abs(transform.imag).max()
-    if residue > imag_tol * scale:
+    if residue > IMAG_TOL * scale:
         raise SymmetryError(
             f"spectrum: imaginary residue {residue:.3e} exceeds "
-            f"{imag_tol:.1e} * max|value| = {imag_tol * scale:.3e}; "
+            f"{IMAG_TOL:.1e} * max|value| = {IMAG_TOL * scale:.3e}; "
             "first column is not even-symmetric")
     block = column[(slice(0, embedding.m + 1),) * column.ndim]
     bound = _rounding_bound(block, values.flat[0], embedding,

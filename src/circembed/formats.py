@@ -123,8 +123,7 @@ def write_field_csv(path, values: np.ndarray, grid: GridSpec) -> Path:
     return path
 
 
-def write_spectrum_csv(path, spec: Spectrum, kernel=None,
-                       extra_sidecar: dict | None = None) -> Path:
+def write_spectrum_csv(path, spec: Spectrum, kernel=None) -> Path:
     """Export a spectrum as CSV (index_lex, k1..kd, lambda_ext) with a JSON
     sidecar recording the embedding and kernel."""
     emb = spec.embedding
@@ -151,7 +150,5 @@ def write_spectrum_csv(path, spec: Spectrum, kernel=None,
         "min_eig": spec.min_value,
         "kernel": kernel.to_json() if kernel is not None else None,
     }
-    if extra_sidecar:
-        sidecar.update(extra_sidecar)
     write_json(path.with_suffix(path.suffix + ".json"), sidecar)
     return path

@@ -99,16 +99,10 @@ def importance_ordering(spec: Spectrum) -> np.ndarray:
     return np.argsort(-flat, kind="stable")
 
 
-def _transform(u: np.ndarray) -> np.ndarray:
-    """Apply the real symmetric orthogonal circulant factor: the unitary
-    positive-exponent DFT followed by Re + Im.  Dense reference for the
-    pruned transform the sampler runs."""
-    w = np.fft.ifftn(u, norm="ortho")
-    return w.real + w.imag
-
-
 def _pruned_transform(u: np.ndarray, m0: int, workers: int) -> np.ndarray:
-    """`_transform` of each u[i], cut to indices 0..m0 on every axis.
+    """The real symmetric orthogonal circulant factor (the unitary
+    positive-exponent DFT followed by Re + Im) applied to each u[i], cut to
+    indices 0..m0 on every axis.
 
     Axis 0 of `u` indexes samples.  Re + Im of the unitary inverse DFT of
     a real array is Re - Im of its unitary forward DFT, which is computed
@@ -218,8 +212,6 @@ def batch_sample(spec: Spectrum, mean, n: int, seed: int,
     Sample i depends only on (seed, i); chunked batch FFTs change nothing
     about the per-sample content.
     """
-    if n < 1:
-        raise ValueError("batch_sample: n must be >= 1")
     values = batch_sample_values(spec, mean, n, seed, lognormal=lognormal,
                                  chunk=chunk)
     base = dict(meta or {})
@@ -239,6 +231,8 @@ def batch_sample_values(spec: Spectrum, mean, n: int, seed: int,
     for bit, whatever the chunking or worker count.  Chunks are sized from
     SAMPLE_BUDGET_BYTES; `chunk`, when given, caps the samples per chunk.
     """
+    if n < 1:
+        raise ValueError("batch_sample_values: n must be >= 1")
     if spec.values.min() < 0.0:
         raise ValueError("batch_sample: spectrum has negative entries beyond "
                          "the clamp; not a valid factorization")

@@ -62,6 +62,14 @@ def dense_orthogonal_factor(embedding: Embedding) -> np.ndarray:
     return (np.cos(phase) + np.sin(phase)) / np.sqrt(s)
 
 
+def dense_transform(u: np.ndarray) -> np.ndarray:
+    """Apply the real symmetric orthogonal circulant factor to the full
+    (2m,)*d array u: the unitary positive-exponent DFT followed by Re + Im.
+    Dense reference for the pruned transform the sampler runs."""
+    w = np.fft.ifftn(u, norm="ortho")
+    return w.real + w.imag
+
+
 def gaussian_spectrum_oracle(kernel, embedding: Embedding) -> np.ndarray:
     """Circulant eigenvalues of a Gaussian kernel in long double, as the
     folded (m+1)^d block (the other eigenvalues repeat it by symmetry).

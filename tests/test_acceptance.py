@@ -40,6 +40,7 @@ from circembed import (
     sampling_theorem_check,
     spectrum,
 )
+from circembed import plateau_end as _plateau_end
 from conftest import (dense_extended_matrix, dense_grid_matrix,
                       gaussian_spectrum_oracle, multi_indices)
 
@@ -269,14 +270,6 @@ def decay_spectra():
                                     schedule="doubling", m_max=4096)
         out[(d, nu)] = spec
     return out
-
-
-def _plateau_end(spec, nu, d):
-    """First rank j with Lambda_j <= 2^-(nu + d/2) Lambda_1: how far the
-    Matern density has fallen at its corner frequency, where
-    (2 pi lam xi)^2 = 2 nu."""
-    vals = np.sort(spec.values_flat)[::-1]
-    return int(np.argmax(vals <= 2.0 ** -(nu + 0.5 * d) * vals[0])) + 1
 
 
 def test_criterion_5_eigenvalue_decay_stated_window(decay_spectra):

@@ -21,6 +21,7 @@ from circembed import (
     matern_ell_bound,
     minimal_embedding,
     pd_criterion,
+    plateau_end,
     qmc_criterion_sum,
     sampling_theorem_check,
     spectrum,
@@ -250,6 +251,26 @@ class TestDecayReport:
                         embedding=emb)
         with pytest.raises(ValueError):
             decay_report(spec, nu=1.0, d=1, fit_range=(8, 4))
+
+    def test_default_window_starts_at_plateau_end(self):
+        # the rank window [s^0.1, s^0.6] lies on the plateau here and fits
+        # slope -0.77; from the plateau end to s^0.9 the rate is met
+        k = MaternKernel(1.0, 0.25, 4.0, 2)
+        emb, spec = minimal_embedding(k, GridSpec(d=2, m0=32), tol=0.0)
+        rep = decay_report(spec, nu=4.0, d=2)
+        assert rep.j_lo == plateau_end(spec, 4.0, 2) == 194
+        assert rep.j_hi == math.floor(emb.s**0.9) == 7483
+        assert rep.slope == pytest.approx(-2.207, abs=1e-3)
+        assert rep.passed and not rep.degenerate
+
+    def test_default_window_never_raises(self):
+        # s = 2: the plateau (rank 2) reaches s^0.9; empty window, degenerate
+        emb = Embedding(GridSpec(d=1, m0=1), m=1)
+        spec = Spectrum(values=np.array([3.0, 1e-6]), min_value=1e-6,
+                        tolerance=0.0, embedding=emb)
+        rep = decay_report(spec, nu=1.0, d=1)
+        assert rep.j_lo > rep.j_hi and len(rep.points) == 0
+        assert rep.degenerate and not rep.passed
 
 
 class TestQmcCriterionSum:

@@ -84,6 +84,36 @@ class TestMinEll:
         assert code == 0
         assert payload["report"]["ell"] == 8.0
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--sigma2", "0"], "sigma2 must be positive"),
+        (["--m-max", "0"], "m_max must be >= the start m"),
+        (["--m-step", "0"], "m_step must be >= 1"),
+    ])
+    def test_explicit_zero_is_not_a_default(self, flags, message, capsys):
+        code = main(["min-ell", "--d", "1", "--nu", "0.5", "--lambda", "1",
+                     "--m0", "8", *flags])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+    def test_out_from_config(self, tmp_path, capsys):
+        # an `out` key in the config writes the same files as --out
+        base = {"d": 1, "nu": 0.5, "lam": 1.0, "m0": 4, "tol": 0.0,
+                "export_spectrum": True}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(base, out=str(tmp_path / "c"))))
+        code, _ = run(capsys, "min-ell", "--config", str(cfg))
+        assert code == 0
+        cfg.write_text(json.dumps(base))
+        code, _ = run(capsys, "min-ell", "--config", str(cfg),
+                      "--out", str(tmp_path / "f"))
+        assert code == 0
+        names = sorted(p.name for p in (tmp_path / "f").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "c").iterdir())
+        assert {"report.json", "manifest.json", "spectrum.csv"} <= set(names)
+        for name in ("spectrum.csv", "spectrum.csv.json"):
+            assert ((tmp_path / "c" / name).read_bytes()
+                    == (tmp_path / "f" / name).read_bytes())
+
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"d": 1, "nu": 0.5, "lam": 1.0, "m0": 4,
@@ -209,6 +239,15 @@ class TestSample:
             assert rows[0] == ["k1", "value"]
             assert len(rows) == 6
 
+    @pytest.mark.parametrize("n", ["0", "-2"])
+    def test_sample_count_below_one_is_usage_error(self, n, tmp_path,
+                                                   capsys):
+        code = main(["sample", "--d", "1", "--nu", "0.5", "--lambda", "0.5",
+                     "--m0", "4", "--n", n, "--out", str(tmp_path)])
+        assert code == 2
+        assert "n must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "fields.bin").exists()
+
     def test_constant_mean(self, tmp_path, capsys):
         code, _ = run(capsys, "sample", "--d", "1", "--nu", "0.5",
                       "--lambda", "0.5", "--m0", "4", "--n", "1",
@@ -328,6 +367,34 @@ class TestTheory:
                             "--xi", "0.13", "--k-trunc", "40", "--r-trunc", "3")
         assert code == 0
         assert payload["report"]["residual"] <= 1e-12
+
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--nu", "1.0", "--lambda", "0.5", "--m0", "16",
+         "--c1", "1.0", "--c2", "3.0", "--quad-n", "5"],
+        ["pd-criterion", "--d", "1", "--nu", "0.5", "--lambda", "0.5",
+         "--m0", "8", "--ell", "6", "--p", "0.5"],
+        ["continuous-eigs", "--d", "1", "--nu", "0.5", "--lambda", "1.0",
+         "--ell", "1", "--m0", "8"],
+        ["sampling-theorem", "--d", "1", "--nu", "inf", "--lambda", "1.0",
+         "--h", "0.25", "--tol", "0"],
+        ["qmc-sum", "--d", "1", "--nu", "1.5", "--lambda", "0.5",
+         "--m0", "8", "--p", "0.7", "--ell", "1"],
+    ])
+    def test_subcommand_rejects_flags_it_does_not_read(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["theory", *argv])
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_qmc_sum_schedule_flag(self, capsys):
+        args = ["theory", "qmc-sum", "--d", "2", "--nu", "1.5",
+                "--lambda", "0.5", "--m0", "8", "--tol", "0", "--p", "0.7"]
+        code, inc = run(capsys, *args)
+        assert code == 0
+        code, dbl = run(capsys, *args, "--schedule", "doubling")
+        assert code == 0
+        assert dbl["parameters"]["schedule"] == "doubling"
+        assert dbl["report"]["m"] == inc["report"]["m"] > 8
 
     def test_qmc_sum(self, capsys):
         code, payload = run(capsys, "theory", "qmc-sum", "--d", "1",

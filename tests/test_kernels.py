@@ -116,6 +116,24 @@ class TestEvalRelError:
         assert err <= kernel.eval_rel_error * exact.sum()
         assert kernel.eval_rel_error < 1e-13
 
+    @pytest.mark.parametrize("nu", [0.6, 0.75, 1.3, 2.3])
+    def test_covers_kve_error_at_fractional_order(self, nu):
+        # where 2 nu is not an integer, scipy's kve errs by hundreds of u
+        # near z ~ 2; the bound (about 1.1e-13 here) must cover that too
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        kernel = MaternKernel(1.0, 0.25, nu, 2)
+        k = np.arange(25)
+        r = np.unique(np.hypot(*np.meshgrid(k, k))) / 16 / kernel.lam
+        nu_mp = mpmath.mpf(nu)
+        exact = np.array([1.0 if x == 0 else float(
+            2 ** (1 - nu_mp) / mpmath.gamma(nu_mp)
+            * (mpmath.sqrt(2 * nu_mp) * x) ** nu_mp
+            * mpmath.besselk(nu_mp, mpmath.sqrt(2 * nu_mp) * x))
+            for x in map(mpmath.mpf, r)])
+        err = np.abs(kernel.kappa(r) - exact).sum()
+        assert err <= kernel.eval_rel_error * exact.sum()
+
 
 class TestSpectralDensity:
     def test_exponential_transform_at_zero(self):

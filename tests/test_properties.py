@@ -15,8 +15,7 @@ from circembed import (Embedding, GridSpec, MaternKernel,
                        NotPositiveDefiniteError, Spectrum,
                        batch_sample_values, draw_normal, minimal_embedding,
                        sample, sampler)
-from circembed.sampler import _transform
-from conftest import fft_only_search
+from conftest import dense_transform, fft_only_search
 
 import test_sampler
 
@@ -112,7 +111,7 @@ def test_pruned_batch_matches_dense_transform(case):
     block = (slice(0, m0 + 1),) * d
     for i in range(n):
         y = draw_normal(emb.s, seed, i).reshape(emb.shape)
-        want = _transform(np.sqrt(spec.values) * y)[block].reshape(-1)
+        want = dense_transform(np.sqrt(spec.values) * y)[block].reshape(-1)
         scale = np.abs(want).max()
         assert np.abs(got[i] - want).max() <= 1e-12 * scale
 
