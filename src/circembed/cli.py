@@ -54,6 +54,8 @@ SWEEP_COLUMNS = ["d", "nu", "lambda", "m0", "ell_min", "m", "s", "seconds",
                  "error"]
 DERIVED_COLUMNS = ["d", "nu", "lambda", "m0", "log2_m0", "log_nu", "log_ell"]
 DECAY_COLUMNS = ["j", "sqrt_lambda_over_s"]
+# config keys a command reads as lists: the sweep's grid, the decay window
+LIST_KEYS = {"sweep": ("d", "nu", "lam", "m0"), "eig-decay": ("fit_range",)}
 
 
 def _parse_nu(text: str) -> float:
@@ -63,7 +65,9 @@ def _parse_nu(text: str) -> float:
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
-    """Effective parameters: config values overridden by explicit flags."""
+    """Effective parameters: config values overridden by explicit flags.
+    A value may be a list or an object only where the command reads one
+    (`LIST_KEYS`)."""
     merged = {}
     if args.config is not None:
         merged.update(json.loads(Path(args.config).read_text()))
@@ -71,6 +75,12 @@ def _merge_config(args: argparse.Namespace) -> dict:
         if key in ("config", "func", "cmd", "theory_cmd") or value is None:
             continue
         merged[key] = value
+    for key, value in merged.items():
+        if isinstance(value, (list, dict)) \
+                and key not in LIST_KEYS.get(args.command, ()):
+            raise ValueError(f"config key '{key}' must be a single value "
+                             f"for {args.command}, not a "
+                             f"{type(value).__name__}")
     return merged
 
 
@@ -204,7 +214,8 @@ def cmd_sweep(params: dict) -> int:
                    m0=int(m0))
               for d in grids["d"] for nu in grids["nu"]
               for lam in grids["lam"] for m0 in grids["m0"]]
-    threads = max(1, int(_get(params, "threads", 1)))
+    params["threads"] = _get(params, "threads", 1)
+    threads = max(1, int(params["threads"]))
     with ThreadPoolExecutor(max_workers=threads) as pool:
         rows = list(pool.map(_sweep_point, points))
 
@@ -346,6 +357,8 @@ def cmd_bounds(params: dict) -> int:
     nu = params.get("nu")
     if nu is not None:
         _require(params, "lam", "m0")
+        if float(params["m0"]) < 1:
+            raise ValueError("theory bounds: m0 must be >= 1")
         h0 = 1.0 / float(params["m0"])
         if not math.isinf(float(nu)):
             report["matern_ell_bound"] = matern_ell_bound(
@@ -439,8 +452,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command(sub, "sweep", cmd_sweep, [common, search],
                 "minimal-extension parameter sweep")
-    p.add_argument("--threads", type=int, default=1,
-                   help="sweep points searched in parallel")
+    p.add_argument("--threads", type=int,
+                   help="sweep points searched in parallel (default 1)")
 
     p = command(sub, "eig-decay", cmd_eig_decay, [kernel, common, m0, search],
                 "eigenvalue decay CSV + slope fit")

@@ -19,7 +19,12 @@ extensions on such a verdict raises PDUndecidableError.
 The search screens each attempt with the type-I DCT of the folded (m+1)^d
 block of the even first column, which equals its DFT (Martucci 1994), and
 takes the full FFT `spectrum` only where the screen cannot fix the verdict
-and for the m it returns or runs out at.
+and for the m it returns or runs out at.  For an isotropic kernel the
+block is looked up in a radial table kept for the whole search: kappa at
+each distinct integer |j|^2 of the lattice {0..M}^d, with M doubled when
+an attempt goes beyond it.  So the kernel is evaluated once per table
+growth, not once per attempt; `first_column` builds its block through the
+same table.
 """
 
 from __future__ import annotations
@@ -157,22 +162,58 @@ def first_column(kernel, embedding: Embedding) -> np.ndarray:
 def _folded_column(kernel, embedding: Embedding) -> np.ndarray:
     """The folded (m+1)^d block of the first column: rho(h0 j) for j in
     {0..m}^d.  The even column repeats it by reflection (`_unfold`)."""
-    grid = embedding.grid
-    d, m, h0 = grid.d, embedding.m, grid.h0
-    # distinct folded coordinates per axis: h0 * j, j = 0..m
-    ax = h0 * np.arange(m + 1)
+    grid, m = embedding.grid, embedding.m
     if getattr(kernel, "is_isotropic", False):
-        r2 = np.zeros((m + 1,) * d)
-        for i in range(d):
-            sh = [1] * d
-            sh[i] = m + 1
-            r2 = r2 + ax.reshape(sh) ** 2
-        uniq, inv = np.unique(r2, return_inverse=True)
-        vals = kernel.kappa(np.sqrt(uniq) / kernel.lam)
-        return vals[inv].reshape((m + 1,) * d)
-    grids = np.meshgrid(*([ax] * d), indexing="ij")
+        return _RadialTable(kernel, grid, m).block(m)
+    ax = grid.h0 * np.arange(m + 1)
+    grids = np.meshgrid(*([ax] * grid.d), indexing="ij")
     pts = np.stack([g.reshape(-1) for g in grids], axis=-1)
-    return kernel.rho(pts).reshape((m + 1,) * d)
+    return kernel.rho(pts).reshape((m + 1,) * grid.d)
+
+
+def _key_grid(squares: np.ndarray, d: int) -> np.ndarray:
+    """|j|^2 over j in {0..n-1}^d, from squares[i] = i^2, i = 0..n-1."""
+    keys = squares
+    for _ in range(1, d):
+        keys = keys[..., None] + squares
+    return keys
+
+
+class _RadialTable:
+    """An isotropic kernel at the lattice points h0 j, j in {0..size}^d,
+    with one `kappa` value per distinct integer key |j|^2 at the radius
+    sqrt(|j|^2) / m0 / lam.
+
+    In d = 1 the keys j^2 are distinct and ascending, so j indexes the
+    values.  For d >= 2 a presence table over 0..d*size^2 marks the keys
+    that occur and its cumulative sum ranks them, with no sort; it has
+    fewer entries than the lattice in d = 3 and about twice as many in
+    d = 2.  A block of any m <= size is a lookup, so a search evaluates
+    the kernel once per table, not once per attempt.
+    """
+
+    def __init__(self, kernel, grid: GridSpec, size: int):
+        self.d, self.size = grid.d, size
+        squares = np.arange(size + 1) ** 2
+        if self.d == 1:
+            self.rank = None
+            keys = squares
+        else:
+            present = np.zeros(self.d * size * size + 1, dtype=bool)
+            present[_key_grid(squares, self.d)] = True
+            # key 0 is present, so every count is >= 1
+            self.rank = np.cumsum(present,
+                                  dtype=np.min_scalar_type(present.size))
+            self.rank -= 1
+            keys = np.flatnonzero(present)
+        self.values = kernel.kappa(np.sqrt(keys) / grid.m0 / kernel.lam)
+
+    def block(self, m: int) -> np.ndarray:
+        """The folded (m+1)^d block rho(h0 j), j in {0..m}^d, m <= size."""
+        if self.rank is None:
+            return self.values[:m + 1]
+        keys = _key_grid(np.arange(m + 1) ** 2, self.d)
+        return self.values[self.rank[keys]]
 
 
 def _unfold(block: np.ndarray, m: int) -> np.ndarray:
@@ -319,9 +360,24 @@ def minimal_embedding(kernel, grid: GridSpec, tol: float = 0.0,
         certified = certified and spec.decides(tol)
         return spec
 
+    table = None
+
+    def folded(emb: Embedding) -> np.ndarray:
+        # one radial table per search, doubled (up to m_max) whenever an
+        # attempt's m exceeds it; the rho path for anisotropic kernels
+        nonlocal table
+        if not getattr(kernel, "is_isotropic", False):
+            return _folded_column(kernel, emb)
+        if table is None or emb.m > table.size:
+            size = start if table is None else table.size
+            while size < emb.m:
+                size = min(2 * size, m_max)
+            table = _RadialTable(kernel, grid, size)
+        return table.block(emb.m)
+
     def attempt(m: int) -> _Attempt:
         emb = Embedding(grid, m)
-        block = _folded_column(kernel, emb)
+        block = folded(emb)
         # screen: the DCT-I of the folded block is the FFT of the even
         # column up to rounding, and both lie within the rounding bound b
         # of the exact eigenvalues of this float64 column, so they differ

@@ -114,6 +114,21 @@ class TestMinEll:
             assert ((tmp_path / "c" / name).read_bytes()
                     == (tmp_path / "f" / name).read_bytes())
 
+    def test_list_valued_config_key_is_usage_error(self, tmp_path, capsys):
+        # a sweep config on a command that reads single values
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({"d": 2, "nu": [0.5, 1.5], "lam": 0.25,
+                                   "m0": [16], "tol": 0}))
+        code = main(["min-ell", "--config", str(cfg), "--m0", "8"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "config key 'nu' must be a single value" in err
+        assert "Traceback" not in err
+        # a flag replaces the list, so the merged value is a single one
+        code, payload = run(capsys, "min-ell", "--config", str(cfg),
+                            "--m0", "8", "--nu", "0.5")
+        assert code == 0 and payload["report"]["m"] == 8
+
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"d": 1, "nu": 0.5, "lam": 1.0, "m0": 4,
@@ -178,6 +193,32 @@ class TestSweep:
                           for r in rows])
         assert texts[0] == texts[1]
 
+    @pytest.mark.parametrize("config,flags,threads", [
+        ({}, [], 1), ({"threads": 3}, [], 3), ({"threads": 3}, ["2"], 2),
+    ])
+    def test_threads_from_config_or_flag(self, config, flags, threads,
+                                         tmp_path, capsys, monkeypatch):
+        import circembed.cli as cli
+        pools = []
+
+        class Recording(cli.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", Recording)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(config, d=[1], nu=[0.5], lam=[1.0],
+                                       m0=[4, 8])))
+        out = tmp_path / "sweep"
+        argv = ["--threads", *flags] if flags else []
+        code, payload = run(capsys, "sweep", "--config", str(cfg),
+                            "--out", str(out), *argv)
+        assert code == 0
+        assert pools == [threads]
+        assert payload["parameters"]["threads"] == threads
+        report = json.loads((out / "report.json").read_text())
+        assert report["parameters"]["threads"] == threads
 
     @pytest.mark.parametrize("command", [
         ["min-ell", "--m0", "8"], ["eig-decay", "--m0", "8"],
@@ -330,6 +371,13 @@ class TestTheory:
         assert code == 0
         expected = 0.5 * (1.0 + 3.0 * math.log(8.0))
         assert payload["report"]["matern_ell_bound"] == pytest.approx(expected)
+
+    def test_bounds_m0_below_one_is_usage_error(self, capsys):
+        code = main(["theory", "bounds", "--nu", "1", "--lambda", "0.5",
+                     "--m0", "0", "--c1", "1", "--c2", "3"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "m0 must be >= 1" in err and "Traceback" not in err
 
     def test_bounds_gaussian_with_b(self, capsys):
         code, payload = run(capsys, "theory", "bounds", "--d", "2",

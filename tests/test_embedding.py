@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -270,6 +271,109 @@ class TestMinimalEmbedding:
         emb, spec = minimal_embedding(k, grid, tol=1e-12, m_max=256, m_step=8)
         assert emb.m % 8 == 0
         assert spec.min_value >= -1e-12
+
+
+def corner(column, m):
+    """The folded (m+1)^d block of an even (2m,)*d column."""
+    return column[(slice(0, m + 1),) * column.ndim]
+
+
+def traced_peak(fn):
+    """fn() and the peak bytes `tracemalloc` sees while it runs."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestRadialTable:
+    # the benchmark's isotropic instances: d, m0, nu, lam and the m found
+    @pytest.mark.parametrize("d,m0,nu,lam,m", [
+        (1, 1024, 1.5, 0.2, 1653), (2, 64, 1.5, 0.5, 280),
+        (3, 16, 1.5, 0.5, 66), (3, 16, 0.5, 0.5, 61),
+        (2, 32, math.inf, 0.25, 66), (2, 32, 4.0, 0.25, 71),
+        (2, 128, 0.5, 0.1, 128), (2, 64, 1.5, 0.1, 64),
+    ])
+    def test_power_of_two_m0_block_is_the_float_radius_formula(
+            self, d, m0, nu, lam, m):
+        # with h0 exact, sqrt(|j|^2) / m0 is the radius sqrt(sum (h0 j_i)^2)
+        # bit for bit, so the block is kappa of the float sum of squares
+        kernel = MaternKernel(1.0, lam, nu, d, allow_small_nu=True)
+        grid = GridSpec(d=d, m0=m0)
+        ax = grid.h0 * np.arange(m + 1)
+        r2 = sum(ax.reshape([-1 if axis == i else 1 for axis in range(d)])
+                 ** 2 for i in range(d))
+        want = kernel.kappa(np.sqrt(r2) / kernel.lam)
+        got = corner(first_column(kernel, Embedding(grid, m)), m)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("schedule", ["increment", "doubling"])
+    @pytest.mark.parametrize("d,m0", [(2, 12), (3, 6)])
+    def test_search_blocks_equal_first_column_across_growths(
+            self, monkeypatch, schedule, d, m0):
+        import circembed.embedding as embedding
+        kernel = MaternKernel(1.0, 0.5, 1.5, d)
+        grid = GridSpec(d=d, m0=m0)
+        taken, kappa_calls = [], []
+        table_block = embedding._RadialTable.block
+        kappa = MaternKernel.kappa
+
+        def recording_block(table, m):
+            block = table_block(table, m)
+            taken.append((table.size, m, block.copy()))
+            return block
+
+        def counting_kappa(self, r):
+            kappa_calls.append(np.size(r))
+            return kappa(self, r)
+
+        monkeypatch.setattr(embedding._RadialTable, "block", recording_block)
+        monkeypatch.setattr(MaternKernel, "kappa", counting_kappa)
+        emb, _ = minimal_embedding(kernel, grid, tol=0.0, m_max=100 * m0,
+                                   schedule=schedule)
+        monkeypatch.undo()
+        sizes = sorted({size for size, _, _ in taken})
+        # one table per size, and one kappa call per table
+        assert len(sizes) >= 3 and len(kappa_calls) == len(sizes)
+        assert sizes[-1] >= emb.m > sizes[-2]
+        for size, m, block in taken:
+            want = corner(first_column(kernel, Embedding(grid, m)), m)
+            assert block.tobytes() == want.tobytes(), (size, m)
+
+    # tracemalloc peaks of the parent search (one table evaluation per
+    # attempt, no table kept): 0.2 MiB at d=1 and 12.6 MiB at d=2.  A rank
+    # index over every key up to d*size^2 would need 16 MiB at d=1
+    @pytest.mark.parametrize("d,m0,lam,m,limit_mib", [
+        (1, 1024, 0.2, 1653, 1), (2, 64, 0.5, 280, 19),
+    ])
+    def test_search_memory_follows_the_lattice(self, d, m0, lam, m,
+                                               limit_mib):
+        kernel = MaternKernel(1.0, lam, 1.5, d)
+        (emb, _), peak = traced_peak(lambda: minimal_embedding(
+            kernel, GridSpec(d=d, m0=m0), tol=0.0, m_max=100 * m0))
+        assert emb.m == m
+        assert peak <= limit_mib * 2**20, peak / 2**20
+
+    def test_search_to_m_max_needs_no_more_than_its_spectrum(self):
+        # d = 1 runs out at the default m_max = 100 m0 (coarse steps keep
+        # it short); the table there has m_max + 1 values
+        kernel = gaussian_kernel(1.0, 1.0, 1)
+        grid = GridSpec(d=1, m0=64)
+        m_max = 100 * grid.m0
+
+        def search():
+            with pytest.raises(PDUndecidableError):
+                minimal_embedding(kernel, grid, tol=0.0, m_max=m_max,
+                                  m_step=grid.m0)
+
+        emb = Embedding(grid, m_max)
+        _, search_peak = traced_peak(search)
+        # the spectrum of a (2 m_max) column, built without the table
+        _, spectrum_peak = traced_peak(
+            lambda: spectrum(np.ones(emb.shape), emb))
+        assert search_peak <= 2 * spectrum_peak, (search_peak, spectrum_peak)
 
 
 class TestRoundingBound:

@@ -73,6 +73,16 @@ def floor_cases(draw):
 @example((2, 16, 8.0, 0.5, 0.0, "doubling", 1024))
 @example((2, 32, math.inf, 0.5, 1e-13, "doubling", 512))
 @example((2, 32, math.inf, 0.25, 1e-13, "increment", 128))
+# non-power-of-two m0, where h0 is inexact and the block's radii are
+# sqrt(|j|^2) / m0 with one rounding: accepts after up to two table
+# growths, at m0 and an exhaustion at m_max = m0
+@example((2, 12, 1.5, 0.5, 0.0, "increment", 96))
+@example((2, 24, 4.0, 0.25, 0.0, "doubling", 192))
+@example((2, 48, math.inf, 0.25, 1e-13, "increment", 192))
+@example((3, 12, 1.5, 0.5, 0.0, "increment", 96))
+@example((3, 24, 1.5, 0.25, 0.0, "doubling", 96))
+@example((3, 48, 1.5, 0.05, 0.0, "increment", 96))
+@example((3, 48, 0.5, 0.25, 0.0, "increment", 48))
 def test_screened_search_equals_fft_only_search(case):
     d, m0, nu, lam, tol, schedule, m_max = case
     kernel = MaternKernel(1.0, lam, nu, d)
