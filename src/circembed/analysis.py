@@ -12,6 +12,7 @@ QMC convergence theory, and an aliasing (sampling-theorem) identity check.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -149,6 +150,8 @@ def continuous_eigenvalue(kernel, ell: float, k, quad_n: int = 64,
     by the tensor rectangle rule with quad_n points per axis, doubled
     until two successive values agree to `rel_tol` relatively.
     """
+    if not 0 < ell < math.inf:
+        raise ValueError("continuous_eigenvalue: ell must be finite and > 0")
     if quad_n < 2:
         raise ValueError("continuous_eigenvalue: quad_n must be >= 2")
     d = kernel.d
@@ -226,7 +229,8 @@ def decay_report(spec: Spectrum, nu: float, d: int,
     on a log-log scale and compare with the conjectured exponent
     -(1 + 2 nu / d) / 2.
 
-    `fit_range` is an inclusive (j_lo, j_hi) rank window.  The default
+    `fit_range` is an inclusive (j_lo, j_hi) rank window of two finite
+    numbers, rounded inward to integer ranks.  The default
     runs from the end of the spectral plateau (`plateau_end`) to s^0.9,
     past which the asymptotic rate is expected; when the plateau reaches
     s^0.9 that window is empty and the report is degenerate.  Zero
@@ -238,6 +242,11 @@ def decay_report(spec: Spectrum, nu: float, d: int,
     if fit_range is None:
         j_lo, j_hi = plateau_end(spec, nu, d), int(math.floor(s**0.9))
     else:
+        if not (isinstance(fit_range, (tuple, list)) and len(fit_range) == 2
+                and all(isinstance(v, numbers.Real) and math.isfinite(v)
+                        for v in fit_range)):
+            raise ValueError("decay_report: fit range must be two finite "
+                             f"numbers, not {fit_range!r}")
         j_lo = max(1, int(math.ceil(fit_range[0])))
         j_hi = min(s, int(math.floor(fit_range[1])))
         if not (1 <= j_lo < j_hi <= s):
@@ -296,6 +305,8 @@ def sampling_theorem_check(kernel, h: float, xi, k_trunc: int,
     if not getattr(kernel, "has_spectral_density", False):
         raise CapabilityError(
             "kernel capability missing: identity check needs a spectral density")
+    if not 0 < h < math.inf:
+        raise ValueError("sampling_theorem_check: h must be finite and > 0")
     d = kernel.d
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     if xi.size != d:

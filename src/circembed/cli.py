@@ -66,8 +66,8 @@ def _parse_nu(text: str) -> float:
 
 def _merge_config(args: argparse.Namespace) -> dict:
     """Effective parameters: config values overridden by explicit flags.
-    A value may be a list or an object only where the command reads one
-    (`LIST_KEYS`)."""
+    A value may be a list only where the command reads one (`LIST_KEYS`),
+    and never an object."""
     merged = {}
     if args.config is not None:
         merged.update(json.loads(Path(args.config).read_text()))
@@ -75,12 +75,13 @@ def _merge_config(args: argparse.Namespace) -> dict:
         if key in ("config", "func", "cmd", "theory_cmd") or value is None:
             continue
         merged[key] = value
+    listed = LIST_KEYS.get(args.command, ())
     for key, value in merged.items():
-        if isinstance(value, (list, dict)) \
-                and key not in LIST_KEYS.get(args.command, ()):
-            raise ValueError(f"config key '{key}' must be a single value "
-                             f"for {args.command}, not a "
-                             f"{type(value).__name__}")
+        if isinstance(value, dict) \
+                or isinstance(value, list) and key not in listed:
+            kind = "a list" if key in listed else "a single value"
+            raise ValueError(f"config key '{key}' must be {kind} for "
+                             f"{args.command}, not a {type(value).__name__}")
     return merged
 
 
@@ -243,9 +244,8 @@ def cmd_eig_decay(params: dict) -> int:
     kernel, emb, spec = _search(params)
     if params.get("fit_lo") is not None and params.get("fit_hi") is not None:
         params["fit_range"] = [params["fit_lo"], params["fit_hi"]]
-    fit_range = params.get("fit_range")
     rep = decay_report(spec, kernel.nu, kernel.d,
-                       fit_range=tuple(fit_range) if fit_range else None,
+                       fit_range=params.get("fit_range"),
                        rel_tol=float(_get(params, "slope_rel_tol", 0.15)))
     flat = np.sort(np.sqrt(np.maximum(spec.values_flat, 0.0) / emb.s))[::-1]
     decay_path = _write_csv(

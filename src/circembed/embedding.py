@@ -16,15 +16,15 @@ eigenvalues.  A verdict `min >= -tol` is certified when |min + tol| > b;
 otherwise double precision cannot decide it, and a search that runs out of
 extensions on such a verdict raises PDUndecidableError.
 
-The search screens each attempt with the type-I DCT of the folded (m+1)^d
-block of the even first column, which equals its DFT (Martucci 1994), and
-takes the full FFT `spectrum` only where the screen cannot fix the verdict
-and for the m it returns or runs out at.  For an isotropic kernel the
-block is looked up in a radial table kept for the whole search: kappa at
-each distinct integer |j|^2 of the lattice {0..M}^d, with M doubled when
-an attempt goes beyond it.  So the kernel is evaluated once per table
-growth, not once per attempt; `first_column` builds its block through the
-same table.
+The search is one loop for both schedules.  It screens each attempt with
+the type-I DCT of the folded (m+1)^d block of the even first column, which
+equals its DFT (Martucci 1994), and takes the full FFT `spectrum` only
+where the screen cannot fix the verdict and for the m it returns or runs
+out at; no m is attempted twice.  The search and `first_column` take their
+blocks from one source, `_FoldedBlocks`.  For an isotropic kernel it keeps
+a radial table, kappa at each distinct integer |j|^2 of the lattice
+{0..M}^d, with M doubled when an attempt goes beyond it; so the kernel is
+evaluated once per table growth, not once per attempt.
 """
 
 from __future__ import annotations
@@ -156,19 +156,37 @@ def first_column(kernel, embedding: Embedding) -> np.ndarray:
     assembled by reflection, so entry(k) = entry((2m - k) mod 2m) holds
     exactly.
     """
-    return _unfold(_folded_column(kernel, embedding), embedding.m)
+    m = embedding.m
+    return _unfold(_FoldedBlocks(kernel, embedding.grid, m).block(m), m)
 
 
-def _folded_column(kernel, embedding: Embedding) -> np.ndarray:
-    """The folded (m+1)^d block of the first column: rho(h0 j) for j in
-    {0..m}^d.  The even column repeats it by reflection (`_unfold`)."""
-    grid, m = embedding.grid, embedding.m
-    if getattr(kernel, "is_isotropic", False):
-        return _RadialTable(kernel, grid, m).block(m)
-    ax = grid.h0 * np.arange(m + 1)
-    grids = np.meshgrid(*([ax] * grid.d), indexing="ij")
-    pts = np.stack([g.reshape(-1) for g in grids], axis=-1)
-    return kernel.rho(pts).reshape((m + 1,) * grid.d)
+class _FoldedBlocks:
+    """The folded (m+1)^d blocks rho(h0 j), j in {0..m}^d, of one kernel
+    on one grid, for m up to `limit`; the even column repeats a block by
+    reflection (`_unfold`).
+
+    An isotropic kernel's blocks are looked up in one `_RadialTable`,
+    made at the first m asked for and doubled (capped at `limit`) whenever
+    a later m goes beyond it.  Other kernels evaluate rho on the lattice.
+    """
+
+    def __init__(self, kernel, grid: GridSpec, limit: int):
+        self.kernel, self.grid, self.limit = kernel, grid, limit
+        self.table = None
+
+    def block(self, m: int) -> np.ndarray:
+        kernel, grid = self.kernel, self.grid
+        if not getattr(kernel, "is_isotropic", False):
+            ax = grid.h0 * np.arange(m + 1)
+            grids = np.meshgrid(*([ax] * grid.d), indexing="ij")
+            pts = np.stack([g.reshape(-1) for g in grids], axis=-1)
+            return kernel.rho(pts).reshape((m + 1,) * grid.d)
+        if self.table is None or m > self.table.size:
+            size = m if self.table is None else self.table.size
+            while size < m:
+                size = min(2 * size, self.limit)
+            self.table = _RadialTable(kernel, grid, size)
+        return self.table.block(m)
 
 
 def _key_grid(squares: np.ndarray, d: int) -> np.ndarray:
@@ -278,18 +296,6 @@ def _rounding_bound(block: np.ndarray, lambda0: float, embedding: Embedding,
     return float((u * np.log2(embedding.s) + column_rel_error) * norm1)
 
 
-@dataclass(frozen=True)
-class _Attempt:
-    """One search attempt: the folded column block, the FFT spectrum when
-    the search needed it (None when the DCT screen decided), and the
-    verdict min >= -tol."""
-
-    emb: Embedding
-    block: np.ndarray
-    spec: Spectrum | None
-    ok: bool
-
-
 def _clamped(spec: Spectrum, tol: float, certified: bool) -> Spectrum:
     """Copy of `spec` with eigenvalues in [-tol, 0) clamped to 0."""
     values = np.maximum(spec.values, 0.0)
@@ -328,19 +334,22 @@ def minimal_embedding(kernel, grid: GridSpec, tol: float = 0.0,
     m_max raises NotPositiveDefiniteError, or its subclass
     PDUndecidableError when the last verdict was not certified.
 
-    schedule="increment" walks m upward in steps of `m_step` (the default
-    1 is the literal minimal search).  schedule="doubling" doubles m until
-    the test passes and bisects down to a boundary where m passes and
-    m - 1 fails; it returns the same m as the linear scan whenever the
-    passing region is upward closed in m (the cross-schedule tests
-    exercise this on a matrix of instances).
+    One loop serves both schedules.  After a failed attempt the next m is
+    m + m_step under schedule="increment" (the default step 1 is the
+    literal minimal search) and min(2m, m_max) under "doubling"; the
+    search runs out when that step leaves [m, m_max] or does not move m.
+    Once an m passes, the doubling schedule bisects down to a boundary
+    where m passes and m - 1 fails; it returns the same m as the linear
+    scan whenever the passing region is upward closed in m (the
+    cross-schedule tests exercise this on a matrix of instances).  No m
+    is attempted twice.
 
     An attempt whose DCT-I minimum lies more than 3 rounding bounds from
     -tol is decided without the FFT; the results, errors and `certified`
     flag are those of a search that takes the FFT `spectrum` at every
-    attempt.
+    attempt.  The m returned or run out at is transformed at most once.
     """
-    if tol < 0:
+    if not tol >= 0:
         raise ValueError("minimal_embedding: tol must be >= 0")
     if m_step < 1:
         raise ValueError("minimal_embedding: m_step must be >= 1")
@@ -349,98 +358,59 @@ def minimal_embedding(kernel, grid: GridSpec, tol: float = 0.0,
         raise ValueError("minimal_embedding: m_start must be >= m0")
     if m_max < start:
         raise ValueError("minimal_embedding: m_max must be >= the start m")
+    if schedule not in ("increment", "doubling"):
+        raise ValueError(f"unknown schedule {schedule!r}")
+    if schedule == "doubling" and m_step != 1:
+        raise ValueError("doubling schedule supports m_step=1 only")
 
     column_rel_error = kernel.eval_rel_error
+    blocks = _FoldedBlocks(kernel, grid, m_max)
     certified = True
 
-    def transform(emb: Embedding, block: np.ndarray) -> Spectrum:
+    def attempt(m: int, screen: bool = True):
+        """The verdict min >= -tol at m and the FFT spectrum, or None when
+        the DCT screen decided."""
         nonlocal certified
-        spec = spectrum(_unfold(block, emb.m), emb,
+        emb, block = Embedding(grid, m), blocks.block(m)
+        if screen:
+            # the DCT-I of the folded block is the FFT of the even column
+            # up to rounding, and both lie within the rounding bound b of
+            # the exact eigenvalues of this float64 column, so they differ
+            # by at most 2b.  Beyond 3b from -tol the FFT verdict is known.
+            values = scipy.fft.dctn(block, type=1)
+            bound = _rounding_bound(block, values.flat[0], emb,
+                                    column_rel_error)
+            low = float(values.min())
+            if abs(low + tol) > 3.0 * bound:
+                return low >= -tol, None
+        spec = spectrum(_unfold(block, m), emb,
                         column_rel_error=column_rel_error)
         certified = certified and spec.decides(tol)
-        return spec
+        return spec.min_value >= -tol, spec
 
-    table = None
-
-    def folded(emb: Embedding) -> np.ndarray:
-        # one radial table per search, doubled (up to m_max) whenever an
-        # attempt's m exceeds it; the rho path for anisotropic kernels
-        nonlocal table
-        if not getattr(kernel, "is_isotropic", False):
-            return _folded_column(kernel, emb)
-        if table is None or emb.m > table.size:
-            size = start if table is None else table.size
-            while size < emb.m:
-                size = min(2 * size, m_max)
-            table = _RadialTable(kernel, grid, size)
-        return table.block(emb.m)
-
-    def attempt(m: int) -> _Attempt:
-        emb = Embedding(grid, m)
-        block = folded(emb)
-        # screen: the DCT-I of the folded block is the FFT of the even
-        # column up to rounding, and both lie within the rounding bound b
-        # of the exact eigenvalues of this float64 column, so they differ
-        # by at most 2b.  Beyond 3b from -tol the FFT verdict is known.
-        values = scipy.fft.dctn(block, type=1)
-        bound = _rounding_bound(block, values.flat[0], emb, column_rel_error)
-        low = float(values.min())
-        if abs(low + tol) > 3.0 * bound:
-            return _Attempt(emb, block, None, low >= -tol)
-        spec = transform(emb, block)
-        return _Attempt(emb, block, spec, spec.min_value >= -tol)
-
-    def spectrum_of(result: _Attempt) -> Spectrum:
-        if result.spec is not None:
-            return result.spec
-        return transform(result.emb, result.block)
-
-    def accept(result: _Attempt):
-        spec = spectrum_of(result)
-        return result.emb, _clamped(spec, tol, certified)
-
-    def exhausted(result: _Attempt):
-        return _exhausted(spectrum_of(result), tol, m_max)
-
-    if schedule == "increment":
-        m = start
-        while m <= m_max:
-            result = attempt(m)
-            if result.ok:
-                return accept(result)
-            m += m_step
-        raise exhausted(result)
-
-    if schedule == "doubling":
-        if m_step != 1:
-            raise ValueError("doubling schedule supports m_step=1 only")
-        result = attempt(start)
-        if result.ok:
-            return accept(result)
-        lo = start  # largest known failing m
-        m = start
-        while True:
-            m = min(2 * m, m_max)
-            result = attempt(m)
-            if result.ok:
-                hi = result
-                break
-            lo = m
-            if m == m_max:
-                raise exhausted(result)
-        while hi.emb.m - lo > 1:
-            mid = (lo + hi.emb.m) // 2
-            result = attempt(mid)
-            if result.ok:
-                hi = result
-            else:
-                lo = mid
-        # boundary property established: lo fails, hi = lo + 1 passes.
-        # Equality with the linear scan holds when the passing region is
-        # upward closed in m, which the cross-schedule tests exercise.
-        return accept(hi)
-
-    raise ValueError(f"unknown schedule {schedule!r}")
+    # lo is the largest m known to fail: start - 1 until one does, and m
+    # itself when the search runs out, so that no bisection follows
+    m, lo = start, start - 1
+    ok, spec = attempt(m)
+    while not ok:
+        lo = m
+        step = m + m_step if schedule == "increment" else min(2 * m, m_max)
+        if not m < step <= m_max:
+            break
+        m = step
+        ok, spec = attempt(m)
+    while schedule == "doubling" and m - lo > 1:
+        mid = (lo + m) // 2
+        passed, mid_spec = attempt(mid)
+        if passed:
+            m, spec = mid, mid_spec
+        else:
+            lo = mid
+    if spec is None:
+        _, spec = attempt(m, screen=False)
+    if not ok:
+        raise _exhausted(spec, tol, m_max)
+    return Embedding(grid, m), _clamped(spec, tol, certified)
 
 
 def eigen_lower_bound_diagnostic(kernel, embedding: Embedding,

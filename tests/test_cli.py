@@ -95,6 +95,13 @@ class TestMinEll:
         assert code == 2
         assert message in capsys.readouterr().err
 
+    def test_nan_tol_is_usage_error(self, capsys):
+        code = main(["min-ell", "--d", "1", "--m0", "8", "--nu", "1.5",
+                     "--lambda", "0.5", "--tol", "nan"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "tol must be >= 0" in err and "Traceback" not in err
+
     def test_out_from_config(self, tmp_path, capsys):
         # an `out` key in the config writes the same files as --out
         base = {"d": 1, "nu": 0.5, "lam": 1.0, "m0": 4, "tol": 0.0,
@@ -354,6 +361,25 @@ class TestEigDecay:
         vals = [float(r[1]) for r in rows[1:]]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("config,flags,message", [
+        ({"fit_range": 5}, [], "two finite numbers, not 5"),
+        ({"fit_range": [1]}, [], "two finite numbers, not [1]"),
+        ({"fit_range": {"a": 1}}, [], "'fit_range' must be a list"),
+        ({"fit_range": [1, "x"]}, [], "two finite numbers, not [1, 'x']"),
+        ({}, ["--fit-lo", "3", "--fit-hi", "1e400"],
+         "two finite numbers, not [3.0, inf]"),
+    ], ids=["number", "one-item", "object", "string-item", "infinite-hi"])
+    def test_bad_fit_range_is_usage_error(self, config, flags, message,
+                                          tmp_path, capsys):
+        cfg = tmp_path / "fit.json"
+        cfg.write_text(json.dumps(config))
+        code = main(["eig-decay", "--config", str(cfg), "--d", "1",
+                     "--m0", "8", "--nu", "1.5", "--lambda", "0.5",
+                     "--out", str(tmp_path / "out"), *flags])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert message in err and "Traceback" not in err
+
 
 class TestTheory:
     def test_pd_criterion(self, capsys):
@@ -415,6 +441,23 @@ class TestTheory:
                             "--xi", "0.13", "--k-trunc", "40", "--r-trunc", "3")
         assert code == 0
         assert payload["report"]["residual"] <= 1e-12
+
+    @pytest.mark.parametrize("argv,message", [
+        (["sampling-theorem", "--h", "0"], "h must be finite and > 0"),
+        (["sampling-theorem", "--h", "-0.5"], "h must be finite and > 0"),
+        (["sampling-theorem", "--h", "inf"], "h must be finite and > 0"),
+        (["continuous-eigs", "--ell", "0"], "ell must be finite and > 0"),
+        (["continuous-eigs", "--ell", "-1"], "ell must be finite and > 0"),
+        (["continuous-eigs", "--ell", "inf"], "ell must be finite and > 0"),
+    ], ids=["h-zero", "h-negative", "h-infinite", "ell-zero", "ell-negative",
+            "ell-infinite"])
+    def test_lag_not_finite_and_positive_is_usage_error(self, argv, message,
+                                                        capsys):
+        code = main(["theory", *argv, "--d", "1", "--nu", "1.5",
+                     "--lambda", "0.5"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert message in captured.err and "Traceback" not in captured.err
 
     @pytest.mark.parametrize("argv", [
         ["bounds", "--nu", "1.0", "--lambda", "0.5", "--m0", "16",

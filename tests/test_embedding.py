@@ -28,6 +28,20 @@ def exponential(d=1, lam=1.0, sigma2=1.0):
     return MaternKernel(sigma2=sigma2, lam=lam, nu=0.5, d=d)
 
 
+def recorded_screens(monkeypatch) -> list:
+    """The m of each block the search screens with its DCT-I, recorded
+    while `monkeypatch` is active."""
+    import circembed.embedding as embedding
+    screened, dctn = [], embedding.scipy.fft.dctn
+
+    def counting(block, *args, **kwargs):
+        screened.append(block.shape[0] - 1)
+        return dctn(block, *args, **kwargs)
+
+    monkeypatch.setattr(embedding.scipy.fft, "dctn", counting)
+    return screened
+
+
 class TestGridTypes:
     def test_grid_spec(self):
         g = GridSpec(d=2, m0=8)
@@ -232,14 +246,16 @@ class TestMinimalEmbedding:
         assert emb_a.m == emb_b.m
         assert np.array_equal(spec_a.values, spec_b.values)
 
+    @pytest.mark.parametrize("schedule", ["increment", "doubling"])
     @pytest.mark.parametrize("d,m0,nu,m_max", [
         (3, 16, 1.5, 1600),  # the final m was decided by the DCT screen
         (2, 16, 8.0, 1024),  # ... and here by the FFT (uncertified)
+        (2, 16, 1.5, 16),    # m_max == m0: runs out at its only m
     ])
-    def test_doubling_transforms_no_m_twice(self, monkeypatch, d, m0, nu,
-                                            m_max):
+    def test_search_attempts_no_m_twice(self, monkeypatch, schedule, d, m0,
+                                        nu, m_max):
         import circembed.embedding as embedding
-        transformed = []
+        screened, transformed = recorded_screens(monkeypatch), []
         full_spectrum = embedding.spectrum
 
         def counting(column, emb, *args, **kwargs):
@@ -247,11 +263,37 @@ class TestMinimalEmbedding:
             return full_spectrum(column, emb, *args, **kwargs)
 
         monkeypatch.setattr(embedding, "spectrum", counting)
-        emb, spec = minimal_embedding(MaternKernel(1.0, 0.5, nu, d),
-                                      GridSpec(d=d, m0=m0), tol=0.0,
-                                      m_max=m_max, schedule="doubling")
-        assert emb.m in transformed
+        kernel = MaternKernel(1.0, 0.5, nu, d)
+        try:
+            emb, _ = minimal_embedding(kernel, GridSpec(d=d, m0=m0), tol=0.0,
+                                       m_max=m_max, schedule=schedule)
+            final = emb.m
+        except NotPositiveDefiniteError as exc:
+            final = exc.m_max
+        assert final in transformed
+        assert len(screened) == len(set(screened)), screened
         assert len(transformed) == len(set(transformed)), transformed
+
+    def test_increment_runs_out_off_the_step_grid(self, monkeypatch):
+        # m_step = 3 from m0 = 8 tries 8, 11, 14, 17; 20 lies past m_max
+        kernel = MaternKernel(1.0, 1.0, 1.5, 1)
+        grid = GridSpec(d=1, m0=8)
+        screened = recorded_screens(monkeypatch)
+        with pytest.raises(NotPositiveDefiniteError) as info:
+            minimal_embedding(kernel, grid, tol=0.0, m_max=19, m_step=3)
+        monkeypatch.undo()
+        assert screened == [8, 11, 14, 17]
+        emb = Embedding(grid, 17)
+        last = spectrum(first_column(kernel, emb), emb,
+                        column_rel_error=kernel.eval_rel_error)
+        assert info.value.m_max == 19
+        assert info.value.min_eig == last.min_value
+        assert info.value.rounding_bound == last.rounding_bound
+
+    @pytest.mark.parametrize("tol", [-1e-13, math.nan])
+    def test_tol_must_be_a_nonnegative_number(self, tol):
+        with pytest.raises(ValueError, match="tol must be >= 0"):
+            minimal_embedding(exponential(), GridSpec(d=1, m0=8), tol=tol)
 
     def test_monotone_in_correlation_length(self):
         # minimal ell does not grow when lam shrinks, all else fixed
