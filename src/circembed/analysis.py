@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy import optimize
 
-from .embedding import GridSpec, Spectrum
+from .embedding import GridSpec, Spectrum, grid_points
 from .errors import CapabilityError, ConvergenceError
 from .kernels import MaternKernel, covariance_tail_integral, spectral_tail_integral
 
@@ -41,6 +41,8 @@ __all__ = [
     "sampling_theorem_check",
     "calibrate_constants",
 ]
+
+_MAX_DOUBLINGS = 16  # of the rectangle rule in `continuous_eigenvalue`
 
 
 @dataclass(frozen=True)
@@ -140,15 +142,15 @@ def gaussian_ell_bound(lam: float, h0: float, B: float) -> float:
 
 
 def continuous_eigenvalue(kernel, ell: float, k, quad_n: int = 64,
-                          rel_tol: float = 1e-8,
-                          max_doublings: int = 16) -> float:
+                          rel_tol: float = 1e-8) -> float:
     """Eigenvalue of the continuous periodized covariance operator,
 
         lambda_k(ell) = int_{[-ell, ell]^d} rho(x) cos(2 pi xi_k . x) dx,
         xi_k = k / (2 ell),
 
-    by the tensor rectangle rule with quad_n points per axis, doubled
-    until two successive values agree to `rel_tol` relatively.
+    by the tensor rectangle rule with quad_n points per axis, doubled (at
+    most _MAX_DOUBLINGS times) until two successive values agree to
+    `rel_tol` relatively.
     """
     if not 0 < ell < math.inf:
         raise ValueError("continuous_eigenvalue: ell must be finite and > 0")
@@ -164,18 +166,13 @@ def continuous_eigenvalue(kernel, ell: float, k, quad_n: int = 64,
         if n**d > 2**24:
             raise ConvergenceError(
                 "continuous_eigenvalue: rectangle rule grid too large")
-        axis = -ell + 2.0 * ell * np.arange(n) / n
-        if d == 1:
-            pts = axis[:, None]
-        else:
-            grids = np.meshgrid(*([axis] * d), indexing="ij")
-            pts = np.stack([g.reshape(-1) for g in grids], axis=-1)
+        pts = grid_points(-ell + 2.0 * ell * np.arange(n) / n, d)
         vals = kernel.rho(pts) * np.cos(2.0 * np.pi * (pts @ xi))
         return float(vals.sum() * (2.0 * ell / n) ** d)
 
     prev = rect(quad_n)
     n = quad_n
-    for _ in range(max_doublings):
+    for _ in range(_MAX_DOUBLINGS):
         n *= 2
         cur = rect(n)
         if abs(cur - prev) <= rel_tol * max(abs(cur), 1e-300):
@@ -183,7 +180,7 @@ def continuous_eigenvalue(kernel, ell: float, k, quad_n: int = 64,
         prev = cur
     raise ConvergenceError(
         f"continuous_eigenvalue: rectangle rule did not converge to "
-        f"rel_tol={rel_tol} within {max_doublings} doublings")
+        f"rel_tol={rel_tol} within {_MAX_DOUBLINGS} doublings")
 
 
 def lattice_ordering(d: int, J: int) -> OrderedLattice:
@@ -199,9 +196,7 @@ def lattice_ordering(d: int, J: int) -> OrderedLattice:
     while (2 * (R / math.sqrt(d)) + 1) ** d < 2 * J + 2 * d:
         R += 1
     while True:
-        axis = np.arange(-R, R + 1)
-        grids = np.meshgrid(*([axis] * d), indexing="ij")
-        pts = np.stack([g.reshape(-1) for g in grids], axis=-1)
+        pts = grid_points(np.arange(-R, R + 1), d)
         norm2 = np.sum(pts * pts, axis=1)
         keep = norm2 <= R * R  # only full shells are safely ordered
         pts, norm2 = pts[keep], norm2[keep]
@@ -298,7 +293,8 @@ def sampling_theorem_check(kernel, h: float, xi, k_trunc: int,
 
         sum_k rho(h k) cos(2 pi h k . xi)  =  h^(-d) sum_r rho_hat(xi + r/h)
 
-    with both lattice sums truncated at the given sup-norm radii.  When
+    with both lattice sums truncated at the given sup-norm radii, which
+    must be >= 0.  When
     `target_residual` is given and the omitted covariance tail (estimated
     from the truncation shell) cannot meet it, a warning is emitted.
     """
@@ -311,18 +307,17 @@ def sampling_theorem_check(kernel, h: float, xi, k_trunc: int,
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     if xi.size != d:
         raise ValueError(f"sampling_theorem_check: xi must have {d} components")
+    if k_trunc < 0 or r_trunc < 0:
+        raise ValueError("sampling_theorem_check: k_trunc and r_trunc must "
+                         "be >= 0")
     if (2 * k_trunc + 1) ** d > 5e7 or (2 * r_trunc + 1) ** d > 5e7:
         raise MemoryError("sampling_theorem_check: truncation box too large")
 
-    axis = np.arange(-k_trunc, k_trunc + 1)
-    grids = np.meshgrid(*([axis] * d), indexing="ij")
-    pts = np.stack([g.reshape(-1) for g in grids], axis=-1).astype(float)
+    pts = grid_points(np.arange(-k_trunc, k_trunc + 1), d).astype(float)
     rho_vals = kernel.rho(h * pts)
     lhs = float(np.sum(rho_vals * np.cos(2.0 * np.pi * h * (pts @ xi))))
 
-    axis_r = np.arange(-r_trunc, r_trunc + 1)
-    grids_r = np.meshgrid(*([axis_r] * d), indexing="ij")
-    shifts = np.stack([g.reshape(-1) for g in grids_r], axis=-1).astype(float)
+    shifts = grid_points(np.arange(-r_trunc, r_trunc + 1), d).astype(float)
     rhs = float(np.sum(kernel.spectral_density(xi[None, :] + shifts / h)) / h**d)
 
     if target_residual is not None:

@@ -15,8 +15,9 @@ read it, and every search runs through `_search`.  A JSON config
 (--config) may set any flag by its destination (`lam`, `m_max`, `out`);
 explicit flags override it.  Defaults fill only absent settings, so an
 explicit 0 meets the checks of the code that reads it.  Exit codes: 0
-success, 2 flag/usage error, 3 numerical failure (including a search that
-ends where float64 cannot decide positive definiteness), 4 I/O error.
+success, 2 flag/usage error (also an input too large to allocate), 3
+numerical failure (including a search that ends where float64 cannot
+decide positive definiteness), 4 I/O error.
 """
 
 from __future__ import annotations
@@ -39,8 +40,9 @@ from .analysis import (BoundConstants, calibrate_constants,
                        sampling_theorem_check)
 from .embedding import GridSpec, minimal_embedding
 from .errors import CircembedError
-from .formats import (read_field_binary, write_field_binary, write_field_csv,
-                      write_json, write_manifest, write_spectrum_csv)
+from .formats import (read_field_binary, write_csv, write_field_binary,
+                      write_field_csv, write_json, write_manifest,
+                      write_spectrum_csv)
 from .kernels import MaternKernel
 from .sampler import batch_sample_values
 from .validation import DENSE_POINTS_CAP, validate_samples
@@ -146,15 +148,6 @@ def _emit(params: dict, report: dict, files=()):
                        outputs=[str(f) for f in files] + ["report.json"])
 
 
-def _write_csv(path: Path, columns: list, rows) -> Path:
-    """A CSV file with header `columns` and one line per row of `rows`."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        writer.writerows(rows)
-    return path
-
-
 def _sanitize(obj):
     if isinstance(obj, dict):
         return {k: _sanitize(v) for k, v in obj.items()}
@@ -221,9 +214,9 @@ def cmd_sweep(params: dict) -> int:
         rows = list(pool.map(_sweep_point, points))
 
     out = _out_dir(params)
-    sweep_path = _write_csv(out / "sweep.csv", SWEEP_COLUMNS, (
+    sweep_path = write_csv(out / "sweep.csv", SWEEP_COLUMNS, (
         [_sanitize(row[k]) for k in SWEEP_COLUMNS] for row in rows))
-    derived_path = _write_csv(out / "sweep_derived.csv", DERIVED_COLUMNS, (
+    derived_path = write_csv(out / "sweep_derived.csv", DERIVED_COLUMNS, (
         [row["d"], _sanitize(row["nu"]), row["lambda"], row["m0"],
          math.log2(row["m0"]),
          "" if math.isinf(row["nu"]) else math.log(row["nu"]),
@@ -241,14 +234,17 @@ def cmd_eig_decay(params: dict) -> int:
     _require_out(params)
     if _kernel_from(params).is_gaussian:
         raise ValueError("eig-decay expects a finite smoothness nu")
+    lo, hi = params.get("fit_lo"), params.get("fit_hi")
+    if (lo is None) != (hi is None):
+        raise ValueError("eig-decay: --fit-lo and --fit-hi go together; "
+                         f"{'--fit-lo' if lo is None else '--fit-hi'} is missing")
+    if lo is not None:
+        params["fit_range"] = [lo, hi]
     kernel, emb, spec = _search(params)
-    if params.get("fit_lo") is not None and params.get("fit_hi") is not None:
-        params["fit_range"] = [params["fit_lo"], params["fit_hi"]]
     rep = decay_report(spec, kernel.nu, kernel.d,
-                       fit_range=params.get("fit_range"),
-                       rel_tol=float(_get(params, "slope_rel_tol", 0.15)))
+                       fit_range=params.get("fit_range"))
     flat = np.sort(np.sqrt(np.maximum(spec.values_flat, 0.0) / emb.s))[::-1]
-    decay_path = _write_csv(
+    decay_path = write_csv(
         _out_dir(params) / "decay.csv", DECAY_COLUMNS,
         ([j, repr(float(v))] for j, v in enumerate(flat, start=1)))
     report = {"m": emb.m, "ell": emb.ell, "s": emb.s,
@@ -507,7 +503,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(_merge_config(args))
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CircembedError as exc:

@@ -29,6 +29,7 @@ evaluated once per table growth, not once per attempt.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +54,9 @@ __all__ = [
 # which its column cannot be even-symmetric: rounding leaves far less.
 IMAG_TOL = 1e-9
 
+# Covariance tail `eigen_lower_bound_diagnostic` may leave out of its sum.
+TAIL_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -75,6 +79,13 @@ class GridSpec:
     @property
     def n_points(self) -> int:
         return (self.m0 + 1) ** self.d
+
+
+def grid_points(axis: np.ndarray, d: int) -> np.ndarray:
+    """The points of axis^d in lexicographic order, shape (len(axis)^d, d):
+    the layout of every grid, lag table and spectrum in the package."""
+    grids = np.meshgrid(*([axis] * d), indexing="ij")
+    return np.stack([g.reshape(-1) for g in grids], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -177,9 +188,7 @@ class _FoldedBlocks:
     def block(self, m: int) -> np.ndarray:
         kernel, grid = self.kernel, self.grid
         if not getattr(kernel, "is_isotropic", False):
-            ax = grid.h0 * np.arange(m + 1)
-            grids = np.meshgrid(*([ax] * grid.d), indexing="ij")
-            pts = np.stack([g.reshape(-1) for g in grids], axis=-1)
+            pts = grid_points(grid.h0 * np.arange(m + 1), grid.d)
             return kernel.rho(pts).reshape((m + 1,) * grid.d)
         if self.table is None or m > self.table.size:
             size = m if self.table is None else self.table.size
@@ -349,8 +358,8 @@ def minimal_embedding(kernel, grid: GridSpec, tol: float = 0.0,
     flag are those of a search that takes the FFT `spectrum` at every
     attempt.  The m returned or run out at is transformed at most once.
     """
-    if not tol >= 0:
-        raise ValueError("minimal_embedding: tol must be >= 0")
+    if not 0 <= tol < math.inf:
+        raise ValueError("minimal_embedding: tol must be >= 0 and finite")
     if m_step < 1:
         raise ValueError("minimal_embedding: m_step must be >= 1")
     start = grid.m0 if m_start is None else m_start
@@ -415,8 +424,7 @@ def minimal_embedding(kernel, grid: GridSpec, tol: float = 0.0,
 
 def eigen_lower_bound_diagnostic(kernel, embedding: Embedding,
                                  zeta_grid_n: int = 32,
-                                 trunc_radius: int = 3,
-                                 tail_tol: float = 1e-12) -> float:
+                                 trunc_radius: int = 3) -> float:
     """Computable lower bound on all circulant eigenvalues:
 
         (1/h0^d) min_zeta sum_{|r|_inf <= R} rho_hat((zeta + r)/h0)
@@ -427,7 +435,7 @@ def eigen_lower_bound_diagnostic(kernel, embedding: Embedding,
     minimum; aligning zeta_grid_n with 2m makes the bound comparable to
     the true spectrum minimum).  Truncating the positive spectral sum
     only lowers the bound; the covariance tail sum is extended until its
-    analytically-estimated remainder is below `tail_tol`.
+    analytically-estimated remainder is below TAIL_TOL.
     """
     if not getattr(kernel, "has_spectral_density", False):
         raise CapabilityError(
@@ -436,26 +444,22 @@ def eigen_lower_bound_diagnostic(kernel, embedding: Embedding,
     d, h0, m = grid.d, grid.h0, embedding.m
 
     # term 1: aliased spectral sum, minimized over the zeta grid
-    axis = -0.5 + np.arange(zeta_grid_n) / zeta_grid_n
-    zeta_grids = np.meshgrid(*([axis] * d), indexing="ij")
-    zeta = np.stack([g.reshape(-1) for g in zeta_grids], axis=-1)
+    zeta = grid_points(-0.5 + np.arange(zeta_grid_n) / zeta_grid_n, d)
     acc = np.zeros(zeta.shape[0])
-    shift_axis = np.arange(-trunc_radius, trunc_radius + 1)
-    shift_grids = np.meshgrid(*([shift_axis] * d), indexing="ij")
-    shifts = np.stack([g.reshape(-1) for g in shift_grids], axis=-1)
+    shifts = grid_points(np.arange(-trunc_radius, trunc_radius + 1), d)
     for r in shifts:
         acc += kernel.spectral_density((zeta + r) / h0)
     term1 = acc.min() / h0**d
 
     # term 2: covariance tail over indices outside the centered box
-    # {-m..m-1}^d, truncated at sup-norm K with remainder < tail_tol
-    k_cap = _tail_truncation_radius(kernel, h0, m, d, tail_tol)
+    # {-m..m-1}^d, truncated at sup-norm K with remainder < TAIL_TOL
+    k_cap = _tail_truncation_radius(kernel, h0, m, d)
     term2 = _outside_box_abs_sum(kernel, h0, m, d, k_cap)
     return float(term1 - term2)
 
 
-def _tail_truncation_radius(kernel, h0, m, d, tail_tol):
-    """Smallest K with the remaining shell sum of |rho| provably < tail_tol.
+def _tail_truncation_radius(kernel, h0, m, d):
+    """Smallest K with the remaining shell sum of |rho| provably < TAIL_TOL.
 
     Shell j contributes at most (3^d - 1) j^(d-1) kappa(h0 j / lam); the
     remainder past K is bounded using the empirical per-shell decay ratio,
@@ -475,7 +479,7 @@ def _tail_truncation_radius(kernel, h0, m, d, tail_tol):
         if a == 0.0:
             return K
         ratio = b / a
-        if ratio < 1.0 and a * ratio / (1.0 - ratio) < tail_tol:
+        if ratio < 1.0 and a * ratio / (1.0 - ratio) < TAIL_TOL:
             return K
         K = max(K + 1, int(K * 1.25))
     raise NotPositiveDefiniteError("covariance tail does not decay; cannot "
@@ -483,7 +487,8 @@ def _tail_truncation_radius(kernel, h0, m, d, tail_tol):
 
 
 def _outside_box_abs_sum(kernel, h0, m, d, k_cap):
-    """sum of |rho(h0 k)| over k in [-K..K]^d outside [-m..m-1]^d."""
+    """sum of |rho(h0 k)| over k in [-K..K]^d outside [-m..m-1]^d, for an
+    isotropic kernel (`_tail_truncation_radius` requires one)."""
     if (2 * k_cap + 1) ** d > 5e7:
         raise MemoryError("diagnostic truncation box too large; "
                           "reduce the instance size")
@@ -496,9 +501,4 @@ def _outside_box_abs_sum(kernel, h0, m, d, k_cap):
     for g in grids:
         lag2 += (h0 * g.astype(float)) ** 2
     r = np.sqrt(lag2[~inside])
-    if getattr(kernel, "is_isotropic", False):
-        vals = np.abs(kernel.kappa(r / kernel.lam))
-    else:
-        pts = np.stack([h0 * g[~inside].astype(float) for g in grids], axis=-1)
-        vals = np.abs(kernel.rho(pts))
-    return float(vals.sum())
+    return float(np.abs(kernel.kappa(r / kernel.lam)).sum())

@@ -26,7 +26,7 @@ import numpy as np
 import scipy
 
 from . import sampler
-from .embedding import GridSpec, Spectrum
+from .embedding import GridSpec, Spectrum, grid_points
 
 MAGIC = b"GRFFLD01"
 _HEADER = struct.Struct("<8sIIQ")
@@ -35,6 +35,7 @@ __all__ = [
     "MAGIC",
     "write_field_binary",
     "read_field_binary",
+    "write_csv",
     "write_field_csv",
     "write_spectrum_csv",
     "write_json",
@@ -106,21 +107,25 @@ def read_field_binary(path):
     return values, {"d": int(d), "m0": int(m0), "n_samples": int(n)}
 
 
+def write_csv(path, columns, rows) -> Path:
+    """A CSV file with header `columns` and one line per row of `rows`."""
+    path = Path(path)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows(rows)
+    return path
+
+
 def write_field_csv(path, values: np.ndarray, grid: GridSpec) -> Path:
     """Write one sample as CSV with columns k1..kd, value."""
     values = np.asarray(values, dtype=float).reshape(-1)
     if values.size != grid.n_points:
         raise ValueError("write_field_csv: sample size does not match grid")
-    axis = np.arange(grid.m0 + 1)
-    grids = np.meshgrid(*([axis] * grid.d), indexing="ij")
-    idx = np.stack([g.reshape(-1) for g in grids], axis=-1)
-    path = Path(path)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"k{i + 1}" for i in range(grid.d)] + ["value"])
-        for row, v in zip(idx, values):
-            writer.writerow([*map(int, row), repr(float(v))])
-    return path
+    idx = grid_points(np.arange(grid.m0 + 1), grid.d)
+    return write_csv(path, [f"k{i + 1}" for i in range(grid.d)] + ["value"],
+                     ([*map(int, row), repr(float(v))]
+                      for row, v in zip(idx, values)))
 
 
 def write_spectrum_csv(path, spec: Spectrum, kernel=None) -> Path:
@@ -128,18 +133,12 @@ def write_spectrum_csv(path, spec: Spectrum, kernel=None) -> Path:
     sidecar recording the embedding and kernel."""
     emb = spec.embedding
     grid = emb.grid
-    d, two_m = grid.d, 2 * emb.m
-    axis = np.arange(two_m)
-    grids = np.meshgrid(*([axis] * d), indexing="ij")
-    idx = np.stack([g.reshape(-1) for g in grids], axis=-1)
-    flat = spec.values_flat
-    path = Path(path)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index_lex"] + [f"k{i + 1}" for i in range(d)]
-                        + ["lambda_ext"])
-        for i, (row, v) in enumerate(zip(idx, flat)):
-            writer.writerow([i, *map(int, row), repr(float(v))])
+    d = grid.d
+    idx = grid_points(np.arange(2 * emb.m), d)
+    path = write_csv(path, ["index_lex"] + [f"k{i + 1}" for i in range(d)]
+                     + ["lambda_ext"],
+                     ([i, *map(int, row), repr(float(v))]
+                      for i, (row, v) in enumerate(zip(idx, spec.values_flat))))
     sidecar = {
         "d": d,
         "m0": grid.m0,

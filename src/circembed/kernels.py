@@ -2,7 +2,8 @@
 
 Provides the Matern family (including its Gaussian nu = inf limit) and a
 hook for user-supplied stationary symbols.  Kernels are immutable values;
-every evaluation is pure.
+every evaluation is pure.  The Matern profile takes ln Gamma and ln K_nu
+from `specialfn`, the package's one special-function layer.
 
 Conventions
 -----------
@@ -24,9 +25,9 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy import integrate
-from scipy.special import gammaln, kve
 
 from .errors import CapabilityError, QuadratureError
+from .specialfn import NU_UNIFORM, log_bessel_k, log_gamma, log_gamma_ratio
 
 __all__ = [
     "MaternKernel",
@@ -36,56 +37,15 @@ __all__ = [
     "covariance_tail_integral",
 ]
 
-# Order threshold above which the uniform large-order expansion of K_nu is
-# used instead of scipy's kve (which overflows for large order at small
-# argument).  At nu = 128 the truncated expansion is accurate to ~1e-10.
-_NU_UNIFORM = 128.0
 
-
-def _log_bessel_k_uniform(nu, z):
-    """log K_nu(z) by the uniform large-order asymptotic expansion.
-
-    Valid for nu >= _NU_UNIFORM, any z > 0.  Four series terms give
-    relative error O(nu^-4).
-    """
-    w = z / nu
-    sq = np.sqrt(1.0 + w * w)
-    eta = sq + np.log(w / (1.0 + sq))
-    t = 1.0 / sq
-    t2 = t * t
-    u1 = t * (3.0 - 5.0 * t2) / 24.0
-    u2 = t2 * (81.0 - t2 * (462.0 - 385.0 * t2)) / 1152.0
-    u3 = (t * t2 * (30375.0 - t2 * (369603.0 - t2 * (765765.0 - 425425.0 * t2)))
-          / 414720.0)
-    series = 1.0 - u1 / nu + u2 / nu**2 - u3 / nu**3
-    return 0.5 * np.log(np.pi / (2.0 * nu)) - nu * eta - 0.25 * np.log1p(w * w) \
-        + np.log(series)
-
-
-def _log_bessel_k(nu, z):
-    """log K_nu(z) for scalar order nu >= 0.5 and array z > 0."""
-    z = np.asarray(z, dtype=float)
-    if nu >= _NU_UNIFORM:
-        return _log_bessel_k_uniform(nu, z)
-    out = np.empty_like(z)
-    scaled = kve(nu, z)
-    ok = np.isfinite(scaled)
-    out[ok] = np.log(scaled[ok]) - z[ok]
-    if not ok.all():
-        # kve overflowed: only happens for small z at moderately large
-        # order, where the leading small-argument form is accurate.
-        zb = z[~ok]
-        corr = zb * zb / (4.0 * (1.0 - nu)) if nu != 1.0 else 0.0
-        out[~ok] = (math.log(0.5) + gammaln(nu) + nu * (math.log(2.0) - np.log(zb))
-                    + np.log1p(corr))
-    return out
-
-
-def _gammaln_ratio(nu, a):
-    """gammaln(nu + a) - gammaln(nu), stable also for very large nu."""
-    if nu < 1e8:
-        return gammaln(nu + a) - gammaln(nu)
-    return a * math.log(nu) + a * (a - 1.0) / (2.0 * nu)
+def _lag_norm(x, d: int, error: str):
+    """Norm of the lag(s) x as `MaternKernel.rho` takes them."""
+    x = np.asarray(x, dtype=float)
+    if d == 1 and (x.ndim == 0 or (x.ndim == 1 and x.shape[-1] != 1)):
+        return np.abs(x)
+    if x.shape[-1] != d:
+        raise ValueError(error)
+    return np.sqrt(np.sum(x * x, axis=-1))
 
 
 @dataclass(frozen=True)
@@ -155,11 +115,11 @@ class MaternKernel:
         if self.is_gaussian:
             return u * (2.0 + (self.d + 8) * self.d / 2.0)
         nu = self.nu
-        terms = abs(1.0 - nu) * math.log(2.0) + abs(float(gammaln(nu))) + nu
+        terms = abs(1.0 - nu) * math.log(2.0) + abs(log_gamma(nu)) + nu
         bound = u * (4.0 + 2.0 * terms)
-        if nu < _NU_UNIFORM and not (2.0 * nu).is_integer():
+        if nu < NU_UNIFORM and not (2.0 * nu).is_integer():
             bound += 2.0**10 * u  # kve at fractional orders
-        if nu >= _NU_UNIFORM:
+        if nu >= NU_UNIFORM:
             bound += 1e-10  # truncation of the uniform expansion
         return bound
 
@@ -181,8 +141,8 @@ class MaternKernel:
             if pos.any():
                 nu = self.nu
                 z = math.sqrt(2.0 * nu) * r[pos]
-                log_k = ((1.0 - nu) * math.log(2.0) - gammaln(nu)
-                         + nu * np.log(z) + _log_bessel_k(nu, z))
+                log_k = ((1.0 - nu) * math.log(2.0) - log_gamma(nu)
+                         + nu * np.log(z) + log_bessel_k(nu, z))
                 out[pos] = self.sigma2 * np.exp(log_k)
         return float(out[0]) if scalar else out
 
@@ -191,13 +151,7 @@ class MaternKernel:
 
         For d = 1 a bare scalar or 1-d array of lags is also accepted.
         """
-        x = np.asarray(x, dtype=float)
-        if self.d == 1 and (x.ndim == 0 or (x.ndim == 1 and x.shape[-1] != 1)):
-            r = np.abs(x)
-        else:
-            if x.shape[-1] != self.d:
-                raise ValueError(f"rho: expected lag(s) with last axis {self.d}")
-            r = np.sqrt(np.sum(x * x, axis=-1))
+        r = _lag_norm(x, self.d, f"rho: expected lag(s) with last axis {self.d}")
         return self.kappa(r / self.lam)
 
     # -- spectral side ----------------------------------------------------
@@ -213,7 +167,7 @@ class MaternKernel:
         two_pi_r = 2.0 * np.pi * r
         return (math.log(self.sigma2) + d * math.log(2.0)
                 + 0.5 * d * math.log(math.pi)
-                + _gammaln_ratio(nu, 0.5 * d)
+                + log_gamma_ratio(nu, 0.5 * d)
                 - 0.5 * d * math.log(2.0 * nu)
                 - (nu + 0.5 * d) * np.log1p(two_pi_r * two_pi_r / (2.0 * nu)))
 
@@ -225,15 +179,9 @@ class MaternKernel:
 
     def spectral_density(self, xi):
         """Spectral density rho_hat(xi) = lam^d kappa_hat_d(lam ||xi||_2)."""
-        xi = np.asarray(xi, dtype=float)
-        if self.d == 1 and (xi.ndim == 0 or (xi.ndim == 1 and xi.shape[-1] != 1)):
-            r = np.abs(xi)
-        else:
-            if xi.shape[-1] != self.d:
-                raise ValueError(f"spectral_density: expected last axis {self.d}")
-            r = np.sqrt(np.sum(xi * xi, axis=-1))
-        out = self.lam**self.d * self.kappa_hat(self.lam * r)
-        return float(out) if np.ndim(out) == 0 else out
+        r = _lag_norm(xi, self.d,
+                      f"spectral_density: expected last axis {self.d}")
+        return self.lam**self.d * self.kappa_hat(self.lam * r)
 
     def to_json(self) -> dict:
         return {
@@ -256,6 +204,16 @@ def gaussian_kernel(sigma2: float, lam: float, d: int) -> MaternKernel:
     """Gaussian covariance sigma2 exp(-||x||^2 / (2 lam^2)) as the Matern
     nu = inf limit."""
     return MaternKernel(sigma2=sigma2, lam=lam, nu=math.inf, d=d)
+
+
+def _at_points(fn, x, d: int, error: str):
+    """fn at a point x (shape (d,)), a float, or at points (shape (n, d))."""
+    x = np.asarray(x, dtype=float)
+    pts = np.atleast_2d(x)
+    if pts.shape[-1] != d:
+        raise ValueError(error)
+    out = np.asarray(fn(pts), dtype=float).reshape(pts.shape[0])
+    return float(out[0]) if x.ndim <= 1 else out
 
 
 @dataclass(frozen=True)
@@ -291,25 +249,15 @@ class CustomStationaryKernel:
         return 4 * np.finfo(float).eps
 
     def rho(self, x):
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim <= 1
-        pts = np.atleast_2d(x)
-        if pts.shape[-1] != self.d:
-            raise ValueError(f"rho: expected lag(s) with last axis {self.d}")
-        out = np.asarray(self.rho_fn(pts), dtype=float).reshape(pts.shape[0])
-        return float(out[0]) if scalar else out
+        return _at_points(self.rho_fn, x, self.d,
+                          f"rho: expected lag(s) with last axis {self.d}")
 
     def spectral_density(self, xi):
         if self.rho_hat_fn is None:
             raise CapabilityError(
                 "kernel capability missing: no spectral density supplied")
-        xi = np.asarray(xi, dtype=float)
-        scalar = xi.ndim <= 1
-        pts = np.atleast_2d(xi)
-        if pts.shape[-1] != self.d:
-            raise ValueError(f"spectral_density: expected last axis {self.d}")
-        out = np.asarray(self.rho_hat_fn(pts), dtype=float).reshape(pts.shape[0])
-        return float(out[0]) if scalar else out
+        return _at_points(self.rho_hat_fn, xi, self.d,
+                          f"spectral_density: expected last axis {self.d}")
 
     def to_json(self) -> dict:
         return {"family": "custom", "d": self.d,

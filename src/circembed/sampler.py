@@ -21,7 +21,6 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 import scipy.fft
@@ -118,14 +117,13 @@ def _pruned_transform(u: np.ndarray, m0: int, workers: int) -> np.ndarray:
     return w.real - w.imag
 
 
-def _chunk_size(embedding, cap: Optional[int]) -> int:
+def _chunk_size(embedding) -> int:
     """Samples per chunk: as many as fit SAMPLE_BUDGET_BYTES with their
     float64 normals and the complex output of the first (rfft) axis, at
-    least one, and at most `cap` when given."""
+    least one."""
     s, m = embedding.s, embedding.m
     per_sample = 8 * s + 16 * (s // (2 * m)) * (m + 1)
-    size = max(1, SAMPLE_BUDGET_BYTES // per_sample)
-    return size if cap is None else max(1, min(size, cap))
+    return max(1, SAMPLE_BUDGET_BYTES // per_sample)
 
 
 def _resolve_mean(mean, n_points: int) -> np.ndarray:
@@ -141,22 +139,26 @@ def _resolve_mean(mean, n_points: int) -> np.ndarray:
     return flat
 
 
-def _field_values(spec: Spectrum, mean, n: int, fill, lognormal: bool,
-                  chunk: Optional[int]) -> np.ndarray:
+def _field_values(spec: Spectrum, mean, n: int, fill,
+                  lognormal: bool) -> np.ndarray:
     """(n, (m0+1)^d) field values; fill(row, i) writes the s normals that
     drive row i into the float64 s-vector `row`.  The one transform path
-    of `sample` and the batch samplers.
+    of `sample` and the batch samplers, and the one place that rejects a
+    spectrum with negative entries.
 
     Each chunk's rows are filled and scaled by the eigenvalue square roots
     in `worker_count()` threads, each over a contiguous range of rows, so
     a fill must be safe to run in several threads at once.
     """
+    if spec.values.min() < 0.0:
+        raise ValueError("spectrum has negative entries beyond the clamp; "
+                         "not a valid factorization")
     emb = spec.embedding
     grid = emb.grid
     sqrt_vals = np.sqrt(spec.values_flat)
     mean_flat = _resolve_mean(mean, grid.n_points)
     out = np.empty((n, grid.n_points))
-    size = _chunk_size(emb, chunk)
+    size = _chunk_size(emb)
     workers = worker_count()
     with ThreadPoolExecutor(max_workers=workers) as pool:
         for lo in range(0, n, size):
@@ -192,51 +194,40 @@ def sample(spec: Spectrum, mean, y: np.ndarray,
     Requires a nonnegative spectrum (clamped by the minimal-extension
     search); `mean` is a constant or an array over the physical grid.
     """
-    if spec.values.min() < 0.0:
-        raise ValueError("sample: spectrum has negative entries beyond the "
-                         "clamp; not a valid factorization")
     emb = spec.embedding
     y = np.asarray(y, dtype=float).reshape(-1)
     if y.size != emb.s:
         raise ValueError(f"sample: expected {emb.s} normal inputs, got {y.size}")
     values = _field_values(spec, mean, 1, lambda row, i: np.copyto(row, y),
-                           lognormal, chunk=1)
+                           lognormal)
     return FieldSample(values=values[0], meta={"lognormal": bool(lognormal)})
 
 
 def batch_sample(spec: Spectrum, mean, n: int, seed: int,
-                 lognormal: bool = False, chunk: Optional[int] = None,
-                 meta: Optional[dict] = None) -> list[FieldSample]:
+                 lognormal: bool = False) -> list[FieldSample]:
     """n independent samples using streams 0..n-1 of the given seed.
 
     Sample i depends only on (seed, i); chunked batch FFTs change nothing
     about the per-sample content.
     """
-    values = batch_sample_values(spec, mean, n, seed, lognormal=lognormal,
-                                 chunk=chunk)
-    base = dict(meta or {})
-    out = []
-    for i in range(n):
-        info = dict(base, seed=seed, stream=i, lognormal=bool(lognormal))
-        out.append(FieldSample(values=values[i], meta=info))
-    return out
+    values = batch_sample_values(spec, mean, n, seed, lognormal=lognormal)
+    return [FieldSample(values=values[i],
+                        meta={"seed": seed, "stream": i,
+                              "lognormal": bool(lognormal)})
+            for i in range(n)]
 
 
 def batch_sample_values(spec: Spectrum, mean, n: int, seed: int,
-                        lognormal: bool = False,
-                        chunk: Optional[int] = None) -> np.ndarray:
+                        lognormal: bool = False) -> np.ndarray:
     """Vectorized batch sampling; returns an (n, (m0+1)^d) array.
 
     Row i equals sample(spec, mean, draw_normal(s, seed, i)).values, bit
     for bit, whatever the chunking or worker count.  Chunks are sized from
-    SAMPLE_BUDGET_BYTES; `chunk`, when given, caps the samples per chunk.
+    SAMPLE_BUDGET_BYTES.
     """
     if n < 1:
         raise ValueError("batch_sample_values: n must be >= 1")
-    if spec.values.min() < 0.0:
-        raise ValueError("batch_sample: spectrum has negative entries beyond "
-                         "the clamp; not a valid factorization")
     return _field_values(
         spec, mean, n,
         lambda row, i: _generator(seed, i).standard_normal(out=row),
-        lognormal, chunk)
+        lognormal)

@@ -8,13 +8,16 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .embedding import GridSpec
+from .embedding import GridSpec, grid_points
 
 __all__ = ["ValidationReport", "dense_covariance", "validate_samples",
            "DENSE_POINTS_CAP"]
 
 # Largest grid whose dense covariance matrix validation assembles.
 DENSE_POINTS_CAP = 4096
+
+# Fewest samples the Monte-Carlo tolerances are meant for.
+MIN_SAMPLES = 1000
 
 
 @dataclass
@@ -43,8 +46,7 @@ class ValidationReport:
         }
 
 
-def dense_covariance(kernel, grid: GridSpec,
-                     max_points: int = DENSE_POINTS_CAP) -> np.ndarray:
+def dense_covariance(kernel, grid: GridSpec) -> np.ndarray:
     """Target covariance matrix R[i, j] = rho(h0 (k_i - k_j)), assembled
     densely over the lexicographic grid indices k.
 
@@ -52,14 +54,13 @@ def dense_covariance(kernel, grid: GridSpec,
     k_i - k_j in {-m0..m0}^d.  So `kernel.rho` is evaluated once, on the
     (2 m0 + 1)^d signed lags h0 l, and R is copied out of that table.  The
     signed table assumes no symmetry of rho in any coordinate.  Raises
-    MemoryError above `max_points` grid points.
+    MemoryError above DENSE_POINTS_CAP grid points.
     """
     d, m0, n = grid.d, grid.m0, grid.n_points
-    if n > max_points:
-        raise MemoryError(f"dense_covariance: {n} points exceeds cap {max_points}")
-    lag_axis = np.arange(-m0, m0 + 1)
-    lags = np.stack([g.reshape(-1) for g in np.meshgrid(
-        *([lag_axis] * d), indexing="ij")], axis=-1)
+    if n > DENSE_POINTS_CAP:
+        raise MemoryError(
+            f"dense_covariance: {n} points exceeds cap {DENSE_POINTS_CAP}")
+    lags = grid_points(np.arange(-m0, m0 + 1), d)
     table = np.asarray(kernel.rho(grid.h0 * lags), dtype=float)
     # windows[i, b] = table[i + b] over 2d axes (i_1..i_d, b_1..b_d) with
     # table indexed from lag -m0; b = m0 - j gives the lag i - j
@@ -70,7 +71,7 @@ def dense_covariance(kernel, grid: GridSpec,
 
 
 def validate_samples(values: np.ndarray, kernel, grid: GridSpec,
-                     mean=0.0, min_samples: int = 1000) -> ValidationReport:
+                     mean=0.0) -> ValidationReport:
     """Compare empirical mean and covariance of sampled fields (rows of
     `values`) against the prescribed mean and covariance matrix.
 
@@ -85,8 +86,8 @@ def validate_samples(values: np.ndarray, kernel, grid: GridSpec,
         raise ValueError(
             f"validate_samples: samples have {M} points, grid has "
             f"{grid.n_points}")
-    if n < min_samples:
-        raise ValueError(f"validate_samples: need at least {min_samples} "
+    if n < MIN_SAMPLES:
+        raise ValueError(f"validate_samples: need at least {MIN_SAMPLES} "
                          f"samples, got {n}")
     R = dense_covariance(kernel, grid)
     # the tolerances first, so that |R| and the empirical covariance are

@@ -102,6 +102,15 @@ class TestMinEll:
         assert code == 2
         assert "tol must be >= 0" in err and "Traceback" not in err
 
+    def test_infinite_tol_is_usage_error(self, capsys):
+        # an infinite tol would accept any spectrum, negative or not
+        code = main(["min-ell", "--d", "1", "--m0", "8", "--nu", "inf",
+                     "--lambda", "1", "--tol", "inf"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "tol must be >= 0 and finite" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_out_from_config(self, tmp_path, capsys):
         # an `out` key in the config writes the same files as --out
         base = {"d": 1, "nu": 0.5, "lam": 1.0, "m0": 4, "tol": 0.0,
@@ -296,6 +305,15 @@ class TestSample:
         assert "n must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "fields.bin").exists()
 
+    def test_count_too_large_to_allocate_is_usage_error(self, tmp_path,
+                                                        capsys):
+        code = main(["sample", "--d", "1", "--nu", "1.5", "--lambda", "0.5",
+                     "--m0", "8", "--n", str(10**15), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not (tmp_path / "fields.bin").exists()
+
     def test_constant_mean(self, tmp_path, capsys):
         code, _ = run(capsys, "sample", "--d", "1", "--nu", "0.5",
                       "--lambda", "0.5", "--m0", "4", "--n", "1",
@@ -368,7 +386,10 @@ class TestEigDecay:
         ({"fit_range": [1, "x"]}, [], "two finite numbers, not [1, 'x']"),
         ({}, ["--fit-lo", "3", "--fit-hi", "1e400"],
          "two finite numbers, not [3.0, inf]"),
-    ], ids=["number", "one-item", "object", "string-item", "infinite-hi"])
+        ({}, ["--fit-lo", "10"], "--fit-hi is missing"),
+        ({}, ["--fit-hi", "100"], "--fit-lo is missing"),
+    ], ids=["number", "one-item", "object", "string-item", "infinite-hi",
+            "lo-only", "hi-only"])
     def test_bad_fit_range_is_usage_error(self, config, flags, message,
                                           tmp_path, capsys):
         cfg = tmp_path / "fit.json"
@@ -458,6 +479,26 @@ class TestTheory:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert message in captured.err and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("flags", [["--k-trunc", "-1"],
+                                       ["--r-trunc", "-3"]],
+                             ids=["k-trunc", "r-trunc"])
+    def test_negative_truncation_radius_is_usage_error(self, flags, capsys):
+        code = main(["theory", "sampling-theorem", "--d", "1", "--nu", "1.5",
+                     "--lambda", "0.5", "--h", "0.25", *flags])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "k_trunc and r_trunc must be >= 0" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_truncation_box_too_large_is_usage_error(self, capsys):
+        code = main(["theory", "sampling-theorem", "--d", "3", "--nu", "1.5",
+                     "--lambda", "0.5", "--h", "0.25", "--xi", "0,0,0",
+                     "--k-trunc", "1000"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "truncation box too large" in captured.err
+        assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize("argv", [
         ["bounds", "--nu", "1.0", "--lambda", "0.5", "--m0", "16",

@@ -290,7 +290,7 @@ class TestMinimalEmbedding:
         assert info.value.min_eig == last.min_value
         assert info.value.rounding_bound == last.rounding_bound
 
-    @pytest.mark.parametrize("tol", [-1e-13, math.nan])
+    @pytest.mark.parametrize("tol", [-1e-13, math.nan, math.inf])
     def test_tol_must_be_a_nonnegative_number(self, tol):
         with pytest.raises(ValueError, match="tol must be >= 0"):
             minimal_embedding(exponential(), GridSpec(d=1, m0=8), tol=tol)

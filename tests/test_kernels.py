@@ -91,6 +91,28 @@ class TestRho:
         assert np.abs(k_big.kappa(r) - k_inf.kappa(r)).max() <= 1e-3
 
 
+    @pytest.mark.parametrize("nu", [100.0, 127.5])
+    def test_accurate_where_kve_overflows(self, nu):
+        # at small z and large order kve overflows and kappa sums the
+        # small-argument series; it errs by the rounding of its log-sum,
+        # about 3000u, where the first correction alone erred by up to 4e-8
+        mpmath = pytest.importorskip("mpmath")
+        from scipy.special import kve
+        mpmath.mp.dps = 40
+        kernel = MaternKernel(1.0, 1.0, nu, 1)
+        r = np.geomspace(1e-4, 1.0, 200) / math.sqrt(2 * nu)
+        z = math.sqrt(2 * nu) * r  # the argument kappa passes to K_nu
+        keep = np.isinf(kve(nu, z))
+        assert keep.sum() > 50
+        nu_mp = mpmath.mpf(nu)
+        exact = np.array([float(2 ** (1 - nu_mp) / mpmath.gamma(nu_mp)
+                                * mpmath.mpf(x) ** nu_mp
+                                * mpmath.besselk(nu_mp, mpmath.mpf(x)))
+                          for x in z[keep]])
+        rel = np.abs(kernel.kappa(r[keep]) / exact - 1.0)
+        assert rel.max() <= 2e-12
+
+
 class TestEvalRelError:
     @pytest.mark.parametrize("nu", [0.5, 1.5, 4.0, 16.0, math.inf])
     def test_covers_mass_weighted_error(self, nu):

@@ -18,6 +18,7 @@ from circembed import (Embedding, GridSpec, MaternKernel,
 from conftest import dense_transform, fft_only_search
 
 import test_sampler
+from test_sampler import chunks_of
 
 # derandomized and without an example database, so every run checks the
 # same examples
@@ -117,7 +118,8 @@ def test_pruned_batch_matches_dense_transform(case):
     d, m0, m, n, chunks, seed = case
     spec = random_spectrum(d, m0, m, seed)
     emb = spec.embedding
-    got = batch_sample_values(spec, 0.0, n, seed, chunk=chunks[0])
+    with chunks_of(chunks[0]):
+        got = batch_sample_values(spec, 0.0, n, seed)
     block = (slice(0, m0 + 1),) * d
     for i in range(n):
         y = draw_normal(emb.s, seed, i).reshape(emb.shape)
@@ -136,8 +138,9 @@ def test_batch_rows_are_chunk_invariant_and_equal_single_samples(case,
     mean = np.random.default_rng(seed + 1).normal(size=emb.grid.n_points)
     rows = batch_sample_values(spec, mean, n, seed, lognormal=lognormal)
     for chunk in chunks:
-        again = batch_sample_values(spec, mean, n, seed, lognormal=lognormal,
-                                    chunk=chunk)
+        with chunks_of(chunk):
+            again = batch_sample_values(spec, mean, n, seed,
+                                        lognormal=lognormal)
         assert np.array_equal(again, rows)
     for i in range(n):
         one = sample(spec, mean, draw_normal(emb.s, seed, i),
@@ -165,9 +168,9 @@ def test_batch_rows_are_bit_identical_at_any_worker_count(case, lognormal,
         rows = batch_sample_values(spec, mean, n, seed, lognormal=lognormal)
     for count in (1, 2, 3):
         for chunk in chunks:
-            with workers(count):
+            with workers(count), chunks_of(chunk):
                 again = batch_sample_values(spec, mean, n, seed,
-                                            lognormal=lognormal, chunk=chunk)
+                                            lognormal=lognormal)
             assert np.array_equal(again, rows)
     with workers(3):
         for i in range(n):

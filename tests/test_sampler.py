@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,10 +19,17 @@ from circembed import (
     minimal_embedding,
     qmc_map,
     sample,
+    sampler,
     spectrum,
 )
 from conftest import (dense_extended_matrix, dense_grid_matrix,
                       dense_orthogonal_factor, dense_transform, multi_indices)
+
+
+def chunks_of(size):
+    """Run the sampler with `size` samples per chunk, whatever the budget
+    gives."""
+    return mock.patch.object(sampler, "_chunk_size", return_value=size)
 
 
 def exponential_spectrum(d=1, m0=2, m=2, lam=1.0):
@@ -221,15 +229,18 @@ class TestBatchSample:
 
     def test_content_is_stream_indexed(self):
         _, emb, spec = exponential_spectrum(d=2, m0=2, m=3)
-        batch = batch_sample(spec, 0.0, n=7, seed=42, chunk=3)
+        with chunks_of(3):
+            batch = batch_sample(spec, 0.0, n=7, seed=42)
         for i in (0, 3, 6):
             direct = sample(spec, 0.0, draw_normal(emb.s, seed=42, stream=i))
             assert np.allclose(batch[i].values, direct.values, atol=0)
 
     def test_chunking_invariance(self):
         _, emb, spec = exponential_spectrum()
-        a = batch_sample_values(spec, 0.0, n=10, seed=3, chunk=2)
-        b = batch_sample_values(spec, 0.0, n=10, seed=3, chunk=10)
+        with chunks_of(2):
+            a = batch_sample_values(spec, 0.0, n=10, seed=3)
+        with chunks_of(10):
+            b = batch_sample_values(spec, 0.0, n=10, seed=3)
         assert np.array_equal(a, b)
 
     def test_pointwise_variance(self):
