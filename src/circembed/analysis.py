@@ -43,6 +43,7 @@ __all__ = [
 ]
 
 _MAX_DOUBLINGS = 16  # of the rectangle rule in `continuous_eigenvalue`
+_RECT_REL_TOL = 1e-8  # its relative agreement between two doublings
 
 
 @dataclass(frozen=True)
@@ -141,8 +142,7 @@ def gaussian_ell_bound(lam: float, h0: float, B: float) -> float:
     return 1.0 + lam * max(math.sqrt(2.0) * lam / h0, B)
 
 
-def continuous_eigenvalue(kernel, ell: float, k, quad_n: int = 64,
-                          rel_tol: float = 1e-8) -> float:
+def continuous_eigenvalue(kernel, ell: float, k, quad_n: int = 64) -> float:
     """Eigenvalue of the continuous periodized covariance operator,
 
         lambda_k(ell) = int_{[-ell, ell]^d} rho(x) cos(2 pi xi_k . x) dx,
@@ -150,7 +150,7 @@ def continuous_eigenvalue(kernel, ell: float, k, quad_n: int = 64,
 
     by the tensor rectangle rule with quad_n points per axis, doubled (at
     most _MAX_DOUBLINGS times) until two successive values agree to
-    `rel_tol` relatively.
+    _RECT_REL_TOL relatively.
     """
     if not 0 < ell < math.inf:
         raise ValueError("continuous_eigenvalue: ell must be finite and > 0")
@@ -175,12 +175,12 @@ def continuous_eigenvalue(kernel, ell: float, k, quad_n: int = 64,
     for _ in range(_MAX_DOUBLINGS):
         n *= 2
         cur = rect(n)
-        if abs(cur - prev) <= rel_tol * max(abs(cur), 1e-300):
+        if abs(cur - prev) <= _RECT_REL_TOL * max(abs(cur), 1e-300):
             return cur
         prev = cur
     raise ConvergenceError(
         f"continuous_eigenvalue: rectangle rule did not converge to "
-        f"rel_tol={rel_tol} within {_MAX_DOUBLINGS} doublings")
+        f"rel_tol={_RECT_REL_TOL} within {_MAX_DOUBLINGS} doublings")
 
 
 def lattice_ordering(d: int, J: int) -> OrderedLattice:

@@ -246,7 +246,7 @@ def cmd_eig_decay(params: dict) -> int:
     flat = np.sort(np.sqrt(np.maximum(spec.values_flat, 0.0) / emb.s))[::-1]
     decay_path = write_csv(
         _out_dir(params) / "decay.csv", DECAY_COLUMNS,
-        ([j, repr(float(v))] for j, v in enumerate(flat, start=1)))
+        ([j, v] for j, v in enumerate(flat.tolist(), start=1)))
     report = {"m": emb.m, "ell": emb.ell, "s": emb.s,
               "fit_j_lo": rep.j_lo, "fit_j_hi": rep.j_hi, "slope": rep.slope,
               "expected_slope": -rep.expected_beta, "rel_dev": rep.rel_dev,
@@ -263,13 +263,19 @@ def _parse_mean(spec_text, n_points):
         return 0.0, {"mean": "const:0"}
     text = str(spec_text)
     if text.startswith("const:"):
-        return float(text[len("const:"):]), {"mean": text}
+        value = float(text[len("const:"):])
+        if not math.isfinite(value):
+            raise ValueError(f"--mean {text}: the mean must be finite")
+        return value, {"mean": text}
     if text.startswith("file:"):
         path = Path(text[len("file:"):])
         data = np.loadtxt(path).reshape(-1)
         if data.size != n_points:
             raise ValueError(f"mean file has {data.size} values, grid has "
                              f"{n_points} points")
+        if not np.isfinite(data).all():
+            raise ValueError(f"mean file {path} has a value that is not "
+                             "finite")
         return data, {"mean": text}
     raise ValueError("--mean must be const:<value> or file:<path>")
 

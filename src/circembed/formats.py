@@ -108,7 +108,12 @@ def read_field_binary(path):
 
 
 def write_csv(path, columns, rows) -> Path:
-    """A CSV file with header `columns` and one line per row of `rows`."""
+    """A CSV file with header `columns` and one line per row of `rows`.
+
+    Give rows of Python numbers (`ndarray.tolist()`), not numpy scalars:
+    a Python float is written as its shortest round-trip repr, and a row
+    of them formats faster than a row of numpy scalars.
+    """
     path = Path(path)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -124,8 +129,7 @@ def write_field_csv(path, values: np.ndarray, grid: GridSpec) -> Path:
         raise ValueError("write_field_csv: sample size does not match grid")
     idx = grid_points(np.arange(grid.m0 + 1), grid.d)
     return write_csv(path, [f"k{i + 1}" for i in range(grid.d)] + ["value"],
-                     ([*map(int, row), repr(float(v))]
-                      for row, v in zip(idx, values)))
+                     (k + [v] for k, v in zip(idx.tolist(), values.tolist())))
 
 
 def write_spectrum_csv(path, spec: Spectrum, kernel=None) -> Path:
@@ -137,8 +141,8 @@ def write_spectrum_csv(path, spec: Spectrum, kernel=None) -> Path:
     idx = grid_points(np.arange(2 * emb.m), d)
     path = write_csv(path, ["index_lex"] + [f"k{i + 1}" for i in range(d)]
                      + ["lambda_ext"],
-                     ([i, *map(int, row), repr(float(v))]
-                      for i, (row, v) in enumerate(zip(idx, spec.values_flat))))
+                     ([i, *k, v] for i, (k, v) in enumerate(
+                         zip(idx.tolist(), spec.values_flat.tolist()))))
     sidecar = {
         "d": d,
         "m0": grid.m0,

@@ -274,10 +274,10 @@ def _require_isotropic(kernel):
         raise CapabilityError("operation requires an isotropic kernel")
 
 
-def _checked_quad(f, lower, rel_tol=_QUAD_REL_TOL):
+def _checked_quad(f, lower):
     val, err = integrate.quad(f, lower, np.inf, epsabs=0.0, epsrel=1e-11,
                               limit=400)
-    if not np.isfinite(val) or (val != 0.0 and err > rel_tol * abs(val)):
+    if not np.isfinite(val) or (val != 0.0 and err > _QUAD_REL_TOL * abs(val)):
         raise QuadratureError(
             f"tail quadrature did not converge: value={val!r}, "
             f"error estimate={err!r}")

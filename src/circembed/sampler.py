@@ -9,11 +9,15 @@ of the negative-exponent one, so the transform runs as an rfft on the last
 axis and complex FFTs on the others, each cut to indices 0..m0 before the
 next axis (output pruning; m0 <= m makes the cut valid).
 
-Samples are computed in chunks sized from SAMPLE_BUDGET_BYTES, so memory
-does not grow with the number of samples.  Each chunk's normals are drawn
-by one thread per CPU the process may run on, each over a contiguous range
-of rows, and the chunk's FFTs use as many workers.  Row i depends only on
-(seed, i), so the output is the same bit for bit at any worker count.
+Samples are computed in chunks of rows sized to one core's cache
+(CHUNK_BYTES), and a chunk is the unit of parallel work: one pool thread
+draws and scales its normals, transforms them with a one-worker FFT, and
+writes the field values, mean and `exp` included, into the output rows.
+One thread per CPU the process may run on, at most, works at once, and
+never more chunks than SAMPLE_BUDGET_BYTES holds, so memory does not grow
+with the number of samples.  A batch of one chunk runs on the calling
+thread with every CPU sharing its FFTs.  Row i depends only on (seed, i),
+so the output is the same bit for bit at any chunking or worker count.
 """
 
 from __future__ import annotations
@@ -37,8 +41,15 @@ __all__ = [
     "batch_sample",
 ]
 
-# Bytes of normals plus transform output held at once per chunk of samples.
+# Bytes of normals plus transform output held at once by all chunks in
+# flight.
 SAMPLE_BUDGET_BYTES = 64 * 2**20
+
+# Bytes of normals plus transform output per chunk: about one core's L2
+# cache, so a chunk stays in cache from its draws to its output rows.  On
+# 2 CPUs with 2 MiB of L2 each, chunks of 512 KiB to 4 MiB sampled equally
+# fast within the run-to-run spread, and 64 MiB took about twice as long.
+CHUNK_BYTES = 2 * 2**20
 
 # The module that runs the sampler's transforms (recorded in run manifests).
 FFT_BACKEND = scipy.fft.__name__
@@ -117,13 +128,16 @@ def _pruned_transform(u: np.ndarray, m0: int, workers: int) -> np.ndarray:
     return w.real - w.imag
 
 
-def _chunk_size(embedding) -> int:
-    """Samples per chunk: as many as fit SAMPLE_BUDGET_BYTES with their
-    float64 normals and the complex output of the first (rfft) axis, at
-    least one."""
+def _row_bytes(embedding) -> int:
+    """Bytes one sample holds while it is transformed: its float64 normals
+    and the complex output of the first (rfft) axis."""
     s, m = embedding.s, embedding.m
-    per_sample = 8 * s + 16 * (s // (2 * m)) * (m + 1)
-    return max(1, SAMPLE_BUDGET_BYTES // per_sample)
+    return 8 * s + 16 * (s // (2 * m)) * (m + 1)
+
+
+def _chunk_size(embedding) -> int:
+    """Samples per chunk: as many as fit CHUNK_BYTES, at least one."""
+    return max(1, CHUNK_BYTES // _row_bytes(embedding))
 
 
 def _resolve_mean(mean, n_points: int) -> np.ndarray:
@@ -146,8 +160,8 @@ def _field_values(spec: Spectrum, mean, n: int, fill,
     of `sample` and the batch samplers, and the one place that rejects a
     spectrum with negative entries.
 
-    Each chunk's rows are filled and scaled by the eigenvalue square roots
-    in `worker_count()` threads, each over a contiguous range of rows, so
+    Each chunk is filled, scaled by the eigenvalue square roots,
+    transformed and written by one pool thread, several chunks at once, so
     a fill must be safe to run in several threads at once.
     """
     if spec.values.min() < 0.0:
@@ -159,31 +173,30 @@ def _field_values(spec: Spectrum, mean, n: int, fill,
     mean_flat = _resolve_mean(mean, grid.n_points)
     out = np.empty((n, grid.n_points))
     size = _chunk_size(emb)
+
+    def run_chunk(lo: int, fft_workers: int = 1) -> None:
+        hi = min(lo + size, n)
+        u = np.empty((hi - lo, emb.s))
+        for i in range(lo, hi):
+            row = u[i - lo]
+            fill(row, i)
+            row *= sqrt_vals  # while the row is still in cache
+        v = _pruned_transform(u.reshape((hi - lo,) + emb.shape), grid.m0,
+                              fft_workers)
+        rows = out[lo:hi]
+        np.add(v.reshape(hi - lo, -1), mean_flat, out=rows)
+        if lognormal:
+            np.exp(rows, out=rows)
+
+    starts = range(0, n, size)
     workers = worker_count()
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for lo in range(0, n, size):
-            hi = min(lo + size, n)
-            u = np.empty((hi - lo, emb.s))
-
-            def scaled_normals(a: int, b: int) -> None:
-                for i in range(a, b):
-                    row = u[i - lo]
-                    fill(row, i)
-                    row *= sqrt_vals  # while the row is still in cache
-
-            parts = min(workers, hi - lo)
-            if parts == 1:
-                scaled_normals(lo, hi)
-            else:
-                bounds = [lo + (hi - lo) * k // parts
-                          for k in range(parts + 1)]
-                list(pool.map(scaled_normals, bounds[:-1], bounds[1:]))
-            v = _pruned_transform(u.reshape((hi - lo,) + emb.shape),
-                                  grid.m0, workers)
-            del u  # free this chunk before the next one is allocated
-            out[lo:hi] = v.reshape(hi - lo, -1) + mean_flat
-    if lognormal:
-        np.exp(out, out=out)
+    if len(starts) == 1:
+        run_chunk(0, workers)
+        return out
+    budget_chunks = SAMPLE_BUDGET_BYTES // (size * _row_bytes(emb))
+    in_flight = min(workers, len(starts), max(1, budget_chunks))
+    with ThreadPoolExecutor(max_workers=in_flight) as pool:
+        list(pool.map(run_chunk, starts))
     return out
 
 

@@ -62,9 +62,16 @@ def bessel_k(nu, x):
     x = np.asarray(x, dtype=float)
     _domain_check(x > 0, "bessel_k: requires x > 0")
     # kve = exp(x) K_nu(x) stays representable far past where K_nu itself
-    # underflows; the product underflows gracefully to 0.
-    out = _sp.kve(nu, x) * np.exp(-x)
+    # underflows; the product underflows gracefully to 0.  kve is NaN from
+    # x ~ 1.1e9 on, where K_nu(x) underflowed long before.
+    scaled = _sp.kve(nu, x)
+    out = np.where(_kve_gave_up(scaled, x), 0.0, scaled * np.exp(-x))
     return float(out) if out.ndim == 0 else out
+
+
+def _kve_gave_up(scaled, z):
+    """Where scipy's kve returned NaN for a (large) non-NaN argument."""
+    return np.isnan(scaled) & ~np.isnan(z)
 
 
 def _log_bessel_k_uniform(nu, z):
@@ -93,16 +100,15 @@ def log_bessel_k(nu: float, z):
     z = np.asarray(z, dtype=float)
     if nu >= NU_UNIFORM:
         return _log_bessel_k_uniform(nu, z)
-    out = np.empty_like(z)
     scaled = _sp.kve(nu, z)
-    ok = np.isfinite(scaled)
-    out[ok] = np.log(scaled[ok]) - z[ok]
-    if not ok.all():
+    out = np.subtract(np.log(scaled), z, out=np.empty_like(z))
+    small = np.isposinf(scaled)
+    if small.any():
         # kve overflows only at small z and large order.  There
         # K_nu(z) = Gamma(nu) (z/2)^-nu / 2 sum_k c_k up to a relative
         # (z/2)^(2 nu), with c_0 = 1, c_k = c_(k-1) (-z^2/4) / (k (nu - k)),
         # summed until a term falls below the unit roundoff.
-        zb = z[~ok]
+        zb = z[small]
         q = -0.25 * zb * zb
         term, corr, k = 1.0, 0.0, 1
         while k < nu:
@@ -111,8 +117,23 @@ def log_bessel_k(nu: float, z):
             if np.abs(term).max() < np.finfo(float).eps / 2:
                 break
             k += 1
-        out[~ok] = (math.log(0.5) + log_gamma(nu)
-                    + nu * (math.log(2.0) - np.log(zb)) + np.log1p(corr))
+        out[small] = (math.log(0.5) + log_gamma(nu)
+                      + nu * (math.log(2.0) - np.log(zb)) + np.log1p(corr))
+    large = _kve_gave_up(scaled, z)
+    if large.any():
+        # kve is NaN from z ~ 1.1e9 on.  There the large-argument (Hankel)
+        # expansion K_nu(z) = sqrt(pi / (2z)) e^-z sum_k a_k z^-k, with
+        # a_0 = 1, a_k = a_(k-1) (4 nu^2 - (2k - 1)^2) / (8k) (DLMF 10.40.2),
+        # falls below the unit roundoff within a few terms.
+        zb = z[large]
+        term, corr, k = 1.0, 0.0, 1
+        while True:
+            term = term * (4.0 * nu * nu - (2 * k - 1) ** 2) / (8.0 * k * zb)
+            corr = corr + term
+            if np.abs(term).max() < np.finfo(float).eps / 2:
+                break
+            k += 1
+        out[large] = 0.5 * np.log(0.5 * np.pi / zb) - zb + np.log1p(corr)
     return out
 
 

@@ -54,6 +54,17 @@ class TestMinEll:
         assert report["certified"] is True
         assert 0 < report["rounding_bound"] < report["min_eig"]
 
+    def test_far_apart_points_are_white_noise(self, capsys):
+        # h0 / lam = 1.25e10: kappa vanishes at every nonzero lag, so the
+        # circulant is the identity and every eigenvalue is 1
+        code, payload = run(capsys, "min-ell", "--d", "1", "--nu", "0.5",
+                            "--lambda", "1e-11", "--m0", "8", "--tol", "0")
+        assert code == 0
+        report = payload["report"]
+        assert report["m"] == 8
+        assert report["certified"] is True
+        assert report["min_eig"] == 1.0
+
     def test_flag_error_exit_code(self, capsys):
         code, _ = run(capsys, "min-ell", "--d", "1", "--nu", "0.5")
         assert code == 2
@@ -323,6 +334,19 @@ class TestSample:
         values, _ = read_field_binary(tmp_path / "fields.bin")
         assert values.mean() == pytest.approx(10.0, abs=2.0)
 
+    @pytest.mark.parametrize("mean", ["const:nan", "const:inf", "file"])
+    def test_mean_not_finite_is_usage_error(self, mean, tmp_path, capsys):
+        if mean == "file":
+            (tmp_path / "mean.txt").write_text("0\n1\nnan\n2\n3\n")
+            mean = f"file:{tmp_path / 'mean.txt'}"
+        code = main(["sample", "--d", "1", "--nu", "0.5", "--lambda", "0.5",
+                     "--m0", "4", "--n", "1", "--tol", "0", "--mean", mean,
+                     "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "finite" in err and "Traceback" not in err
+        assert not (tmp_path / "fields.bin").exists()
+
 
 class TestValidateCommand:
     def test_validate_passes_on_real_samples(self, tmp_path, capsys):
@@ -358,6 +382,21 @@ class TestValidateCommand:
         assert code == 2
         assert "4225 points" in err and "cap of 4096" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("mean", ["const:nan", "const:-inf", "file"])
+    def test_mean_not_finite_is_usage_error(self, mean, tmp_path, capsys):
+        run(capsys, "sample", "--d", "1", "--nu", "0.5", "--lambda", "0.5",
+            "--m0", "4", "--n", "50", "--seed", "2", "--tol", "0",
+            "--out", str(tmp_path))
+        if mean == "file":
+            (tmp_path / "mean.txt").write_text("0 1 2 3 nan\n")
+            mean = f"file:{tmp_path / 'mean.txt'}"
+        code = main(["validate", "--samples", str(tmp_path / "fields.bin"),
+                     "--d", "1", "--nu", "0.5", "--lambda", "0.5",
+                     "--mean", mean])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "finite" in err and "Traceback" not in err
 
     def test_missing_file_is_io_error(self, capsys):
         code, _ = run(capsys, "validate", "--samples", "/nonexistent/x.bin",

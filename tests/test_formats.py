@@ -9,6 +9,7 @@ import scipy
 
 from circembed import (Embedding, GridSpec, MaternKernel, first_column,
                        sampler, spectrum)
+from circembed.embedding import grid_points
 from circembed.formats import (MAGIC, read_field_binary, write_field_binary,
                                write_field_csv, write_manifest,
                                write_spectrum_csv)
@@ -93,6 +94,37 @@ class TestCsvFormats:
         assert sidecar["d"] == 1 and sidecar["m"] == 2 and sidecar["s"] == 4
         assert sidecar["kernel"]["family"] == "matern"
         assert sidecar["min_eig"] == spec.min_value
+
+    def test_bytes_equal_numpy_scalar_rows(self, tmp_path):
+        # rows of Python numbers must format exactly as the numpy-scalar
+        # rows [*map(int, k), repr(float(v))] did, special values included
+        def numpy_scalar_rows(path, columns, rows):
+            with open(path, "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(columns)
+                writer.writerows(rows)
+            return path.read_bytes()
+
+        grid = GridSpec(d=2, m0=2)
+        values = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324,
+                           2.2250738585072014e-308, 0.1, -1.0 / 3.0, 1e300])
+        idx = grid_points(np.arange(3), 2)
+        expected = numpy_scalar_rows(
+            tmp_path / "old.csv", ["k1", "k2", "value"],
+            ([*map(int, k), repr(float(v))] for k, v in zip(idx, values)))
+        path = write_field_csv(tmp_path / "new.csv", values, grid)
+        assert path.read_bytes() == expected
+
+        kernel = MaternKernel(1.0, 0.3, 1.5, 2)
+        emb = Embedding(GridSpec(d=2, m0=3), m=4)
+        spec = spectrum(first_column(kernel, emb), emb)
+        idx = grid_points(np.arange(2 * emb.m), 2)
+        expected = numpy_scalar_rows(
+            tmp_path / "old_spec.csv", ["index_lex", "k1", "k2", "lambda_ext"],
+            ([i, *map(int, k), repr(float(v))]
+             for i, (k, v) in enumerate(zip(idx, spec.values_flat))))
+        path = write_spectrum_csv(tmp_path / "new_spec.csv", spec)
+        assert path.read_bytes() == expected
 
     def test_manifest(self, tmp_path):
         path = write_manifest(tmp_path, "min-ell", {"m0": 8}, outputs=["a.csv"])

@@ -277,3 +277,20 @@ class TestBatchSample:
             tracemalloc.stop()
         assert vals.shape == (64, 17**3)
         assert peak < 4 * SAMPLE_BUDGET_BYTES + vals.nbytes
+
+    def test_memory_follows_byte_budget_at_any_cpu_count(self):
+        # one chunk in flight per CPU would hold 16 of these 29 MB rows
+        from circembed.sampler import SAMPLE_BUDGET_BYTES
+        k = MaternKernel(1.0, 0.5, 0.5, 3)
+        emb, spec = minimal_embedding(k, GridSpec(d=3, m0=16), tol=0.0,
+                                      m_start=61)
+        assert emb.m == 61
+        tracemalloc.start()
+        try:
+            with mock.patch.object(sampler, "worker_count", return_value=16):
+                vals = batch_sample_values(spec, 0.0, n=64, seed=9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert vals.shape == (64, 17**3)
+        assert peak < 4 * SAMPLE_BUDGET_BYTES + vals.nbytes

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from circembed import bessel_k, gamma, inv_normal_cdf, log_gamma
+from circembed.specialfn import log_bessel_k
 
 
 class TestGamma:
@@ -54,6 +55,13 @@ class TestBesselK:
     def test_underflow_saturates(self):
         assert bessel_k(0.5, 800.0) == 0.0
 
+    def test_saturates_where_kve_is_nan(self):
+        # scipy's kve gives NaN from x ~ 1.1e9 on, at every order
+        for nu in (0.5, 2.0, 300.0):
+            assert bessel_k(nu, 1e10) == 0.0
+        assert np.array_equal(bessel_k(1.5, np.array([1e10, 1e300])),
+                              np.zeros(2))
+
     def test_domain(self):
         with pytest.raises(ValueError):
             bessel_k(1.0, 0.0)
@@ -86,6 +94,19 @@ class TestBesselK:
             for r in np.linspace(4.0, 12.0, 17):
                 val = math.sqrt(nu) * math.exp(nu * r) * bessel_k(nu, nu * r)
                 assert val <= 2.2
+
+
+class TestLogBesselK:
+    @pytest.mark.parametrize("nu", [0.5, 1.5, 16.0, 100.0, 127.5])
+    def test_large_argument_matches_mpmath(self, nu):
+        # scipy's kve is NaN here; the Hankel expansion takes over
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        z = np.array([2e9, 1e12, 1e300])
+        exact = np.array([float(mpmath.log(mpmath.besselk(nu, mpmath.mpf(x))))
+                          for x in z])
+        got = log_bessel_k(nu, z)
+        assert np.abs(got / exact - 1.0).max() <= 4 * np.finfo(float).eps
 
 
 class TestInvNormalCdf:
