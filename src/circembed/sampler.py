@@ -11,13 +11,14 @@ next axis (output pruning; m0 <= m makes the cut valid).
 
 Samples are computed in chunks of rows sized to one core's cache
 (CHUNK_BYTES), and a chunk is the unit of parallel work: one pool thread
-draws and scales its normals, transforms them with a one-worker FFT, and
-writes the field values, mean and `exp` included, into the output rows.
-One thread per CPU the process may run on, at most, works at once, and
-never more chunks than SAMPLE_BUDGET_BYTES holds, so memory does not grow
-with the number of samples.  A batch of one chunk runs on the calling
-thread with every CPU sharing its FFTs.  Row i depends only on (seed, i),
-so the output is the same bit for bit at any chunking or worker count.
+draws and scales its normals, transforms them and writes the field
+values, mean and `exp` included, into the output rows.  One thread per
+CPU the process may run on, at most, works at once, and never more
+chunks than SAMPLE_BUDGET_BYTES holds, so memory does not grow with the
+number of samples.  When fewer chunks than CPUs are in flight (a small
+batch, or rows so large that the budget holds few of them), the idle
+CPUs share each chunk's FFTs.  Row i depends only on (seed, i), so the
+output is the same bit for bit at any chunking or worker count.
 """
 
 from __future__ import annotations
@@ -174,7 +175,15 @@ def _field_values(spec: Spectrum, mean, n: int, fill,
     out = np.empty((n, grid.n_points))
     size = _chunk_size(emb)
 
-    def run_chunk(lo: int, fft_workers: int = 1) -> None:
+    starts = range(0, n, size)
+    workers = worker_count()
+    budget_chunks = SAMPLE_BUDGET_BYTES // (size * _row_bytes(emb))
+    in_flight = min(workers, len(starts), max(1, budget_chunks))
+    # CPUs left without a chunk (a small batch, or a budget that holds few
+    # chunks) share the chunks' FFTs.
+    fft_workers = max(1, workers // in_flight)
+
+    def run_chunk(lo: int) -> None:
         hi = min(lo + size, n)
         u = np.empty((hi - lo, emb.s))
         for i in range(lo, hi):
@@ -188,13 +197,6 @@ def _field_values(spec: Spectrum, mean, n: int, fill,
         if lognormal:
             np.exp(rows, out=rows)
 
-    starts = range(0, n, size)
-    workers = worker_count()
-    if len(starts) == 1:
-        run_chunk(0, workers)
-        return out
-    budget_chunks = SAMPLE_BUDGET_BYTES // (size * _row_bytes(emb))
-    in_flight = min(workers, len(starts), max(1, budget_chunks))
     with ThreadPoolExecutor(max_workers=in_flight) as pool:
         list(pool.map(run_chunk, starts))
     return out
@@ -235,8 +237,7 @@ def batch_sample_values(spec: Spectrum, mean, n: int, seed: int,
     """Vectorized batch sampling; returns an (n, (m0+1)^d) array.
 
     Row i equals sample(spec, mean, draw_normal(s, seed, i)).values, bit
-    for bit, whatever the chunking or worker count.  Chunks are sized from
-    SAMPLE_BUDGET_BYTES.
+    for bit, whatever the chunking or worker count.
     """
     if n < 1:
         raise ValueError("batch_sample_values: n must be >= 1")

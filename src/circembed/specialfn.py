@@ -81,7 +81,7 @@ def _log_bessel_k_uniform(nu, z):
     relative error O(nu^-4).
     """
     w = z / nu
-    sq = np.sqrt(1.0 + w * w)
+    sq = np.hypot(1.0, w)  # w * w overflows from w ~ 1.3e154
     eta = sq + np.log(w / (1.0 + sq))
     t = 1.0 / sq
     t2 = t * t
@@ -90,7 +90,7 @@ def _log_bessel_k_uniform(nu, z):
     u3 = (t * t2 * (30375.0 - t2 * (369603.0 - t2 * (765765.0 - 425425.0 * t2)))
           / 414720.0)
     series = 1.0 - u1 / nu + u2 / nu**2 - u3 / nu**3
-    return 0.5 * np.log(np.pi / (2.0 * nu)) - nu * eta - 0.25 * np.log1p(w * w) \
+    return 0.5 * np.log(np.pi / (2.0 * nu)) - nu * eta - 0.5 * np.log(sq) \
         + np.log(series)
 
 

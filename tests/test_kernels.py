@@ -112,9 +112,10 @@ class TestRho:
         rel = np.abs(kernel.kappa(r[keep]) / exact - 1.0)
         assert rel.max() <= 2e-12
 
-    @pytest.mark.parametrize("nu", [0.5, 1.5, 16.0, 100.0])
+    @pytest.mark.parametrize("nu", [0.5, 1.5, 16.0, 100.0, 200.0])
     def test_zero_at_very_large_radii(self, nu):
-        # scipy's kve is NaN from z ~ 1.1e9 on, at every order
+        # scipy's kve is NaN from z ~ 1.1e9 on, at every order; from order
+        # NU_UNIFORM on, (z / nu)^2 overflows from z / nu ~ 1.3e154
         kernel = MaternKernel(1.0, 1.0, nu, 1)
         r = np.array([1e10, 1e200, 1e300])
         assert np.array_equal(kernel.kappa(r), np.zeros(3))

@@ -97,9 +97,11 @@ class TestBesselK:
 
 
 class TestLogBesselK:
-    @pytest.mark.parametrize("nu", [0.5, 1.5, 16.0, 100.0, 127.5])
+    @pytest.mark.parametrize("nu", [0.5, 1.5, 16.0, 100.0, 127.5, 200.0,
+                                    1000.0])
     def test_large_argument_matches_mpmath(self, nu):
-        # scipy's kve is NaN here; the Hankel expansion takes over
+        # below NU_UNIFORM scipy's kve is NaN here and the Hankel expansion
+        # takes over; from it on, (z / nu)^2 overflows at z = 1e300
         mpmath = pytest.importorskip("mpmath")
         mpmath.mp.dps = 40
         z = np.array([2e9, 1e12, 1e300])
