@@ -171,7 +171,9 @@ def cmd_min_ell(params: dict) -> int:
     report = {"m": emb.m, "ell": emb.ell, "s": emb.s,
               "min_eig": spec.min_value, "rounding_bound": spec.rounding_bound,
               "certified": spec.certified, "wall_time": wall,
-              "tol": spec.tolerance}
+              "tol": spec.tolerance, "attempts": {}}
+    for _, decider in spec.attempts:
+        report["attempts"][decider] = report["attempts"].get(decider, 0) + 1
     files = []
     if params.get("out") is not None and params.get("export_spectrum"):
         files.append(write_spectrum_csv(_out_dir(params) / "spectrum.csv",

@@ -20,10 +20,16 @@ The search is one loop for both schedules.  It screens each attempt with
 the type-I DCT of the folded (m+1)^d block of the even first column, which
 equals its DFT (Martucci 1994), and takes the full FFT `spectrum` only
 where the screen cannot fix the verdict and for the m it returns or runs
-out at; no m is attempted twice.  The search and `first_column` take their
-blocks from one source, `_FoldedBlocks`.  For an isotropic kernel it keeps
-a radial table, kappa at each distinct integer |j|^2 of the lattice
-{0..M}^d, with M doubled when an attempt goes beyond it; so the kernel is
+out at; no m is attempted twice.  In front of the DCT stands a witness
+screen: every eigenvalue is a cosine sum over the folded block, so the
+3^d eigenvalues around the frequency of the last DCT minimum (and
+Lambda_0 with them) cost about 4 (m+1)^d operations, and one of them far
+enough below -tol (beyond the FFT's rounding bound and the witness's
+own, `_witnesses`) fails the attempt with no transform.  The search
+records how each attempt was decided.  The search and `first_column`
+take their blocks from one source, `_FoldedBlocks`.  For an isotropic kernel it keeps a radial
+table, kappa at each distinct integer |j|^2 of the lattice {0..M}^d,
+with M doubled when an attempt goes beyond it; so the kernel is
 evaluated once per table growth, not once per attempt.
 """
 
@@ -56,6 +62,16 @@ IMAG_TOL = 1e-9
 
 # Covariance tail `eigen_lower_bound_diagnostic` may leave out of its sum.
 TAIL_TOL = 1e-12
+
+# Smallest folded block (points) the search screens with the witness
+# before the DCT-I.  Below it the witness's fixed cost (one cosine table,
+# d einsum calls) is not clearly below the DCT-I it would save.  On 2 CPUs
+# at d = 2 the DCT-I (with its bound and argmin) and the witness take
+# 25 and 31 us at m = 16, 33 and 32 us at m = 32, and 77 and 38 us at
+# m = 63, the first block of 4096 points.  In d = 1 the witness's 4(m+1)
+# cosines cost 4 to 6 times the DCT-I of m+1 points (m = 1024..16384), so
+# only d >= 2 uses it.
+WITNESS_MIN_POINTS = 4096
 
 
 @dataclass(frozen=True)
@@ -122,7 +138,9 @@ class Spectrum:
     `rounding_bound` bounds the float64 error of every eigenvalue (see
     `spectrum`).  `certified` is set by `minimal_embedding`: True when every
     verdict of its search was decided beyond the rounding bound; None on a
-    spectrum no search has judged.
+    spectrum no search has judged.  `attempts` is that search's record,
+    one (m, decider) pair per attempt in order, the decider "witness",
+    "dct" or "fft" (see `minimal_embedding`); empty without a search.
     """
 
     values: np.ndarray
@@ -131,6 +149,7 @@ class Spectrum:
     embedding: Embedding
     rounding_bound: float = 0.0
     certified: bool | None = None
+    attempts: tuple = ()
 
     @property
     def values_flat(self) -> np.ndarray:
@@ -233,7 +252,10 @@ class _RadialTable:
                                   dtype=np.min_scalar_type(present.size))
             self.rank -= 1
             keys = np.flatnonzero(present)
-        self.values = kernel.kappa(np.sqrt(keys) / grid.m0 / kernel.lam)
+        # a radius past the float64 range is inf, where kappa is 0
+        with np.errstate(over="ignore"):
+            radii = np.sqrt(keys) / grid.m0 / kernel.lam
+        self.values = kernel.kappa(radii)
 
     def block(self, m: int) -> np.ndarray:
         """The folded (m+1)^d block rho(h0 j), j in {0..m}^d, m <= size."""
@@ -287,33 +309,104 @@ def spectrum(column: np.ndarray, embedding: Embedding,
 def _rounding_bound(block: np.ndarray, lambda0: float, embedding: Embedding,
                     column_rel_error: float) -> float:
     """(u log2(s) + column_rel_error) * ||column||_1 (see `spectrum`) from
-    the folded (m+1)^d block of an even column and its eigenvalue Lambda_0,
-    without a temporary of the column's size: ||column||_1 is Lambda_0 for
-    a nonnegative column, else the block weighted by how often each entry
-    occurs in the column (1 at 0 and m, else 2)."""
-    if block.min() >= 0.0:
-        norm1 = float(lambda0)
-    else:
-        m = embedding.m
-        weights = np.full(m + 1, 2.0)
-        weights[[0, m]] = 1.0
-        total = np.abs(block)
-        for _ in range(block.ndim):
-            total = total @ weights
-        norm1 = float(total)
+    the folded (m+1)^d block of an even column and its eigenvalue Lambda_0
+    (`_norm1`)."""
     u = np.finfo(float).eps / 2
-    return float((u * np.log2(embedding.s) + column_rel_error) * norm1)
+    return float((u * np.log2(embedding.s) + column_rel_error)
+                 * _norm1(block, lambda0))
 
 
-def _clamped(spec: Spectrum, tol: float, certified: bool) -> Spectrum:
+def _norm1(block: np.ndarray, lambda0: float) -> float:
+    """||column||_1 of the even column with folded block `block` and
+    eigenvalue Lambda_0, without a temporary of the column's size: Lambda_0
+    for a nonnegative column, else the block weighted by how often each
+    entry occurs in the column (1 at 0 and m, else 2)."""
+    if block.min() >= 0.0:
+        return float(lambda0)
+    m = block.shape[0] - 1
+    weights = np.full(m + 1, 2.0)
+    weights[[0, m]] = 1.0
+    total = np.abs(block)
+    for _ in range(block.ndim):
+        total = total @ weights
+    return float(total)
+
+
+def _witnesses(block: np.ndarray, freqs) -> np.ndarray:
+    """Eigenvalues of the even column with folded block c = `block` at the
+    frequencies k in freqs[0] x ... x freqs[d-1], each a list of integers
+    in 0..m, as an array of shape (len(freqs[0]), ..., len(freqs[d-1])).
+
+    Each is the cosine sum lambda_k = sum_j w_j c_j prod_i cos(pi j_i k_i
+    / m), w_j = prod_i w_(j_i) with w = 1 at 0 and m and 2 between,
+    contracted one axis at a time by einsum (no BLAS).  The cosines come
+    from one `cos` call on the reduced arguments pi n / m, n = j k mod 2m.
+    At k = 0 the sum is Lambda_0, the weighted block sum.
+
+    Error (`_witness_bound`): each computed factor cos(pi n / m) has
+    absolute error at most 32u, u the unit roundoff.  The argument
+    pi n / m < 2 pi takes three roundings (pi, the quotient, the product),
+    so it is off by at most 2 pi gamma_3 < 19u, and cos is 1-Lipschitz;
+    numpy's cos adds a few ulp (< 8u).  A product of d such factors is then
+    off by at most (1 + 32u)^d - 1 < 33 d u, and the weights are exact.
+    The d nested sums of m+1 terms perturb every term by a relative
+    gamma_(d(m+1)) (Higham 2002, eq. 3.5, in any summation order).  So the
+    witness lies within
+        b_w = 2 d (m + 33) u ||c||_1,    ||c||_1 = sum_j w_j |c_j|,
+    of the exact eigenvalue of this float64 column, with a factor 2 to
+    spare, which also covers ||c||_1 taken from a computed Lambda_0.
+    """
+    m = block.shape[0] - 1
+    table = np.cos(np.multiply.outer([k for ks in freqs for k in ks],
+                                     np.arange(m + 1)) % (2 * m)
+                   * (math.pi / m))
+    table[:, 1:m] *= 2.0
+    values, start = block, 0
+    for ks in freqs:
+        rows = table[start:start + len(ks)]
+        start += len(ks)
+        values = np.einsum("j...,aj->...a", values, rows)
+    return values
+
+
+def _witness_bound(m: int, d: int, norm1: float) -> float:
+    """b_w = 2 d (m + 33) u ||c||_1, the error of every `_witnesses` value
+    of an (m+1)^d block whose column has 1-norm `norm1`."""
+    return 2 * d * (m + 33) * (np.finfo(float).eps / 2) * norm1
+
+
+def _witness_fails(block: np.ndarray, embedding: Embedding, at: int,
+                   m_low: int, tol: float, column_rel_error: float) -> bool:
+    """True when an eigenvalue near the last DCT-I minimum, at flat index
+    `at` of the (m_low+1)^d spectrum, proves that the attempt fails: the
+    `_witnesses` at k_i in round(m k*_i / m_low) + {-1, 0, 1}, within 0..m,
+    reach below -tol - 3b - b_w.  b is the FFT's rounding bound (`spectrum`)
+    and b_w the witness's own (`_witness_bound`); Lambda_0 comes with them,
+    at k = 0."""
+    m, d = embedding.m, embedding.grid.d
+    freqs = []
+    for k in np.unravel_index(at, (m_low + 1,) * d):
+        c = (2 * m * int(k) + m_low) // (2 * m_low)
+        freqs.append([0] + [f for f in (c - 1, c, c + 1) if 0 < f <= m])
+    witness = _witnesses(block, freqs)
+    norm1 = _norm1(block, witness.flat[0])
+    u = np.finfo(float).eps / 2
+    bound = (u * np.log2(embedding.s) + column_rel_error) * norm1
+    return bool(witness.min() < -tol - 3.0 * bound
+                - _witness_bound(m, d, norm1))
+
+
+def _clamped(spec: Spectrum, tol: float, certified: bool,
+             attempts: tuple) -> Spectrum:
     """Copy of `spec` with eigenvalues in [-tol, 0) clamped to 0."""
     values = np.maximum(spec.values, 0.0)
     return Spectrum(values=values, min_value=spec.min_value, tolerance=tol,
                     embedding=spec.embedding,
-                    rounding_bound=spec.rounding_bound, certified=certified)
+                    rounding_bound=spec.rounding_bound, certified=certified,
+                    attempts=attempts)
 
 
-def _exhausted(spec: Spectrum, tol: float, m_max: int):
+def _exhausted(spec: Spectrum, tol: float, m_max: int, attempts: tuple):
     """The error for a search that ran out of extensions at `spec`."""
     bound = spec.rounding_bound
     if spec.decides(tol):
@@ -321,12 +414,13 @@ def _exhausted(spec: Spectrum, tol: float, m_max: int):
             f"not positive definite within m_max={m_max} "
             f"(last min eigenvalue {spec.min_value!r}, rounding bound "
             f"{bound:.3e})", m_max=m_max, min_eig=spec.min_value,
-            rounding_bound=bound)
+            rounding_bound=bound, attempts=attempts)
     return PDUndecidableError(
         f"not positive definite within m_max={m_max} in float64: the last "
         f"min eigenvalue {spec.min_value!r} lies within the rounding bound "
         f"{bound:.3e} of -tol, so double precision cannot decide",
-        m_max=m_max, min_eig=spec.min_value, rounding_bound=bound)
+        m_max=m_max, min_eig=spec.min_value, rounding_bound=bound,
+        attempts=attempts)
 
 
 def minimal_embedding(kernel, grid: GridSpec, tol: float = 0.0,
@@ -353,10 +447,22 @@ def minimal_embedding(kernel, grid: GridSpec, tol: float = 0.0,
     cross-schedule tests exercise this on a matrix of instances).  No m
     is attempted twice.
 
-    An attempt whose DCT-I minimum lies more than 3 rounding bounds from
-    -tol is decided without the FFT; the results, errors and `certified`
-    flag are those of a search that takes the FFT `spectrum` at every
-    attempt.  The m returned or run out at is transformed at most once.
+    Each attempt is decided by the first of three deciders that can, and
+    the search records which: the returned spectrum's `attempts` and the
+    raised error's `attempts` hold one (m, decider) pair per attempt.
+    - "witness": once a DCT-I minimum was negative, at frequency k* of an
+      earlier m*, and the block has at least WITNESS_MIN_POINTS points in
+      d >= 2, the eigenvalues at k_i in round(m k*_i / m*) + {-1, 0, 1}
+      (`_witnesses`) fail the attempt when the smallest lies below
+      -tol - 3b - b_w, with b the FFT's rounding bound (`spectrum`) and
+      b_w the witness's own.  The FFT value there is within b + b_w of
+      the witness, so the FFT minimum lies below -tol - 2b: the FFT
+      fails the attempt too, and certifies its verdict.
+    - "dct": the DCT-I minimum lies more than 3b from -tol.
+    - "fft": the full FFT `spectrum` decides.
+    The results, errors and `certified` flag are those of a search that
+    takes the FFT `spectrum` at every attempt.  The m returned or run out
+    at is transformed at most once.
     """
     if not 0 <= tol < math.inf:
         raise ValueError("minimal_embedding: tol must be >= 0 and finite")
@@ -375,13 +481,21 @@ def minimal_embedding(kernel, grid: GridSpec, tol: float = 0.0,
     column_rel_error = kernel.eval_rel_error
     blocks = _FoldedBlocks(kernel, grid, m_max)
     certified = True
+    record = []
+    low_at = None  # (flat index, m) of the last negative DCT-I minimum
 
     def attempt(m: int, screen: bool = True):
         """The verdict min >= -tol at m and the FFT spectrum, or None when
-        the DCT screen decided."""
-        nonlocal certified
+        a screen decided.  A screened attempt is recorded."""
+        nonlocal certified, low_at
         emb, block = Embedding(grid, m), blocks.block(m)
         if screen:
+            if (low_at is not None and block.ndim > 1
+                    and block.size >= WITNESS_MIN_POINTS
+                    and _witness_fails(block, emb, *low_at, tol,
+                                       column_rel_error)):
+                record.append((m, "witness"))
+                return False, None
             # the DCT-I of the folded block is the FFT of the even column
             # up to rounding, and both lie within the rounding bound b of
             # the exact eigenvalues of this float64 column, so they differ
@@ -389,9 +503,14 @@ def minimal_embedding(kernel, grid: GridSpec, tol: float = 0.0,
             values = scipy.fft.dctn(block, type=1)
             bound = _rounding_bound(block, values.flat[0], emb,
                                     column_rel_error)
-            low = float(values.min())
+            at = int(values.argmin())
+            low = float(values.flat[at])
+            if low < 0.0:
+                low_at = at, m
             if abs(low + tol) > 3.0 * bound:
+                record.append((m, "dct"))
                 return low >= -tol, None
+            record.append((m, "fft"))
         spec = spectrum(_unfold(block, m), emb,
                         column_rel_error=column_rel_error)
         certified = certified and spec.decides(tol)
@@ -418,8 +537,8 @@ def minimal_embedding(kernel, grid: GridSpec, tol: float = 0.0,
     if spec is None:
         _, spec = attempt(m, screen=False)
     if not ok:
-        raise _exhausted(spec, tol, m_max)
-    return Embedding(grid, m), _clamped(spec, tol, certified)
+        raise _exhausted(spec, tol, m_max, tuple(record))
+    return Embedding(grid, m), _clamped(spec, tol, certified, tuple(record))
 
 
 def eigen_lower_bound_diagnostic(kernel, embedding: Embedding,

@@ -6,13 +6,17 @@ class CircembedError(Exception):
 
 
 class NotPositiveDefiniteError(CircembedError):
-    """Raised when no positive definite extension is found within the search cap."""
+    """Raised when no positive definite extension is found within the search
+    cap.  `attempts` is the search's record, one (m, decider) pair per
+    attempt (see `minimal_embedding`)."""
 
-    def __init__(self, message, m_max=None, min_eig=None, rounding_bound=None):
+    def __init__(self, message, m_max=None, min_eig=None, rounding_bound=None,
+                 attempts=()):
         super().__init__(message)
         self.m_max = m_max
         self.min_eig = min_eig
         self.rounding_bound = rounding_bound
+        self.attempts = attempts
 
 
 class PDUndecidableError(NotPositiveDefiniteError):

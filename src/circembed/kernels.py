@@ -136,8 +136,9 @@ class MaternKernel:
         if self.is_gaussian:
             out = self.sigma2 * np.exp(-0.5 * r * r)
         else:
-            pos = r > 0
-            out[~pos] = self.sigma2
+            # sigma2 at 0 and 0 at inf, where the log-space sum is NaN
+            out[:] = np.where(r > 0, 0.0, self.sigma2)
+            pos = (r > 0) & (r < math.inf)
             if pos.any():
                 nu = self.nu
                 z = math.sqrt(2.0 * nu) * r[pos]

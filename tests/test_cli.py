@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -64,6 +65,29 @@ class TestMinEll:
         assert report["m"] == 8
         assert report["certified"] is True
         assert report["min_eig"] == 1.0
+
+    def test_radii_past_the_float64_range_are_white_noise(self, capsys):
+        # h0 / lam overflows to inf, where kappa is 0: no NaN, no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, payload = run(capsys, "min-ell", "--d", "1", "--nu", "1.5",
+                                "--lambda", "1e-320", "--m0", "8", "--tol",
+                                "0")
+        assert code == 0
+        report = payload["report"]
+        assert report["m"] == 8
+        assert report["certified"] is True
+        assert report["min_eig"] == 1.0
+
+    def test_report_counts_attempts_by_decider(self, capsys):
+        code, payload = run(capsys, "min-ell", "--d", "2", "--nu", "1.5",
+                            "--lambda", "0.25", "--m0", "64", "--tol", "0")
+        assert code == 0
+        report = payload["report"]
+        counts = report["attempts"]
+        assert set(counts) <= {"witness", "dct", "fft"}
+        assert sum(counts.values()) == report["m"] - 64 + 1
+        assert counts["witness"] > counts.get("dct", 0)
 
     def test_flag_error_exit_code(self, capsys):
         code, _ = run(capsys, "min-ell", "--d", "1", "--nu", "0.5")

@@ -28,20 +28,6 @@ def exponential(d=1, lam=1.0, sigma2=1.0):
     return MaternKernel(sigma2=sigma2, lam=lam, nu=0.5, d=d)
 
 
-def recorded_screens(monkeypatch) -> list:
-    """The m of each block the search screens with its DCT-I, recorded
-    while `monkeypatch` is active."""
-    import circembed.embedding as embedding
-    screened, dctn = [], embedding.scipy.fft.dctn
-
-    def counting(block, *args, **kwargs):
-        screened.append(block.shape[0] - 1)
-        return dctn(block, *args, **kwargs)
-
-    monkeypatch.setattr(embedding.scipy.fft, "dctn", counting)
-    return screened
-
-
 class TestGridTypes:
     def test_grid_spec(self):
         g = GridSpec(d=2, m0=8)
@@ -255,7 +241,7 @@ class TestMinimalEmbedding:
     def test_search_attempts_no_m_twice(self, monkeypatch, schedule, d, m0,
                                         nu, m_max):
         import circembed.embedding as embedding
-        screened, transformed = recorded_screens(monkeypatch), []
+        transformed = []
         full_spectrum = embedding.spectrum
 
         def counting(column, emb, *args, **kwargs):
@@ -265,24 +251,24 @@ class TestMinimalEmbedding:
         monkeypatch.setattr(embedding, "spectrum", counting)
         kernel = MaternKernel(1.0, 0.5, nu, d)
         try:
-            emb, _ = minimal_embedding(kernel, GridSpec(d=d, m0=m0), tol=0.0,
-                                       m_max=m_max, schedule=schedule)
-            final = emb.m
+            emb, spec = minimal_embedding(kernel, GridSpec(d=d, m0=m0),
+                                          tol=0.0, m_max=m_max,
+                                          schedule=schedule)
+            final, attempts = emb.m, spec.attempts
         except NotPositiveDefiniteError as exc:
-            final = exc.m_max
+            final, attempts = exc.m_max, exc.attempts
+        screened = [m for m, _ in attempts]
         assert final in transformed
         assert len(screened) == len(set(screened)), screened
         assert len(transformed) == len(set(transformed)), transformed
 
-    def test_increment_runs_out_off_the_step_grid(self, monkeypatch):
+    def test_increment_runs_out_off_the_step_grid(self):
         # m_step = 3 from m0 = 8 tries 8, 11, 14, 17; 20 lies past m_max
         kernel = MaternKernel(1.0, 1.0, 1.5, 1)
         grid = GridSpec(d=1, m0=8)
-        screened = recorded_screens(monkeypatch)
         with pytest.raises(NotPositiveDefiniteError) as info:
             minimal_embedding(kernel, grid, tol=0.0, m_max=19, m_step=3)
-        monkeypatch.undo()
-        assert screened == [8, 11, 14, 17]
+        assert [m for m, _ in info.value.attempts] == [8, 11, 14, 17]
         emb = Embedding(grid, 17)
         last = spectrum(first_column(kernel, emb), emb,
                         column_rel_error=kernel.eval_rel_error)
@@ -313,6 +299,29 @@ class TestMinimalEmbedding:
         emb, spec = minimal_embedding(k, grid, tol=1e-12, m_max=256, m_step=8)
         assert emb.m % 8 == 0
         assert spec.min_value >= -1e-12
+
+    def test_record_names_the_decider_of_every_attempt(self):
+        # unit steps from m0 = 64 to m = 119; the first attempt has no
+        # earlier minimum to look near, and the witness only fails attempts
+        kernel = MaternKernel(1.0, 0.25, 1.5, 2)
+        emb, spec = minimal_embedding(kernel, GridSpec(d=2, m0=64), tol=0.0)
+        assert [m for m, _ in spec.attempts] == list(range(64, emb.m + 1))
+        deciders = [decider for _, decider in spec.attempts]
+        assert set(deciders) <= {"witness", "dct", "fft"}
+        assert deciders[0] == "dct" and deciders[-1] != "witness"
+        assert deciders.count("witness") >= 0.9 * (len(deciders) - 1)
+
+    @pytest.mark.parametrize("d,m0,m_max,lam", [
+        (1, 4096, 4160, 1.0),  # every block above WITNESS_MIN_POINTS
+        (2, 16, 40, 0.5),      # every block below it
+    ])
+    def test_dct_alone_decides_where_it_is_cheaper(self, d, m0, m_max, lam):
+        kernel = MaternKernel(1.0, lam, 1.5, d)
+        with pytest.raises(NotPositiveDefiniteError) as info:
+            minimal_embedding(kernel, GridSpec(d=d, m0=m0), tol=0.0,
+                              m_max=m_max)
+        assert info.value.attempts \
+            == tuple((m, "dct") for m in range(m0, m_max + 1))
 
 
 def corner(column, m):

@@ -117,9 +117,10 @@ class TestRho:
         # scipy's kve is NaN from z ~ 1.1e9 on, at every order; from order
         # NU_UNIFORM on, (z / nu)^2 overflows from z / nu ~ 1.3e154
         kernel = MaternKernel(1.0, 1.0, nu, 1)
-        r = np.array([1e10, 1e200, 1e300])
-        assert np.array_equal(kernel.kappa(r), np.zeros(3))
+        r = np.array([1e10, 1e200, 1e300, math.inf])
+        assert np.array_equal(kernel.kappa(r), np.zeros(4))
         assert kernel.kappa(1e10) == 0.0
+        assert kernel.kappa(math.inf) == 0.0
 
 
 class TestEvalRelError:

@@ -1,20 +1,23 @@
 """Property tests of the transforms the search and the sampler run in
-place of complex (2m)^d FFTs: the DCT-I screen of the extension search
-against an FFT-only search, and the output-pruned real sampler against the
-dense transform and across worker counts."""
+place of complex (2m)^d FFTs: the witness and DCT-I screens of the
+extension search against an FFT-only search, the witness eigenvalues
+against a long-double DCT-I, and the output-pruned real sampler against
+the dense transform and across worker counts."""
 
 import math
 import sys
 from unittest import mock
 
 import numpy as np
+import pytest
+import scipy.fft
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from circembed import (Embedding, GridSpec, MaternKernel,
                        NotPositiveDefiniteError, Spectrum,
-                       batch_sample_values, draw_normal, minimal_embedding,
-                       sample, sampler)
+                       batch_sample_values, draw_normal, embedding,
+                       minimal_embedding, sample, sampler)
 from conftest import dense_transform, fft_only_search
 
 import test_sampler
@@ -84,12 +87,50 @@ def floor_cases(draw):
 @example((3, 24, 1.5, 0.25, 0.0, "doubling", 96))
 @example((3, 48, 1.5, 0.05, 0.0, "increment", 96))
 @example((3, 48, 0.5, 0.25, 0.0, "increment", 48))
+# the witness screen, which needs blocks of WITNESS_MIN_POINTS points: under
+# doubling the minimum's frequency jumps between attempts, from (1/3, 0, 0)
+# at m = 12 to (1, 1, 1) at 48 and (1, 0, 0) at 36, and from (0, 1/4, 0)
+# at m = 16 to (0, 1, 0) at 64 and (0, 0, 0.71) at 48, where the witness
+# misses a failing attempt and the DCT-I decides it ...
+@example((3, 12, 1.5, 0.5, 0.0, "doubling", 96))
+@example((3, 16, 0.5, 0.5, 0.0, "doubling", 64))
+# ... as it does under unit steps at m = 78, 94, 106, ..., 176
+@example((2, 64, 4.0, 0.25, 0.0, "increment", 192))
 def test_screened_search_equals_fft_only_search(case):
     d, m0, nu, lam, tol, schedule, m_max = case
     kernel = MaternKernel(1.0, lam, nu, d)
     grid = GridSpec(d=d, m0=m0)
     assert screened_outcome(kernel, grid, tol, m_max, schedule) \
         == fft_only_search(kernel, grid, tol, m_max, schedule)
+
+
+@st.composite
+def witness_cases(draw):
+    d = draw(st.sampled_from([1, 2, 3]))
+    m = draw(st.integers(1, 100))
+    freqs = [draw(st.lists(st.integers(0, m), min_size=1, max_size=4))
+             for _ in range(d)]
+    signed = draw(st.booleans())
+    seed = draw(st.integers(0, 2**32 - 1))
+    return d, m, freqs, signed, seed
+
+
+@settings(PROPERTY, max_examples=60)
+@given(witness_cases())
+def test_witness_lies_within_its_bound_of_the_dct(case):
+    # the reference is the DCT-I of the same float64 block in long double,
+    # whose rounding bound b = u_ld log2(s) ||c||_1 is 2^11 times smaller
+    # than float64's, so b_w itself must cover the witness's error
+    if np.finfo(np.longdouble).eps >= np.finfo(float).eps:
+        pytest.skip("numpy long double is no wider than float64 here")
+    d, m, freqs, signed, seed = case
+    rng = np.random.default_rng(seed)
+    block = rng.uniform(-1.0 if signed else 0.0, 1.0, (m + 1,) * d)
+    exact = scipy.fft.dctn(block.astype(np.longdouble), type=1)
+    norm1 = embedding._norm1(block, exact.flat[0])
+    b = float(np.finfo(np.longdouble).eps / 2) * d * math.log2(2 * m) * norm1
+    gap = np.abs(embedding._witnesses(block, freqs) - exact[np.ix_(*freqs)])
+    assert gap.max() <= embedding._witness_bound(m, d, norm1) + b
 
 
 @st.composite
