@@ -8,7 +8,6 @@ __version__ = "0.1.0"
 from .analysis import (
     BoundConstants,
     DecayReport,
-    OrderedLattice,
     PdCriterionResult,
     calibrate_constants,
     continuous_eigenvalue,
@@ -49,8 +48,6 @@ from .kernels import (
     spectral_tail_integral,
 )
 from .sampler import (
-    FieldSample,
-    batch_sample,
     batch_sample_values,
     draw_normal,
     importance_ordering,
@@ -62,7 +59,7 @@ from .validation import ValidationReport, dense_covariance, validate_samples
 
 __all__ = [
     "__version__",
-    "BoundConstants", "DecayReport", "OrderedLattice", "PdCriterionResult",
+    "BoundConstants", "DecayReport", "PdCriterionResult",
     "calibrate_constants", "continuous_eigenvalue", "decay_report",
     "gaussian_ell_bound", "lattice_ordering", "matern_ell_bound",
     "pd_criterion", "plateau_end", "qmc_criterion_sum",
@@ -74,7 +71,7 @@ __all__ = [
     "SymmetryError",
     "CustomStationaryKernel", "MaternKernel", "covariance_tail_integral",
     "gaussian_kernel", "spectral_tail_integral",
-    "FieldSample", "batch_sample", "batch_sample_values", "draw_normal",
+    "batch_sample_values", "draw_normal",
     "importance_ordering", "qmc_map", "sample",
     "bessel_k", "gamma", "inv_normal_cdf", "log_gamma",
     "ValidationReport", "dense_covariance", "validate_samples",

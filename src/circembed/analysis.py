@@ -5,8 +5,9 @@ kernels, the extension-length bound evaluators for the Matern family and
 its Gaussian limit (with empirically calibrated constants; the theory
 proves their existence, not their values), the eigenvalues of the
 continuous periodized covariance operator, the norm-ordered integer
-lattice, eigenvalue-decay reports, the dimension-independence sum used by
-QMC convergence theory, and an aliasing (sampling-theorem) identity check.
+lattice (a (J, d) integer array), eigenvalue-decay reports, the
+dimension-independence sum used by QMC convergence theory, and an
+aliasing (sampling-theorem) identity check.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .errors import CapabilityError, ConvergenceError
 from .kernels import MaternKernel, covariance_tail_integral, spectral_tail_integral
 
 __all__ = [
-    "OrderedLattice",
     "DecayReport",
     "BoundConstants",
     "PdCriterionResult",
@@ -44,17 +44,6 @@ __all__ = [
 
 _MAX_DOUBLINGS = 16  # of the rectangle rule in `continuous_eigenvalue`
 _RECT_REL_TOL = 1e-8  # its relative agreement between two doublings
-
-
-@dataclass(frozen=True)
-class OrderedLattice:
-    """Integer lattice points k(1)=0, k(2), ... with nondecreasing
-    Euclidean norm; ties broken lexicographically on the coordinates."""
-
-    seq: np.ndarray  # shape (J, d), integer
-
-    def __len__(self):
-        return self.seq.shape[0]
 
 
 @dataclass
@@ -79,8 +68,6 @@ class BoundConstants:
 
     C1: Optional[float] = None
     C2: Optional[float] = None
-    C3: Optional[float] = None
-    C4: Optional[float] = None
     B: Optional[float] = None
 
 
@@ -183,10 +170,11 @@ def continuous_eigenvalue(kernel, ell: float, k, quad_n: int = 64) -> float:
         f"rel_tol={_RECT_REL_TOL} within {_MAX_DOUBLINGS} doublings")
 
 
-def lattice_ordering(d: int, J: int) -> OrderedLattice:
-    """First J integer lattice points ordered by Euclidean norm, ties
-    broken lexicographically; the ordering for smaller J is a prefix of
-    the ordering for larger J."""
+def lattice_ordering(d: int, J: int) -> np.ndarray:
+    """First J integer lattice points k(1)=0, k(2), ... ordered by
+    Euclidean norm, ties broken lexicographically on the coordinates, as a
+    (J, d) integer array; the ordering for smaller J is a prefix of the
+    ordering for larger J."""
     if J < 1:
         raise ValueError("lattice_ordering: J must be >= 1")
     if d not in (1, 2, 3):
@@ -205,7 +193,7 @@ def lattice_ordering(d: int, J: int) -> OrderedLattice:
         R *= 2
     keys = tuple(pts[:, i] for i in reversed(range(d))) + (norm2,)
     order = np.lexsort(keys)
-    return OrderedLattice(seq=pts[order[:J]])
+    return pts[order[:J]]
 
 
 def plateau_end(spec: Spectrum, nu: float, d: int) -> int:

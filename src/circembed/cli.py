@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -331,7 +332,7 @@ def cmd_validate(params: dict) -> int:
         raise ValueError(f"--d {kernel.d} does not match file d={header['d']}")
     mean, _ = _parse_mean(params.get("mean"), grid.n_points)
     report_obj = validate_samples(values, kernel, grid, mean=mean)
-    _emit(params, report_obj.to_json())
+    _emit(params, dataclasses.asdict(report_obj))
     return EXIT_OK if report_obj.passed else EXIT_NUMERICAL
 
 
@@ -342,7 +343,7 @@ def cmd_pd_criterion(params: dict) -> int:
     _require(params, "m0", "ell")
     res = pd_criterion(kernel, GridSpec(d=kernel.d, m0=int(params["m0"])),
                        float(params["ell"]))
-    _emit(params, {"lhs": res.lhs, "rhs": res.rhs, "satisfied": res.satisfied})
+    _emit(params, dataclasses.asdict(res))
     return EXIT_OK
 
 
@@ -357,7 +358,7 @@ def cmd_bounds(params: dict) -> int:
                     for r in csv.DictReader(fh) if not r.get("error")]
         consts, stats = calibrate_constants(rows)
         report["calibration"] = _sanitize(
-            {"C1": consts.C1, "C2": consts.C2, "B": consts.B, "stats": stats})
+            {**dataclasses.asdict(consts), "stats": stats})
     nu = params.get("nu")
     if nu is not None:
         _require(params, "lam", "m0")
@@ -397,7 +398,7 @@ def cmd_sampling_theorem(params: dict) -> int:
         kernel, float(params["h"]), xi,
         k_trunc=int(_get(params, "k_trunc", 64)),
         r_trunc=int(_get(params, "r_trunc", 64)))
-    _emit(params, {"lhs": res.lhs, "rhs": res.rhs, "residual": res.residual})
+    _emit(params, dataclasses.asdict(res))
     return EXIT_OK
 
 

@@ -36,7 +36,7 @@ evaluated once per table growth, not once per attempt.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.fft
@@ -102,6 +102,21 @@ def grid_points(axis: np.ndarray, d: int) -> np.ndarray:
     the layout of every grid, lag table and spectrum in the package."""
     grids = np.meshgrid(*([axis] * d), indexing="ij")
     return np.stack([g.reshape(-1) for g in grids], axis=-1)
+
+
+def resolve_mean(mean, n_points: int) -> np.ndarray:
+    """The mean vector over a grid of n_points points from a constant, an
+    array of n_points entries (any shape) or None (zero)."""
+    if mean is None:
+        return np.zeros(n_points)
+    mean = np.asarray(mean, dtype=float)
+    if mean.ndim == 0:
+        return np.full(n_points, float(mean))
+    flat = mean.reshape(-1)
+    if flat.size != n_points:
+        raise ValueError(
+            f"mean has {flat.size} entries, grid has {n_points} points")
+    return flat
 
 
 @dataclass(frozen=True)
@@ -299,21 +314,19 @@ def spectrum(column: np.ndarray, embedding: Embedding,
             f"{IMAG_TOL:.1e} * max|value| = {IMAG_TOL * scale:.3e}; "
             "first column is not even-symmetric")
     block = column[(slice(0, embedding.m + 1),) * column.ndim]
-    bound = _rounding_bound(block, values.flat[0], embedding,
+    bound = _rounding_bound(_norm1(block, values.flat[0]), embedding,
                             column_rel_error)
     return Spectrum(values=values, min_value=float(values.min()),
                     tolerance=0.0, embedding=embedding,
                     rounding_bound=bound)
 
 
-def _rounding_bound(block: np.ndarray, lambda0: float, embedding: Embedding,
+def _rounding_bound(norm1: float, embedding: Embedding,
                     column_rel_error: float) -> float:
-    """(u log2(s) + column_rel_error) * ||column||_1 (see `spectrum`) from
-    the folded (m+1)^d block of an even column and its eigenvalue Lambda_0
-    (`_norm1`)."""
+    """(u log2(s) + column_rel_error) * ||column||_1 (see `spectrum`), with
+    norm1 = ||column||_1 (`_norm1`)."""
     u = np.finfo(float).eps / 2
-    return float((u * np.log2(embedding.s) + column_rel_error)
-                 * _norm1(block, lambda0))
+    return float((u * np.log2(embedding.s) + column_rel_error) * norm1)
 
 
 def _norm1(block: np.ndarray, lambda0: float) -> float:
@@ -390,20 +403,9 @@ def _witness_fails(block: np.ndarray, embedding: Embedding, at: int,
         freqs.append([0] + [f for f in (c - 1, c, c + 1) if 0 < f <= m])
     witness = _witnesses(block, freqs)
     norm1 = _norm1(block, witness.flat[0])
-    u = np.finfo(float).eps / 2
-    bound = (u * np.log2(embedding.s) + column_rel_error) * norm1
+    bound = _rounding_bound(norm1, embedding, column_rel_error)
     return bool(witness.min() < -tol - 3.0 * bound
                 - _witness_bound(m, d, norm1))
-
-
-def _clamped(spec: Spectrum, tol: float, certified: bool,
-             attempts: tuple) -> Spectrum:
-    """Copy of `spec` with eigenvalues in [-tol, 0) clamped to 0."""
-    values = np.maximum(spec.values, 0.0)
-    return Spectrum(values=values, min_value=spec.min_value, tolerance=tol,
-                    embedding=spec.embedding,
-                    rounding_bound=spec.rounding_bound, certified=certified,
-                    attempts=attempts)
 
 
 def _exhausted(spec: Spectrum, tol: float, m_max: int, attempts: tuple):
@@ -501,7 +503,7 @@ def minimal_embedding(kernel, grid: GridSpec, tol: float = 0.0,
             # the exact eigenvalues of this float64 column, so they differ
             # by at most 2b.  Beyond 3b from -tol the FFT verdict is known.
             values = scipy.fft.dctn(block, type=1)
-            bound = _rounding_bound(block, values.flat[0], emb,
+            bound = _rounding_bound(_norm1(block, values.flat[0]), emb,
                                     column_rel_error)
             at = int(values.argmin())
             low = float(values.flat[at])
@@ -538,7 +540,10 @@ def minimal_embedding(kernel, grid: GridSpec, tol: float = 0.0,
         _, spec = attempt(m, screen=False)
     if not ok:
         raise _exhausted(spec, tol, m_max, tuple(record))
-    return Embedding(grid, m), _clamped(spec, tol, certified, tuple(record))
+    # eigenvalues in [-tol, 0) clamped to 0, in a copy
+    return Embedding(grid, m), replace(
+        spec, values=np.maximum(spec.values, 0.0), tolerance=tol,
+        certified=certified, attempts=tuple(record))
 
 
 def eigen_lower_bound_diagnostic(kernel, embedding: Embedding,

@@ -1,5 +1,9 @@
 """Exception types shared across the package."""
 
+__all__ = ["CircembedError", "NotPositiveDefiniteError", "PDUndecidableError",
+           "ConvergenceError", "QuadratureError", "SymmetryError",
+           "CapabilityError"]
+
 
 class CircembedError(Exception):
     """Base class for circembed-specific failures."""

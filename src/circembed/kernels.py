@@ -130,17 +130,19 @@ class MaternKernel:
         r = np.asarray(r, dtype=float)
         scalar = r.ndim == 0
         r = np.atleast_1d(r)
-        if np.any(r < 0):
+        if not np.all(r >= 0):  # NaN too
             raise ValueError("kappa: requires r >= 0")
-        out = np.empty_like(r)
         if self.is_gaussian:
+            # exp(-r^2/2) is 0 from r ~ 38.6 on; the cap keeps r * r finite
+            r = np.minimum(r, 64.0)
             out = self.sigma2 * np.exp(-0.5 * r * r)
         else:
-            # sigma2 at 0 and 0 at inf, where the log-space sum is NaN
-            out[:] = np.where(r > 0, 0.0, self.sigma2)
-            pos = (r > 0) & (r < math.inf)
+            # sigma2 at 0, and 0 from z = sqrt(2 nu) r = 1e300 on (r = inf
+            # too), where kappa has long underflowed and z may overflow
+            nu = self.nu
+            out = np.where(r > 0, 0.0, self.sigma2)
+            pos = (r > 0) & (r < 1e300 / math.sqrt(2.0 * nu))
             if pos.any():
-                nu = self.nu
                 z = math.sqrt(2.0 * nu) * r[pos]
                 log_k = ((1.0 - nu) * math.log(2.0) - log_gamma(nu)
                          + nu * np.log(z) + log_bessel_k(nu, z))

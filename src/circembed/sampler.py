@@ -19,27 +19,28 @@ number of samples.  When fewer chunks than CPUs are in flight (a small
 batch, or rows so large that the budget holds few of them), the idle
 CPUs share each chunk's FFTs.  Row i depends only on (seed, i), so the
 output is the same bit for bit at any chunking or worker count.
+
+A sample is its (m0+1)^d array of grid values: `sample` returns one,
+`batch_sample_values` an (n, (m0+1)^d) array.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.fft
 
-from .embedding import Spectrum
+from .embedding import Spectrum, resolve_mean
 from .specialfn import inv_normal_cdf
 
 __all__ = [
-    "FieldSample",
     "draw_normal",
     "qmc_map",
     "importance_ordering",
     "sample",
-    "batch_sample",
+    "batch_sample_values",
 ]
 
 # Bytes of normals plus transform output held at once by all chunks in
@@ -62,15 +63,6 @@ def worker_count() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity mask on this platform
         return os.cpu_count() or 1
-
-
-@dataclass
-class FieldSample:
-    """Field values at the (m0+1)^d physical grid points x_k = h0 k,
-    lexicographic, plus provenance metadata."""
-
-    values: np.ndarray
-    meta: dict = field(default_factory=dict)
 
 
 def draw_normal(s: int, seed: int, stream: int = 0) -> np.ndarray:
@@ -141,25 +133,12 @@ def _chunk_size(embedding) -> int:
     return max(1, CHUNK_BYTES // _row_bytes(embedding))
 
 
-def _resolve_mean(mean, n_points: int) -> np.ndarray:
-    if mean is None:
-        return np.zeros(n_points)
-    mean = np.asarray(mean, dtype=float)
-    if mean.ndim == 0:
-        return np.full(n_points, float(mean))
-    flat = mean.reshape(-1)
-    if flat.size != n_points:
-        raise ValueError(
-            f"mean has {flat.size} entries, grid has {n_points} points")
-    return flat
-
-
 def _field_values(spec: Spectrum, mean, n: int, fill,
                   lognormal: bool) -> np.ndarray:
     """(n, (m0+1)^d) field values; fill(row, i) writes the s normals that
     drive row i into the float64 s-vector `row`.  The one transform path
-    of `sample` and the batch samplers, and the one place that rejects a
-    spectrum with negative entries.
+    of `sample` and `batch_sample_values`, and the one place that rejects
+    a spectrum with negative entries.
 
     Each chunk is filled, scaled by the eigenvalue square roots,
     transformed and written by one pool thread, several chunks at once, so
@@ -171,7 +150,7 @@ def _field_values(spec: Spectrum, mean, n: int, fill,
     emb = spec.embedding
     grid = emb.grid
     sqrt_vals = np.sqrt(spec.values_flat)
-    mean_flat = _resolve_mean(mean, grid.n_points)
+    mean_flat = resolve_mean(mean, grid.n_points)
     out = np.empty((n, grid.n_points))
     size = _chunk_size(emb)
 
@@ -203,8 +182,9 @@ def _field_values(spec: Spectrum, mean, n: int, fill,
 
 
 def sample(spec: Spectrum, mean, y: np.ndarray,
-           lognormal: bool = False) -> FieldSample:
-    """One exact field sample driven by the normal input vector y.
+           lognormal: bool = False) -> np.ndarray:
+    """One exact field sample driven by the normal input vector y: the
+    values at the (m0+1)^d physical grid points x_k = h0 k, lexicographic.
 
     Requires a nonnegative spectrum (clamped by the minimal-extension
     search); `mean` is a constant or an array over the physical grid.
@@ -213,31 +193,17 @@ def sample(spec: Spectrum, mean, y: np.ndarray,
     y = np.asarray(y, dtype=float).reshape(-1)
     if y.size != emb.s:
         raise ValueError(f"sample: expected {emb.s} normal inputs, got {y.size}")
-    values = _field_values(spec, mean, 1, lambda row, i: np.copyto(row, y),
-                           lognormal)
-    return FieldSample(values=values[0], meta={"lognormal": bool(lognormal)})
-
-
-def batch_sample(spec: Spectrum, mean, n: int, seed: int,
-                 lognormal: bool = False) -> list[FieldSample]:
-    """n independent samples using streams 0..n-1 of the given seed.
-
-    Sample i depends only on (seed, i); chunked batch FFTs change nothing
-    about the per-sample content.
-    """
-    values = batch_sample_values(spec, mean, n, seed, lognormal=lognormal)
-    return [FieldSample(values=values[i],
-                        meta={"seed": seed, "stream": i,
-                              "lognormal": bool(lognormal)})
-            for i in range(n)]
+    return _field_values(spec, mean, 1, lambda row, i: np.copyto(row, y),
+                         lognormal)[0]
 
 
 def batch_sample_values(spec: Spectrum, mean, n: int, seed: int,
                         lognormal: bool = False) -> np.ndarray:
-    """Vectorized batch sampling; returns an (n, (m0+1)^d) array.
+    """n independent samples using streams 0..n-1 of the given seed, as
+    an (n, (m0+1)^d) array.
 
-    Row i equals sample(spec, mean, draw_normal(s, seed, i)).values, bit
-    for bit, whatever the chunking or worker count.
+    Row i equals sample(spec, mean, draw_normal(s, seed, i)), bit for bit,
+    whatever the chunking or worker count.
     """
     if n < 1:
         raise ValueError("batch_sample_values: n must be >= 1")

@@ -128,7 +128,8 @@ def log_bessel_k(nu: float, z):
         zb = z[large]
         term, corr, k = 1.0, 0.0, 1
         while True:
-            term = term * (4.0 * nu * nu - (2 * k - 1) ** 2) / (8.0 * k * zb)
+            # divided by 8k and zb in turn: 8k zb overflows near 1.8e308
+            term = term * (4.0 * nu * nu - (2 * k - 1) ** 2) / (8.0 * k) / zb
             corr = corr + term
             if np.abs(term).max() < np.finfo(float).eps / 2:
                 break

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .embedding import GridSpec, grid_points
+from .embedding import GridSpec, grid_points, resolve_mean
 
 __all__ = ["ValidationReport", "dense_covariance", "validate_samples",
            "DENSE_POINTS_CAP"]
@@ -31,19 +31,6 @@ class ValidationReport:
     cov_ok: bool
     passed: bool
     message: str = ""
-
-    def to_json(self) -> dict:
-        return {
-            "n_samples": self.n_samples,
-            "max_mean_error": self.max_mean_error,
-            "mean_tolerance": self.mean_tolerance,
-            "max_cov_error": self.max_cov_error,
-            "cov_tolerance": self.cov_tolerance,
-            "mean_ok": self.mean_ok,
-            "cov_ok": self.cov_ok,
-            "passed": self.passed,
-            "message": self.message,
-        }
 
 
 def dense_covariance(kernel, grid: GridSpec) -> np.ndarray:
@@ -89,13 +76,12 @@ def validate_samples(values: np.ndarray, kernel, grid: GridSpec,
     if n < MIN_SAMPLES:
         raise ValueError(f"validate_samples: need at least {MIN_SAMPLES} "
                          f"samples, got {n}")
+    mean_target = resolve_mean(mean, M)
     R = dense_covariance(kernel, grid)
     # the tolerances first, so that |R| and the empirical covariance are
     # never held at once
     cov_tol = float(7.0 * (1.0 + np.abs(R).max()) / math.sqrt(n))
     mean_tol = float(4.0 * math.sqrt(R.diagonal().max() / n))
-    mean = np.asarray(mean, dtype=float)
-    mean_target = np.full(M, float(mean)) if mean.ndim == 0 else mean.reshape(M)
 
     emp_mean = values.mean(axis=0)
     centered = values - emp_mean

@@ -180,24 +180,24 @@ class TestContinuousEigenvalue:
 class TestLatticeOrdering:
     def test_d1_first_five(self):
         lat = lattice_ordering(1, 5)
-        assert lat.seq.reshape(-1).tolist() == [0, -1, 1, -2, 2]
+        assert lat.reshape(-1).tolist() == [0, -1, 1, -2, 2]
 
     def test_d2_first_five(self):
         lat = lattice_ordering(2, 5)
-        assert lat.seq.tolist() == [[0, 0], [-1, 0], [0, -1], [0, 1], [1, 0]]
+        assert lat.tolist() == [[0, 0], [-1, 0], [0, -1], [0, 1], [1, 0]]
 
     def test_norms_nondecreasing(self):
         for d in (1, 2, 3):
             lat = lattice_ordering(d, 500)
-            norms = np.linalg.norm(lat.seq, axis=1)
+            norms = np.linalg.norm(lat, axis=1)
             assert np.all(np.diff(norms) >= -1e-12)
-            assert np.all(lat.seq[0] == 0)
+            assert np.all(lat[0] == 0)
 
     def test_prefix_stability(self):
         for d in (1, 2, 3):
             small = lattice_ordering(d, 100)
             large = lattice_ordering(d, 1000)
-            assert np.array_equal(small.seq, large.seq[:100])
+            assert np.array_equal(small, large[:100])
 
     def test_norm_growth_rate(self):
         # ||k(j)||_2 ~ j^(1/d): the ratio stays within [0.3, 3]
@@ -205,7 +205,7 @@ class TestLatticeOrdering:
             J = 10**4
             lat = lattice_ordering(d, J)
             j = np.arange(10, J + 1)
-            norms = np.linalg.norm(lat.seq[9:], axis=1)
+            norms = np.linalg.norm(lat[9:], axis=1)
             ratio = norms / j ** (1.0 / d)
             assert ratio.min() >= 0.3 and ratio.max() <= 3.0
 
@@ -391,7 +391,7 @@ class TestStructuralEnvelopes:
             k = MaternKernel(1.0, lam, nu, d)
             J = 10**4
             lat = lattice_ordering(d, J)
-            xi = lat.seq / (2.0 * ell)
+            xi = lat / (2.0 * ell)
             dens = k.spectral_density(xi if d > 1 else xi[:, 0])
             j = np.arange(1, J + 1)
             ratio = (dens * j ** (1.0 + 2.0 * nu / d))[j >= 10]
@@ -409,7 +409,7 @@ class TestStructuralEnvelopes:
         J = 60
         lat = lattice_ordering(d, J)
         vals = np.array([continuous_eigenvalue(k, ell, kk, quad_n=128)
-                         for kk in lat.seq])
+                         for kk in lat])
         j = np.arange(1, J + 1)
         envelope = (min(1.0 / m0 / lam, nu**-0.5)
                     + lam ** (-2 * nu) * (nu * ell**2) ** (nu + d / 2.0)

@@ -79,6 +79,21 @@ class TestMinEll:
         assert report["certified"] is True
         assert report["min_eig"] == 1.0
 
+    def test_scaled_radii_past_the_float64_range_are_white_noise(
+            self, capsys):
+        # h0 / lam is finite but sqrt(2 nu) h0 / lam overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, payload = run(capsys, "min-ell", "--d", "1", "--nu", "16",
+                                "--lambda", "1e-308", "--m0", "8", "--tol",
+                                "0")
+        assert code == 0
+        report = payload["report"]
+        assert report["m"] == 8
+        assert report["min_eig"] == 1.0
+        assert report["certified"] is True
+        assert report["attempts"] == {"dct": 1}
+
     def test_report_counts_attempts_by_decider(self, capsys):
         code, payload = run(capsys, "min-ell", "--d", "2", "--nu", "1.5",
                             "--lambda", "0.25", "--m0", "64", "--tol", "0")

@@ -1,0 +1,43 @@
+"""The package's export lists agree with what its modules define."""
+
+import ast
+import importlib
+import inspect
+import pkgutil
+
+import pytest
+
+import circembed
+
+SUBMODULES = sorted(info.name for info in pkgutil.iter_modules(circembed.__path__))
+
+
+def _package_imports() -> dict:
+    """name -> submodule it is imported from, per `from .x import ...` in
+    the package's __init__."""
+    tree = ast.parse(inspect.getsource(circembed))
+    return {alias.asname or alias.name: node.module
+            for node in tree.body
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            and node.module
+            for alias in node.names}
+
+
+@pytest.mark.parametrize("name", SUBMODULES)
+def test_every_exported_name_exists(name):
+    module = importlib.import_module(f"circembed.{name}")
+    missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert missing == []
+
+
+def test_package_exports_are_exported_by_their_modules():
+    assert [n for n in circembed.__all__ if not hasattr(circembed, n)] == []
+    source = _package_imports()
+    unlisted = []
+    for n in circembed.__all__:
+        if n not in source:  # defined in the package itself
+            continue
+        module = importlib.import_module(f"circembed.{source[n]}")
+        if n not in getattr(module, "__all__", ()):
+            unlisted.append(f"{source[n]}.{n}")
+    assert unlisted == []

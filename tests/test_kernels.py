@@ -122,6 +122,19 @@ class TestRho:
         assert kernel.kappa(1e10) == 0.0
         assert kernel.kappa(math.inf) == 0.0
 
+    @pytest.mark.parametrize("nu", [0.5, 1.5, 16.0, 200.0, math.inf])
+    def test_zero_where_the_scaled_radius_overflows(self, nu):
+        # z = sqrt(2 nu) r overflows at these radii, and 8 z in the
+        # large-argument expansion at 1.7e308; tier-1 makes warnings errors
+        kernel = MaternKernel(1.0, 1.0, nu, 1)
+        assert np.array_equal(kernel.kappa([1e308, 1.7e308]), [0.0, 0.0])
+
+    @pytest.mark.parametrize("nu", [1.5, math.inf])
+    def test_nan_radius_is_a_domain_error(self, nu):
+        kernel = MaternKernel(1.0, 1.0, nu, 1)
+        with pytest.raises(ValueError, match=r"kappa: requires r >= 0"):
+            kernel.kappa([0.0, 1.0, math.inf, math.nan])
+
 
 class TestEvalRelError:
     @pytest.mark.parametrize("nu", [0.5, 1.5, 4.0, 16.0, math.inf])

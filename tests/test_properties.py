@@ -186,7 +186,7 @@ def test_batch_rows_are_chunk_invariant_and_equal_single_samples(case,
     for i in range(n):
         one = sample(spec, mean, draw_normal(emb.s, seed, i),
                      lognormal=lognormal)
-        assert np.array_equal(one.values, rows[i])
+        assert np.array_equal(one, rows[i])
 
 
 def workers(count):
@@ -217,7 +217,7 @@ def test_batch_rows_are_bit_identical_at_any_worker_count(case, lognormal,
         for i in range(n):
             one = sample(spec, mean, draw_normal(emb.s, seed, i),
                          lognormal=lognormal)
-            assert np.array_equal(one.values, rows[i])
+            assert np.array_equal(one, rows[i])
 
 
 def test_memory_follows_byte_budget_with_several_workers():

@@ -131,3 +131,9 @@ class TestValidateSamples:
         k, _, values = good_run
         with pytest.raises(ValueError):
             validate_samples(values, k, GridSpec(d=1, m0=8))
+
+    def test_mean_size_mismatch(self, good_run):
+        k, grid, values = good_run
+        with pytest.raises(ValueError,
+                           match="mean has 5 entries, grid has 17 points"):
+            validate_samples(values, k, grid, mean=np.zeros(5))
