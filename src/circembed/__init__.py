@@ -11,7 +11,9 @@ from .analysis import (
     PdCriterionResult,
     calibrate_constants,
     continuous_eigenvalue,
+    covariance_tail_integral,
     decay_report,
+    eigen_lower_bound_diagnostic,
     gaussian_ell_bound,
     lattice_ordering,
     matern_ell_bound,
@@ -19,12 +21,12 @@ from .analysis import (
     plateau_end,
     qmc_criterion_sum,
     sampling_theorem_check,
+    spectral_tail_integral,
 )
 from .embedding import (
     Embedding,
     GridSpec,
     Spectrum,
-    eigen_lower_bound_diagnostic,
     first_column,
     minimal_embedding,
     phi,
@@ -43,9 +45,7 @@ from .errors import (
 from .kernels import (
     CustomStationaryKernel,
     MaternKernel,
-    covariance_tail_integral,
     gaussian_kernel,
-    spectral_tail_integral,
 )
 from .sampler import (
     batch_sample_values,
@@ -60,17 +60,17 @@ from .validation import ValidationReport, dense_covariance, validate_samples
 __all__ = [
     "__version__",
     "BoundConstants", "DecayReport", "PdCriterionResult",
-    "calibrate_constants", "continuous_eigenvalue", "decay_report",
-    "gaussian_ell_bound", "lattice_ordering", "matern_ell_bound",
-    "pd_criterion", "plateau_end", "qmc_criterion_sum",
-    "sampling_theorem_check",
-    "Embedding", "GridSpec", "Spectrum", "eigen_lower_bound_diagnostic",
-    "first_column", "minimal_embedding", "phi", "rho_ext", "spectrum",
+    "calibrate_constants", "continuous_eigenvalue",
+    "covariance_tail_integral", "decay_report",
+    "eigen_lower_bound_diagnostic", "gaussian_ell_bound", "lattice_ordering",
+    "matern_ell_bound", "pd_criterion", "plateau_end", "qmc_criterion_sum",
+    "sampling_theorem_check", "spectral_tail_integral",
+    "Embedding", "GridSpec", "Spectrum", "first_column",
+    "minimal_embedding", "phi", "rho_ext", "spectrum",
     "CapabilityError", "CircembedError", "ConvergenceError",
     "NotPositiveDefiniteError", "PDUndecidableError", "QuadratureError",
     "SymmetryError",
-    "CustomStationaryKernel", "MaternKernel", "covariance_tail_integral",
-    "gaussian_kernel", "spectral_tail_integral",
+    "CustomStationaryKernel", "MaternKernel", "gaussian_kernel",
     "batch_sample_values", "draw_normal",
     "importance_ordering", "qmc_map", "sample",
     "bessel_k", "gamma", "inv_normal_cdf", "log_gamma",

@@ -1,11 +1,13 @@
 """Executable diagnostics for the embedding theory.
 
-Contains the sufficient positive-definiteness criterion for isotropic
-kernels, the extension-length bound evaluators for the Matern family and
-its Gaussian limit (with empirically calibrated constants; the theory
-proves their existence, not their values), the eigenvalues of the
-continuous periodized covariance operator, the norm-ordered integer
-lattice (a (J, d) integer array), eigenvalue-decay reports, the
+Contains the radial tail integrals of kappa and kappa_hat and the
+sufficient positive-definiteness criterion built on them for isotropic
+kernels, a computable lower bound on the circulant eigenvalues, the
+extension-length bound evaluators for the Matern family and its Gaussian
+limit (with empirically calibrated constants; the theory proves their
+existence, not their values), the eigenvalues of the continuous
+periodized covariance operator, the norm-ordered integer lattice (a
+(J, d) integer array), eigenvalue-decay reports, the
 dimension-independence sum used by QMC convergence theory, and an
 aliasing (sampling-theorem) identity check.
 """
@@ -19,11 +21,11 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import optimize
 
-from .embedding import GridSpec, Spectrum, grid_points
-from .errors import CapabilityError, ConvergenceError
-from .kernels import MaternKernel, covariance_tail_integral, spectral_tail_integral
+from .embedding import Embedding, GridSpec, Spectrum, grid_points
+from .errors import (CapabilityError, ConvergenceError,
+                     NotPositiveDefiniteError, QuadratureError)
+from .kernels import MaternKernel
 
 __all__ = [
     "DecayReport",
@@ -40,10 +42,32 @@ __all__ = [
     "qmc_criterion_sum",
     "sampling_theorem_check",
     "calibrate_constants",
+    "spectral_tail_integral",
+    "covariance_tail_integral",
+    "eigen_lower_bound_diagnostic",
 ]
 
 _MAX_DOUBLINGS = 16  # of the rectangle rule in `continuous_eigenvalue`
 _RECT_REL_TOL = 1e-8  # its relative agreement between two doublings
+_QUAD_REL_TOL = 1e-8  # relative accuracy the tail quadrature must reach
+LATTICE_BOX_CAP = 50_000_000  # points in one truncated lattice box
+
+# Covariance tail `eigen_lower_bound_diagnostic` may leave out of its sum.
+TAIL_TOL = 1e-12
+
+
+def _require_isotropic(kernel, what: str):
+    if not getattr(kernel, "is_isotropic", False):
+        raise CapabilityError(f"{what} requires an isotropic kernel")
+
+
+def _lattice_box(radius: int, d: int) -> np.ndarray:
+    """The integer points of {-radius..radius}^d (`grid_points` layout),
+    after checking that there are at most LATTICE_BOX_CAP of them."""
+    if (2 * radius + 1) ** d > LATTICE_BOX_CAP:
+        raise MemoryError(f"truncation box too large: {2 * radius + 1}^{d} "
+                          f"points, above the cap of {LATTICE_BOX_CAP}")
+    return grid_points(np.arange(-radius, radius + 1), d)
 
 
 @dataclass
@@ -78,6 +102,51 @@ class PdCriterionResult:
     satisfied: bool
 
 
+def _checked_quad(f, lower):
+    from scipy import integrate  # loads scipy.linalg: only theory needs it
+    val, err = integrate.quad(f, lower, np.inf, epsabs=0.0, epsrel=1e-11,
+                              limit=400)
+    if not np.isfinite(val) or (val != 0.0 and err > _QUAD_REL_TOL * abs(val)):
+        raise QuadratureError(
+            f"tail quadrature did not converge: value={val!r}, "
+            f"error estimate={err!r}")
+    return val
+
+
+def spectral_tail_integral(kernel, lower: float) -> float:
+    """integral_lower^inf r^(d-1) kappa_hat_d(r) dr for an isotropic kernel.
+
+    Computed by adaptive quadrature on the transformed half line to
+    relative accuracy 1e-8; raises QuadratureError when the estimate does
+    not reach that.
+    """
+    _require_isotropic(kernel, "spectral_tail_integral")
+    if lower < 0:
+        raise ValueError("spectral_tail_integral: requires lower >= 0")
+    d = kernel.d
+
+    def f(r):
+        return r**(d - 1) * float(np.exp(kernel.log_kappa_hat(r)))
+
+    return _checked_quad(f, lower)
+
+
+def covariance_tail_integral(kernel, lower: float) -> float:
+    """integral_lower^inf r^(d-1) |kappa(r)| dr for an isotropic kernel.
+
+    kappa >= 0 for the Matern family, so the absolute value is free.
+    """
+    _require_isotropic(kernel, "covariance_tail_integral")
+    if lower < 0:
+        raise ValueError("covariance_tail_integral: requires lower >= 0")
+    d = kernel.d
+
+    def f(r):
+        return r**(d - 1) * abs(float(kernel.kappa(r)))
+
+    return _checked_quad(f, lower)
+
+
 def pd_criterion(kernel: MaternKernel, grid: GridSpec,
                  ell: float) -> PdCriterionResult:
     """Sufficient condition for the extended circulant to be positive
@@ -90,8 +159,7 @@ def pd_criterion(kernel: MaternKernel, grid: GridSpec,
 
     Both sides are linear in sigma2, so the verdict is variance-free.
     """
-    if not getattr(kernel, "is_isotropic", False):
-        raise CapabilityError("pd_criterion requires an isotropic kernel")
+    _require_isotropic(kernel, "pd_criterion")
     d, h0, lam = grid.d, grid.h0, kernel.lam
     if ell <= h0:
         raise ValueError("pd_criterion: requires ell > h0")
@@ -99,6 +167,75 @@ def pd_criterion(kernel: MaternKernel, grid: GridSpec,
     coef = (3**d - 1) * 3 ** (d - 1) * d ** (0.5 * d - 1.0) / (2.0 * (h0 / lam) ** d)
     rhs = coef * covariance_tail_integral(kernel, (ell - h0) / lam)
     return PdCriterionResult(lhs=lhs, rhs=rhs, satisfied=bool(lhs > rhs))
+
+
+def eigen_lower_bound_diagnostic(kernel, embedding: Embedding,
+                                 zeta_grid_n: int = 32,
+                                 trunc_radius: int = 3) -> float:
+    """Lower bound on all circulant eigenvalues of an isotropic kernel:
+
+        (1/h0^d) min_zeta sum_{|r|_inf <= R} rho_hat((zeta + r)/h0)
+        - sum_{k outside the centered index box} |rho(h0 k)|.
+
+    The zeta minimum is taken over a uniform zeta_grid_n^d grid on
+    [-1/2, 1/2]^d (grid-resolution-limited, not a rigorous global
+    minimum; aligning zeta_grid_n with 2m makes the bound comparable to
+    the true spectrum minimum).  Truncating the positive spectral sum
+    only lowers the bound; the covariance tail sum is extended until its
+    analytically-estimated remainder is below TAIL_TOL.
+    """
+    _require_isotropic(kernel, "eigen_lower_bound_diagnostic")
+    grid = embedding.grid
+    d, h0, m = grid.d, grid.h0, embedding.m
+
+    # term 1: aliased spectral sum, minimized over the zeta grid
+    shifts = _lattice_box(trunc_radius, d)
+    zeta = grid_points(-0.5 + np.arange(zeta_grid_n) / zeta_grid_n, d)
+    acc = np.zeros(zeta.shape[0])
+    for r in shifts:
+        acc += kernel.spectral_density((zeta + r) / h0)
+    term1 = acc.min() / h0**d
+
+    # term 2: covariance tail over indices outside the centered box
+    # {-m..m-1}^d, truncated at sup-norm K with remainder < TAIL_TOL
+    k_cap = _tail_truncation_radius(kernel, h0, m, d)
+    term2 = _outside_box_abs_sum(kernel, h0, m, d, k_cap)
+    return float(term1 - term2)
+
+
+def _tail_truncation_radius(kernel, h0, m, d):
+    """Smallest K with the remaining shell sum of |rho| provably < TAIL_TOL.
+
+    Shell j contributes at most (3^d - 1) j^(d-1) kappa(h0 j / lam); the
+    remainder past K is bounded using the empirical per-shell decay ratio,
+    which is below 1 for every supported kernel (exponential or Gaussian
+    radial decay).
+    """
+    lam = kernel.lam
+
+    def shell(j):
+        return (3**d - 1) * j ** (d - 1) * abs(float(kernel.kappa(h0 * j / lam)))
+
+    K = m + 1
+    while K < 10**7:
+        a, b = shell(K), shell(K + 1)
+        if a == 0.0:
+            return K
+        ratio = b / a
+        if ratio < 1.0 and a * ratio / (1.0 - ratio) < TAIL_TOL:
+            return K
+        K = max(K + 1, int(K * 1.25))
+    raise NotPositiveDefiniteError("covariance tail does not decay; cannot "
+                                   "certify the diagnostic truncation")
+
+
+def _outside_box_abs_sum(kernel, h0, m, d, k_cap):
+    """sum of |rho(h0 k)| over k in [-K..K]^d outside [-m..m-1]^d, for an
+    isotropic kernel."""
+    k = _lattice_box(k_cap, d)
+    lag = h0 * k[~np.all((k >= -m) & (k <= m - 1), axis=1)]
+    r = np.sqrt(np.sum(lag * lag, axis=1))
+    return float(np.abs(kernel.kappa(r / kernel.lam)).sum())
 
 
 def matern_ell_bound(nu: float, lam: float, h0: float,
@@ -286,9 +423,6 @@ def sampling_theorem_check(kernel, h: float, xi, k_trunc: int,
     `target_residual` is given and the omitted covariance tail (estimated
     from the truncation shell) cannot meet it, a warning is emitted.
     """
-    if not getattr(kernel, "has_spectral_density", False):
-        raise CapabilityError(
-            "kernel capability missing: identity check needs a spectral density")
     if not 0 < h < math.inf:
         raise ValueError("sampling_theorem_check: h must be finite and > 0")
     d = kernel.d
@@ -298,15 +432,13 @@ def sampling_theorem_check(kernel, h: float, xi, k_trunc: int,
     if k_trunc < 0 or r_trunc < 0:
         raise ValueError("sampling_theorem_check: k_trunc and r_trunc must "
                          "be >= 0")
-    if (2 * k_trunc + 1) ** d > 5e7 or (2 * r_trunc + 1) ** d > 5e7:
-        raise MemoryError("sampling_theorem_check: truncation box too large")
+    pts = _lattice_box(k_trunc, d).astype(float)
+    shifts = _lattice_box(r_trunc, d).astype(float)
 
-    pts = grid_points(np.arange(-k_trunc, k_trunc + 1), d).astype(float)
+    # the spectral side first: a kernel without a density fails here
+    rhs = float(np.sum(kernel.spectral_density(xi[None, :] + shifts / h)) / h**d)
     rho_vals = kernel.rho(h * pts)
     lhs = float(np.sum(rho_vals * np.cos(2.0 * np.pi * h * (pts @ xi))))
-
-    shifts = grid_points(np.arange(-r_trunc, r_trunc + 1), d).astype(float)
-    rhs = float(np.sum(kernel.spectral_density(xi[None, :] + shifts / h)) / h**d)
 
     if target_residual is not None:
         shell = float(np.sum(np.abs(rho_vals[np.max(np.abs(pts), axis=1)
@@ -350,6 +482,7 @@ def calibrate_constants(sweep_results: Sequence[tuple]) -> tuple:
         y = np.array([ell / lam for (_, _, lam, _, ell) in finite])
         c2_min = 2.0 * math.sqrt(2.0)
         n = len(finite)
+        from scipy import optimize  # loads scipy.linalg: only theory needs it
         # minimize sum of slacks (C1 + C2 x_i - y_i) over C1 >= 0, C2 >= c2_min
         res = optimize.linprog(c=[n, float(x.sum())],
                                A_ub=np.column_stack([-np.ones(n), -x]),

@@ -418,12 +418,14 @@ def build_parser() -> argparse.ArgumentParser:
                         help="JSON config mirroring the flags; flags override it")
     common.add_argument("--out", type=Path,
                         help="output directory (reports, CSVs, manifest.json)")
-    kernel = argparse.ArgumentParser(add_help=False)
+    shape = argparse.ArgumentParser(add_help=False)
+    shape.add_argument("--nu", type=_parse_nu,
+                       help="smoothness (real or 'inf')")
+    shape.add_argument("--lambda", dest="lam", type=float,
+                       help="correlation length")
+    # `theory bounds` reads only the shape; the other commands read all four
+    kernel = argparse.ArgumentParser(add_help=False, parents=[shape])
     kernel.add_argument("--d", type=int, help="spatial dimension (1, 2 or 3)")
-    kernel.add_argument("--nu", type=_parse_nu,
-                        help="smoothness (real or 'inf')")
-    kernel.add_argument("--lambda", dest="lam", type=float,
-                        help="correlation length")
     kernel.add_argument("--sigma2", type=float, help="variance")
     m0 = argparse.ArgumentParser(add_help=False)
     m0.add_argument("--m0", type=int, help="grid intervals per axis")
@@ -482,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     command(tsub, "theory pd-criterion", cmd_pd_criterion,
             [kernel, common, m0, ell],
             "sufficient positive-definiteness criterion")
-    p = command(tsub, "theory bounds", cmd_bounds, [kernel, common, m0],
+    p = command(tsub, "theory bounds", cmd_bounds, [shape, common, m0],
                 "extension-length bounds")
     p.add_argument("--c1", type=float)
     p.add_argument("--c2", type=float)

@@ -31,6 +31,9 @@ take their blocks from one source, `_FoldedBlocks`.  For an isotropic kernel it 
 table, kappa at each distinct integer |j|^2 of the lattice {0..M}^d,
 with M doubled when an attempt goes beyond it; so the kernel is
 evaluated once per table growth, not once per attempt.
+
+The eigenvalue lower bound and the other theory diagnostics live in
+`analysis`; this module needs only numpy and `scipy.fft`.
 """
 
 from __future__ import annotations
@@ -41,8 +44,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.fft
 
-from .errors import (CapabilityError, NotPositiveDefiniteError,
-                     PDUndecidableError, SymmetryError)
+from .errors import (NotPositiveDefiniteError, PDUndecidableError,
+                     SymmetryError)
 
 __all__ = [
     "GridSpec",
@@ -53,15 +56,11 @@ __all__ = [
     "first_column",
     "spectrum",
     "minimal_embedding",
-    "eigen_lower_bound_diagnostic",
 ]
 
 # Imaginary residue of a spectrum, relative to its largest value, above
 # which its column cannot be even-symmetric: rounding leaves far less.
 IMAG_TOL = 1e-9
-
-# Covariance tail `eigen_lower_bound_diagnostic` may leave out of its sum.
-TAIL_TOL = 1e-12
 
 # Smallest folded block (points) the search screens with the witness
 # before the DCT-I.  Below it the witness's fixed cost (one cosine table,
@@ -216,6 +215,8 @@ class _FoldedBlocks:
     """
 
     def __init__(self, kernel, grid: GridSpec, limit: int):
+        if kernel.d != grid.d:
+            raise ValueError(f"kernel has d={kernel.d}, grid has d={grid.d}")
         self.kernel, self.grid, self.limit = kernel, grid, limit
         self.table = None
 
@@ -544,85 +545,3 @@ def minimal_embedding(kernel, grid: GridSpec, tol: float = 0.0,
     return Embedding(grid, m), replace(
         spec, values=np.maximum(spec.values, 0.0), tolerance=tol,
         certified=certified, attempts=tuple(record))
-
-
-def eigen_lower_bound_diagnostic(kernel, embedding: Embedding,
-                                 zeta_grid_n: int = 32,
-                                 trunc_radius: int = 3) -> float:
-    """Computable lower bound on all circulant eigenvalues:
-
-        (1/h0^d) min_zeta sum_{|r|_inf <= R} rho_hat((zeta + r)/h0)
-        - sum_{k outside the centered index box} |rho(h0 k)|.
-
-    The zeta minimum is taken over a uniform zeta_grid_n^d grid on
-    [-1/2, 1/2]^d (grid-resolution-limited, not a rigorous global
-    minimum; aligning zeta_grid_n with 2m makes the bound comparable to
-    the true spectrum minimum).  Truncating the positive spectral sum
-    only lowers the bound; the covariance tail sum is extended until its
-    analytically-estimated remainder is below TAIL_TOL.
-    """
-    if not getattr(kernel, "has_spectral_density", False):
-        raise CapabilityError(
-            "kernel capability missing: diagnostic needs a spectral density")
-    grid = embedding.grid
-    d, h0, m = grid.d, grid.h0, embedding.m
-
-    # term 1: aliased spectral sum, minimized over the zeta grid
-    zeta = grid_points(-0.5 + np.arange(zeta_grid_n) / zeta_grid_n, d)
-    acc = np.zeros(zeta.shape[0])
-    shifts = grid_points(np.arange(-trunc_radius, trunc_radius + 1), d)
-    for r in shifts:
-        acc += kernel.spectral_density((zeta + r) / h0)
-    term1 = acc.min() / h0**d
-
-    # term 2: covariance tail over indices outside the centered box
-    # {-m..m-1}^d, truncated at sup-norm K with remainder < TAIL_TOL
-    k_cap = _tail_truncation_radius(kernel, h0, m, d)
-    term2 = _outside_box_abs_sum(kernel, h0, m, d, k_cap)
-    return float(term1 - term2)
-
-
-def _tail_truncation_radius(kernel, h0, m, d):
-    """Smallest K with the remaining shell sum of |rho| provably < TAIL_TOL.
-
-    Shell j contributes at most (3^d - 1) j^(d-1) kappa(h0 j / lam); the
-    remainder past K is bounded using the empirical per-shell decay ratio,
-    which is below 1 for every supported kernel (exponential or Gaussian
-    radial decay).
-    """
-    if not getattr(kernel, "is_isotropic", False):
-        raise CapabilityError("diagnostic tail bound needs an isotropic kernel")
-    lam = kernel.lam
-
-    def shell(j):
-        return (3**d - 1) * j ** (d - 1) * abs(float(kernel.kappa(h0 * j / lam)))
-
-    K = m + 1
-    while K < 10**7:
-        a, b = shell(K), shell(K + 1)
-        if a == 0.0:
-            return K
-        ratio = b / a
-        if ratio < 1.0 and a * ratio / (1.0 - ratio) < TAIL_TOL:
-            return K
-        K = max(K + 1, int(K * 1.25))
-    raise NotPositiveDefiniteError("covariance tail does not decay; cannot "
-                                   "certify the diagnostic truncation")
-
-
-def _outside_box_abs_sum(kernel, h0, m, d, k_cap):
-    """sum of |rho(h0 k)| over k in [-K..K]^d outside [-m..m-1]^d, for an
-    isotropic kernel (`_tail_truncation_radius` requires one)."""
-    if (2 * k_cap + 1) ** d > 5e7:
-        raise MemoryError("diagnostic truncation box too large; "
-                          "reduce the instance size")
-    axis = np.arange(-k_cap, k_cap + 1)
-    grids = np.meshgrid(*([axis] * d), indexing="ij")
-    inside = np.ones(grids[0].shape, dtype=bool)
-    for g in grids:
-        inside &= (g >= -m) & (g <= m - 1)
-    lag2 = np.zeros(grids[0].shape)
-    for g in grids:
-        lag2 += (h0 * g.astype(float)) ** 2
-    r = np.sqrt(lag2[~inside])
-    return float(np.abs(kernel.kappa(r / kernel.lam)).sum())

@@ -3,7 +3,8 @@
 Provides the Matern family (including its Gaussian nu = inf limit) and a
 hook for user-supplied stationary symbols.  Kernels are immutable values;
 every evaluation is pure.  The Matern profile takes ln Gamma and ln K_nu
-from `specialfn`, the package's one special-function layer.
+from `specialfn`, the package's one special-function layer.  The radial
+tail integrals of these profiles are theory and live in `analysis`.
 
 Conventions
 -----------
@@ -24,17 +25,14 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate
 
-from .errors import CapabilityError, QuadratureError
+from .errors import CapabilityError
 from .specialfn import NU_UNIFORM, log_bessel_k, log_gamma, log_gamma_ratio
 
 __all__ = [
     "MaternKernel",
     "CustomStationaryKernel",
     "gaussian_kernel",
-    "spectral_tail_integral",
-    "covariance_tail_integral",
 ]
 
 
@@ -265,57 +263,3 @@ class CustomStationaryKernel:
     def to_json(self) -> dict:
         return {"family": "custom", "d": self.d,
                 "has_spectral_density": self.has_spectral_density}
-
-
-# -- radial tail integrals ----------------------------------------------
-
-_QUAD_REL_TOL = 1e-8
-
-
-def _require_isotropic(kernel):
-    if not getattr(kernel, "is_isotropic", False):
-        raise CapabilityError("operation requires an isotropic kernel")
-
-
-def _checked_quad(f, lower):
-    val, err = integrate.quad(f, lower, np.inf, epsabs=0.0, epsrel=1e-11,
-                              limit=400)
-    if not np.isfinite(val) or (val != 0.0 and err > _QUAD_REL_TOL * abs(val)):
-        raise QuadratureError(
-            f"tail quadrature did not converge: value={val!r}, "
-            f"error estimate={err!r}")
-    return val
-
-
-def spectral_tail_integral(kernel, lower: float) -> float:
-    """integral_lower^inf r^(d-1) kappa_hat_d(r) dr for an isotropic kernel.
-
-    Computed by adaptive quadrature on the transformed half line to
-    relative accuracy 1e-8; raises QuadratureError when the estimate does
-    not reach that.
-    """
-    _require_isotropic(kernel)
-    if lower < 0:
-        raise ValueError("spectral_tail_integral: requires lower >= 0")
-    d = kernel.d
-
-    def f(r):
-        return r**(d - 1) * float(np.exp(kernel.log_kappa_hat(r)))
-
-    return _checked_quad(f, lower)
-
-
-def covariance_tail_integral(kernel, lower: float) -> float:
-    """integral_lower^inf r^(d-1) |kappa(r)| dr for an isotropic kernel.
-
-    kappa >= 0 for the Matern family, so the absolute value is free.
-    """
-    _require_isotropic(kernel)
-    if lower < 0:
-        raise ValueError("covariance_tail_integral: requires lower >= 0")
-    d = kernel.d
-
-    def f(r):
-        return r**(d - 1) * abs(float(kernel.kappa(r)))
-
-    return _checked_quad(f, lower)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from circembed import (
     calibrate_constants,
     continuous_eigenvalue,
     decay_report,
+    eigen_lower_bound_diagnostic,
     first_column,
     gaussian_ell_bound,
     gaussian_kernel,
@@ -68,6 +70,42 @@ class TestPdCriterion:
             rho_fn=lambda x: np.exp(-np.abs(x).sum(axis=-1)), d=1)
         with pytest.raises(CapabilityError):
             pd_criterion(k, GridSpec(d=1, m0=8), ell=2.0)
+
+
+class TestEigenLowerBoundChecks:
+    def test_isotropy_is_checked_before_any_evaluation(self):
+        calls = []
+
+        def rho_hat(xi):
+            calls.append(xi.shape)
+            return np.exp(-np.sum(xi * xi, axis=-1))
+
+        k = CustomStationaryKernel(
+            rho_fn=lambda x: np.exp(-np.sum(x * x, axis=-1)), d=1,
+            rho_hat_fn=rho_hat)
+        with pytest.raises(CapabilityError, match="isotropic"):
+            eigen_lower_bound_diagnostic(k, Embedding(GridSpec(1, 8), 8))
+        assert calls == []
+
+    def test_shift_box_cap_is_checked_before_allocation(self):
+        # 20001^3 points: the cap must refuse it before any array is made
+        emb = Embedding(GridSpec(d=3, m0=4), m=4)
+        tracemalloc.start()
+        try:
+            with pytest.raises(MemoryError, match="truncation box too large"):
+                eigen_lower_bound_diagnostic(MaternKernel(1.0, 0.5, 1.5, 3),
+                                             emb, trunc_radius=10**4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_tail_box_is_capped(self):
+        # the tail sum runs over {-K..K}^d with K > m = 200: 403^3 points
+        emb = Embedding(GridSpec(d=3, m0=8), m=200)
+        with pytest.raises(MemoryError, match="truncation box too large"):
+            eigen_lower_bound_diagnostic(MaternKernel(1.0, 0.1, 0.5, 3), emb,
+                                         zeta_grid_n=2, trunc_radius=0)
 
 
 class TestEllBounds:

@@ -490,7 +490,7 @@ class TestTheory:
         assert rep["satisfied"] == (rep["lhs"] > rep["rhs"])
 
     def test_bounds_with_explicit_constants(self, capsys):
-        code, payload = run(capsys, "theory", "bounds", "--d", "1",
+        code, payload = run(capsys, "theory", "bounds",
                             "--nu", "1.0", "--lambda", "0.5", "--m0", "16",
                             "--c1", "1.0", "--c2", "3.0")
         assert code == 0
@@ -505,7 +505,7 @@ class TestTheory:
         assert "m0 must be >= 1" in err and "Traceback" not in err
 
     def test_bounds_gaussian_with_b(self, capsys):
-        code, payload = run(capsys, "theory", "bounds", "--d", "2",
+        code, payload = run(capsys, "theory", "bounds",
                             "--nu", "inf", "--lambda", "0.5", "--m0", "16",
                             "--b", "3.0")
         assert code == 0
@@ -520,8 +520,7 @@ class TestTheory:
         run(capsys, "sweep", "--config", str(cfg), "--out", str(tmp_path))
         code, payload = run(capsys, "theory", "bounds",
                             "--calibrate-from", str(tmp_path / "sweep.csv"),
-                            "--d", "1", "--nu", "1.0", "--lambda", "0.5",
-                            "--m0", "16")
+                            "--nu", "1.0", "--lambda", "0.5", "--m0", "16")
         assert code == 0
         assert payload["report"]["calibration"]["C2"] >= 2 * math.sqrt(2) - 1e-12
         assert "matern_ell_bound" in payload["report"]
@@ -589,6 +588,8 @@ class TestTheory:
          "--h", "0.25", "--tol", "0"],
         ["qmc-sum", "--d", "1", "--nu", "1.5", "--lambda", "0.5",
          "--m0", "8", "--p", "0.7", "--ell", "1"],
+        ["bounds", "--d", "7", "--sigma2", "-5", "--nu", "1.5",
+         "--lambda", "0.5", "--m0", "32", "--c1", "1", "--c2", "3"],
     ])
     def test_subcommand_rejects_flags_it_does_not_read(self, argv, capsys):
         with pytest.raises(SystemExit) as info:

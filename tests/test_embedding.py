@@ -111,6 +111,11 @@ class TestFirstColumn:
             expected = rho_ext(k, h0 * np.array([i, j], dtype=float), ell)
             assert col[i, j] == pytest.approx(expected, rel=1e-14)
 
+    def test_kernel_and_grid_dimensions_must_agree(self):
+        k = MaternKernel(1.0, 0.5, 1.5, 2)
+        with pytest.raises(ValueError, match="kernel has d=2, grid has d=1"):
+            first_column(k, Embedding(GridSpec(d=1, m0=8), m=8))
+
 
 class TestSpectrum:
     def test_two_point_dft(self):
@@ -170,6 +175,12 @@ class TestMinimalEmbedding:
                                       tol=0.0)
         assert emb.m == 8 and emb.ell == 1.0
         assert spec.min_value > 0
+
+    def test_kernel_and_grid_dimensions_must_agree(self):
+        # the isotropic path never calls rho, which checks the lag's d
+        k = gaussian_kernel(1.0, 0.25, 1)
+        with pytest.raises(ValueError, match="kernel has d=1, grid has d=3"):
+            minimal_embedding(k, GridSpec(d=3, m0=8), tol=1e-13)
 
     def test_returned_spectrum_clamped(self):
         k = gaussian_kernel(1.0, 1.0, 1)
