@@ -38,6 +38,7 @@ __all__ = [
     "continuous_eigenvalue",
     "lattice_ordering",
     "plateau_end",
+    "decay_sequence",
     "decay_report",
     "qmc_criterion_sum",
     "sampling_theorem_check",
@@ -61,13 +62,15 @@ def _require_isotropic(kernel, what: str):
         raise CapabilityError(f"{what} requires an isotropic kernel")
 
 
-def _lattice_box(radius: int, d: int) -> np.ndarray:
-    """The integer points of {-radius..radius}^d (`grid_points` layout),
-    after checking that there are at most LATTICE_BOX_CAP of them."""
-    if (2 * radius + 1) ** d > LATTICE_BOX_CAP:
-        raise MemoryError(f"truncation box too large: {2 * radius + 1}^{d} "
-                          f"points, above the cap of {LATTICE_BOX_CAP}")
-    return grid_points(np.arange(-radius, radius + 1), d)
+def _capped_grid(axis: np.ndarray, d: int,
+                 what: str = "truncation box") -> np.ndarray:
+    """`grid_points(axis, d)`, after checking that its axis.size^d points
+    are at most LATTICE_BOX_CAP: every lattice box and sampled grid here."""
+    if axis.size ** d > LATTICE_BOX_CAP:
+        raise MemoryError(f"{what} too large: {axis.size}^{d} = "
+                          f"{axis.size ** d} points, above the cap of "
+                          f"{LATTICE_BOX_CAP}")
+    return grid_points(axis, d)
 
 
 @dataclass
@@ -189,8 +192,9 @@ def eigen_lower_bound_diagnostic(kernel, embedding: Embedding,
     d, h0, m = grid.d, grid.h0, embedding.m
 
     # term 1: aliased spectral sum, minimized over the zeta grid
-    shifts = _lattice_box(trunc_radius, d)
-    zeta = grid_points(-0.5 + np.arange(zeta_grid_n) / zeta_grid_n, d)
+    shifts = _capped_grid(np.arange(-trunc_radius, trunc_radius + 1), d)
+    zeta = _capped_grid(-0.5 + np.arange(zeta_grid_n) / zeta_grid_n, d,
+                        "zeta grid")
     acc = np.zeros(zeta.shape[0])
     for r in shifts:
         acc += kernel.spectral_density((zeta + r) / h0)
@@ -232,7 +236,7 @@ def _tail_truncation_radius(kernel, h0, m, d):
 def _outside_box_abs_sum(kernel, h0, m, d, k_cap):
     """sum of |rho(h0 k)| over k in [-K..K]^d outside [-m..m-1]^d, for an
     isotropic kernel."""
-    k = _lattice_box(k_cap, d)
+    k = _capped_grid(np.arange(-k_cap, k_cap + 1), d)
     lag = h0 * k[~np.all((k >= -m) & (k <= m - 1), axis=1)]
     r = np.sqrt(np.sum(lag * lag, axis=1))
     return float(np.abs(kernel.kappa(r / kernel.lam)).sum())
@@ -321,7 +325,7 @@ def lattice_ordering(d: int, J: int) -> np.ndarray:
     while (2 * (R / math.sqrt(d)) + 1) ** d < 2 * J + 2 * d:
         R += 1
     while True:
-        pts = grid_points(np.arange(-R, R + 1), d)
+        pts = _capped_grid(np.arange(-R, R + 1), d, "lattice box")
         norm2 = np.sum(pts * pts, axis=1)
         keep = norm2 <= R * R  # only full shells are safely ordered
         pts, norm2 = pts[keep], norm2[keep]
@@ -342,6 +346,12 @@ def plateau_end(spec: Spectrum, nu: float, d: int) -> int:
     return int(np.argmax(fallen)) + 1 if fallen.any() else vals.size
 
 
+def decay_sequence(spec: Spectrum) -> np.ndarray:
+    """sqrt(Lambda_j / s), j = 1..s, nonincreasing; Lambda_j < 0 as 0."""
+    flat = spec.values_flat
+    return np.sort(np.sqrt(np.maximum(flat, 0.0) / flat.size))[::-1]
+
+
 def decay_report(spec: Spectrum, nu: float, d: int,
                  fit_range: Optional[tuple] = None,
                  rel_tol: float = 0.15) -> DecayReport:
@@ -357,8 +367,7 @@ def decay_report(spec: Spectrum, nu: float, d: int,
     eigenvalues inside the window (clamped or below the floating-point
     floor) are excluded from the fit.
     """
-    flat = spec.values_flat
-    s = flat.size
+    s = spec.values_flat.size
     if fit_range is None:
         j_lo, j_hi = plateau_end(spec, nu, d), int(math.floor(s**0.9))
     else:
@@ -371,7 +380,7 @@ def decay_report(spec: Spectrum, nu: float, d: int,
         j_hi = min(s, int(math.floor(fit_range[1])))
         if not (1 <= j_lo < j_hi <= s):
             raise ValueError(f"decay_report: invalid fit range {fit_range}")
-    vals = np.sort(np.sqrt(np.maximum(flat, 0.0) / s))[::-1]
+    vals = decay_sequence(spec)
     j = np.arange(1, s + 1)
     window = (j >= j_lo) & (j <= j_hi)
     points = np.column_stack([j[window], vals[window]])
@@ -432,8 +441,8 @@ def sampling_theorem_check(kernel, h: float, xi, k_trunc: int,
     if k_trunc < 0 or r_trunc < 0:
         raise ValueError("sampling_theorem_check: k_trunc and r_trunc must "
                          "be >= 0")
-    pts = _lattice_box(k_trunc, d).astype(float)
-    shifts = _lattice_box(r_trunc, d).astype(float)
+    pts = _capped_grid(np.arange(-k_trunc, k_trunc + 1), d).astype(float)
+    shifts = _capped_grid(np.arange(-r_trunc, r_trunc + 1), d).astype(float)
 
     # the spectral side first: a kernel without a density fails here
     rhs = float(np.sum(kernel.spectral_density(xi[None, :] + shifts / h)) / h**d)

@@ -36,9 +36,9 @@ import numpy as np
 
 from . import __version__
 from .analysis import (BoundConstants, calibrate_constants,
-                       continuous_eigenvalue, decay_report, gaussian_ell_bound,
-                       matern_ell_bound, pd_criterion, qmc_criterion_sum,
-                       sampling_theorem_check)
+                       continuous_eigenvalue, decay_report, decay_sequence,
+                       gaussian_ell_bound, matern_ell_bound, pd_criterion,
+                       qmc_criterion_sum, sampling_theorem_check)
 from .embedding import GridSpec, minimal_embedding
 from .errors import CircembedError
 from .formats import (read_field_binary, write_csv, write_field_binary,
@@ -46,7 +46,7 @@ from .formats import (read_field_binary, write_csv, write_field_binary,
                       write_spectrum_csv)
 from .kernels import MaternKernel
 from .sampler import batch_sample_values
-from .validation import DENSE_POINTS_CAP, validate_samples
+from .validation import validate_samples
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -246,10 +246,9 @@ def cmd_eig_decay(params: dict) -> int:
     kernel, emb, spec = _search(params)
     rep = decay_report(spec, kernel.nu, kernel.d,
                        fit_range=params.get("fit_range"))
-    flat = np.sort(np.sqrt(np.maximum(spec.values_flat, 0.0) / emb.s))[::-1]
     decay_path = write_csv(
         _out_dir(params) / "decay.csv", DECAY_COLUMNS,
-        ([j, v] for j, v in enumerate(flat.tolist(), start=1)))
+        ([j, v] for j, v in enumerate(decay_sequence(spec).tolist(), 1)))
     report = {"m": emb.m, "ell": emb.ell, "s": emb.s,
               "fit_j_lo": rep.j_lo, "fit_j_hi": rep.j_hi, "slope": rep.slope,
               "expected_slope": -rep.expected_beta, "rel_dev": rep.rel_dev,
@@ -261,7 +260,7 @@ def cmd_eig_decay(params: dict) -> int:
 
 # ----------------------------------------------------------------- sample
 
-def _parse_mean(spec_text, n_points):
+def _parse_mean(spec_text):
     if spec_text is None:
         return 0.0, {"mean": "const:0"}
     text = str(spec_text)
@@ -273,9 +272,6 @@ def _parse_mean(spec_text, n_points):
     if text.startswith("file:"):
         path = Path(text[len("file:"):])
         data = np.loadtxt(path).reshape(-1)
-        if data.size != n_points:
-            raise ValueError(f"mean file has {data.size} values, grid has "
-                             f"{n_points} points")
         if not np.isfinite(data).all():
             raise ValueError(f"mean file {path} has a value that is not "
                              "finite")
@@ -291,7 +287,7 @@ def cmd_sample(params: dict) -> int:
     fmt = _get(params, "format", "bin")
     kernel, emb, spec = _search(params)
     grid = emb.grid
-    mean, mean_meta = _parse_mean(params.get("mean"), grid.n_points)
+    mean, mean_meta = _parse_mean(params.get("mean"))
     values = batch_sample_values(spec, mean, n, seed, lognormal=lognormal)
     out = _out_dir(params)
     sidecar = {
@@ -323,14 +319,10 @@ def cmd_validate(params: dict) -> int:
     _require(params, "samples")
     values, header = read_field_binary(Path(params["samples"]))
     grid = GridSpec(d=header["d"], m0=header["m0"])
-    if grid.n_points > DENSE_POINTS_CAP:
-        raise ValueError(
-            f"validate: the file's grid has {grid.n_points} points, above the "
-            f"cap of {DENSE_POINTS_CAP} points for the dense covariance check")
     kernel = _kernel_from({"d": header["d"], **params})
     if kernel.d != header["d"]:
         raise ValueError(f"--d {kernel.d} does not match file d={header['d']}")
-    mean, _ = _parse_mean(params.get("mean"), grid.n_points)
+    mean, _ = _parse_mean(params.get("mean"))
     report_obj = validate_samples(values, kernel, grid, mean=mean)
     _emit(params, dataclasses.asdict(report_obj))
     return EXIT_OK if report_obj.passed else EXIT_NUMERICAL

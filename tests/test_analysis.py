@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from circembed import analysis
 from circembed import (
     BoundConstants,
     CapabilityError,
@@ -106,6 +107,16 @@ class TestEigenLowerBoundChecks:
         with pytest.raises(MemoryError, match="truncation box too large"):
             eigen_lower_bound_diagnostic(MaternKernel(1.0, 0.1, 0.5, 3), emb,
                                          zeta_grid_n=2, trunc_radius=0)
+
+    def test_zeta_grid_is_capped(self, monkeypatch):
+        # 11^2 = 121 zeta points against a cap of 100; the shift box has
+        # one point, and the zeta grid is built before the tail box
+        monkeypatch.setattr(analysis, "LATTICE_BOX_CAP", 100)
+        emb = Embedding(GridSpec(d=2, m0=4), m=4)
+        with pytest.raises(MemoryError, match=r"zeta grid too large: "
+                           r"11\^2 = 121 points, above the cap of 100"):
+            eigen_lower_bound_diagnostic(MaternKernel(1.0, 0.5, 1.5, 2), emb,
+                                         zeta_grid_n=11, trunc_radius=0)
 
 
 class TestEllBounds:
@@ -231,6 +242,13 @@ class TestLatticeOrdering:
             assert np.all(np.diff(norms) >= -1e-12)
             assert np.all(lat[0] == 0)
 
+    def test_lattice_box_is_capped(self, monkeypatch):
+        # J = 50 in d = 2 starts from the box {-7..7}^2: 225 points
+        monkeypatch.setattr(analysis, "LATTICE_BOX_CAP", 100)
+        with pytest.raises(MemoryError, match=r"lattice box too large: "
+                           r"15\^2 = 225 points, above the cap of 100"):
+            lattice_ordering(2, 50)
+
     def test_prefix_stability(self):
         for d in (1, 2, 3):
             small = lattice_ordering(d, 100)
@@ -249,6 +267,12 @@ class TestLatticeOrdering:
 
 
 class TestDecayReport:
+    def test_decay_sequence(self):
+        emb = Embedding(GridSpec(d=1, m0=1), m=2)
+        spec = Spectrum(values=np.array([1.0, -2.0, 16.0, 4.0]),
+                        min_value=-2.0, tolerance=2.0, embedding=emb)
+        assert analysis.decay_sequence(spec).tolist() == [2.0, 1.0, 0.5, 0.0]
+
     def _synthetic(self, s, beta, emb):
         j = np.arange(1, s + 1)
         lam = s * (j ** (-2.0 * beta)) ** 1.0

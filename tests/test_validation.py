@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -7,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circembed import (CustomStationaryKernel, GridSpec, MaternKernel,
-                       batch_sample_values, dense_covariance,
-                       minimal_embedding, validate_samples)
+                       ValidationReport, batch_sample_values,
+                       dense_covariance, minimal_embedding, validate_samples)
 from conftest import dense_grid_matrix
 
 # derandomized and without an example database, so every run checks the
@@ -63,6 +64,46 @@ class TestDenseCovariance:
         k = MaternKernel(1.0, 0.5, 1.5, 3)
         with pytest.raises(MemoryError):
             dense_covariance(k, GridSpec(d=3, m0=32))
+
+
+def dense_reference(values, kernel, grid, mean=0.0) -> ValidationReport:
+    """`validate_samples` computed against the dense R, as before the lag
+    table became the target."""
+    n = values.shape[0]
+    R = dense_covariance(kernel, grid)
+    cov_tol = float(7.0 * (1.0 + np.abs(R).max()) / math.sqrt(n))
+    mean_tol = float(4.0 * math.sqrt(R.diagonal().max() / n))
+    emp_mean = values.mean(axis=0)
+    centered = values - emp_mean
+    emp_cov = centered.T @ centered
+    emp_cov /= n - 1
+    variances = emp_cov.diagonal() * ((n - 1) / n)
+    max_cov_err = float(np.abs(emp_cov - R).max())
+    max_mean_err = float(np.abs(emp_mean - mean).max())
+    if np.allclose(variances, 0.0):
+        return ValidationReport(
+            n_samples=n, max_mean_error=max_mean_err, mean_tolerance=0.0,
+            max_cov_error=max_cov_err, cov_tolerance=0.0, mean_ok=False,
+            cov_ok=False, passed=False,
+            message="degenerate input: all samples have zero variance")
+    mean_ok = bool(max_mean_err <= mean_tol)
+    cov_ok = bool(max_cov_err <= cov_tol)
+    return ValidationReport(
+        n_samples=n, max_mean_error=max_mean_err, mean_tolerance=mean_tol,
+        max_cov_error=max_cov_err, cov_tolerance=cov_tol, mean_ok=mean_ok,
+        cov_ok=cov_ok, passed=mean_ok and cov_ok)
+
+
+def _bits(report: ValidationReport) -> dict:
+    """The report's fields, each float as its exact hex form."""
+    return {k: v.hex() if isinstance(v, float) else v
+            for k, v in dataclasses.asdict(report).items()}
+
+
+def _tilted_kernel(d):
+    # stationary, not even per axis: rho(x) = exp(-(w . x)^2)
+    w = np.array([1.0, 0.5, 0.25][:d])
+    return CustomStationaryKernel(rho_fn=lambda x: np.exp(-(x @ w) ** 2), d=d)
 
 
 @pytest.fixture(scope="module")
@@ -121,6 +162,55 @@ class TestValidateSamples:
             tracemalloc.stop()
         matrix_bytes = 8 * grid.n_points ** 2
         assert peak <= values.nbytes + 2 * matrix_bytes + 2**17
+
+    def test_peak_memory_is_centred_samples_one_matrix_and_lag_table(
+            self, rng):
+        # R is never built: the empirical covariance is the one M x M array
+        grid = GridSpec(d=2, m0=15)
+        values = rng.normal(size=(1000, grid.n_points))
+        tracemalloc.start()
+        try:
+            validate_samples(values, MaternKernel(1.0, 0.2, 1.5, 2), grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        matrix_bytes = 8 * grid.n_points ** 2
+        table_bytes = 8 * (2 * grid.m0 + 1) ** grid.d
+        assert peak <= values.nbytes + matrix_bytes + table_bytes + 2**17
+
+    @PROPERTY
+    @given(d=st.sampled_from([1, 2, 3]), m0=st.integers(1, 4),
+           nu=st.sampled_from([0.5, 1.5, 4.0, math.inf, "tilted"]),
+           lam=st.floats(0.05, 1.0),
+           kind=st.sampled_from(["genuine", "scaled", "constant"]),
+           mean=st.sampled_from([0.0, 2.5]), seed=st.integers(0, 2**32 - 1))
+    def test_report_equals_dense_reference(self, d, m0, nu, lam, kind, mean,
+                                           seed):
+        grid = GridSpec(d=d, m0=m0)
+        kernel = (_tilted_kernel(d) if nu == "tilted" else
+                  MaternKernel(1.0, lam, nu, d, allow_small_nu=True))
+        n = 1000
+        if kind == "constant":  # degenerate: zero variance everywhere
+            values = np.full((n, grid.n_points), mean)
+        else:
+            w, V = np.linalg.eigh(dense_covariance(kernel, grid))
+            factor = V * np.sqrt(np.maximum(w, 0.0))
+            z = np.random.default_rng(seed).standard_normal(
+                (n, grid.n_points))
+            values = mean + (1.0 if kind == "genuine" else 3.0) * z @ factor.T
+        got = validate_samples(values, kernel, grid, mean=mean)
+        want = dense_reference(values, kernel, grid, mean=mean)
+        assert _bits(got) == _bits(want)
+        if kind != "genuine":  # a scale of 3 is far outside the tolerance
+            assert not got.passed
+
+    def test_cap_is_checked_before_sample_count(self):
+        # one sample on 4225 points: the cap, not the sample count, refuses
+        grid = GridSpec(d=2, m0=64)
+        with pytest.raises(MemoryError, match="4225 points, above the cap "
+                           "of 4096"):
+            validate_samples(np.zeros((1, grid.n_points)),
+                             MaternKernel(1.0, 0.2, 1.5, 2), grid)
 
     def test_minimum_sample_count(self, good_run):
         k, grid, values = good_run
