@@ -166,6 +166,8 @@ def _sanitize(obj):
 # ---------------------------------------------------------------- min-ell
 
 def cmd_min_ell(params: dict) -> int:
+    if params.get("export_spectrum") and params.get("out") is None:
+        raise ValueError("min-ell --export-spectrum requires --out")
     t0 = time.perf_counter()
     kernel, emb, spec = _search(params, m_step=int(_get(params, "m_step", 1)))
     wall = time.perf_counter() - t0
@@ -176,7 +178,7 @@ def cmd_min_ell(params: dict) -> int:
     for _, decider in spec.attempts:
         report["attempts"][decider] = report["attempts"].get(decider, 0) + 1
     files = []
-    if params.get("out") is not None and params.get("export_spectrum"):
+    if params.get("export_spectrum"):
         files.append(write_spectrum_csv(_out_dir(params) / "spectrum.csv",
                                         spec, kernel))
     _emit(params, report, files)

@@ -8,26 +8,30 @@ DFT of its first column.  The minimal-extension search enlarges m until the
 spectrum is nonnegative to tolerance.
 
 Normalization ledger: `spectrum` returns the *unnormalized* forward DFT of
-the first column (the true circulant eigenvalues); the sampler applies the
-1/sqrt(s) unitary normalization exactly once inside its transform.
+the first column (the true circulant eigenvalues), as does the DCT-I of
+its folded block; the sampler applies the 1/sqrt(s) unitary
+normalization exactly once inside its transform.
 
 Rounding: every spectrum carries a bound b on the float64 error of its
 eigenvalues.  A verdict `min >= -tol` is certified when |min + tol| > b;
 otherwise double precision cannot decide it, and a search that runs out of
 extensions on such a verdict raises PDUndecidableError.
 
-The search is one loop for both schedules.  It screens each attempt with
+The search is one loop for both schedules.  It decides each attempt with
 the type-I DCT of the folded (m+1)^d block of the even first column, which
 equals its DFT (Martucci 1994), and takes the full FFT `spectrum` only
-where the screen cannot fix the verdict and for the m it returns or runs
-out at; no m is attempted twice.  In front of the DCT stands a witness
-screen: every eigenvalue is a cosine sum over the folded block, so the
-3^d eigenvalues around the frequency of the last DCT minimum (and
-Lambda_0 with them) cost about 4 (m+1)^d operations, and one of them far
-enough below -tol (beyond the FFT's rounding bound and the witness's
-own, `_witnesses`) fails the attempt with no transform.  The search
-records how each attempt was decided.  The search and `first_column`
-take their blocks from one source, `_FoldedBlocks`.  For an isotropic kernel it keeps a radial
+where the DCT-I lies too near -tol to fix the FFT's verdict; no m is
+attempted twice.  The spectrum it returns is the folded block of the
+transform that decided the returned m, DCT-I or FFT, unfolded once, so
+the accepted (2m)^d column is transformed whole only where the FFT had to
+decide it.  In front of the DCT stands a witness screen: every eigenvalue
+is a cosine sum over the folded block, so the 3^d eigenvalues around the
+frequency of the last DCT minimum (and Lambda_0 with them) cost about
+4 (m+1)^d operations, and one of them far enough below -tol (beyond the
+FFT's rounding bound and the witness's own, `_witnesses`) fails the
+attempt with no transform.  The search records how each attempt was
+decided.  The search and `first_column` take their blocks from one
+source, `_FoldedBlocks`.  For an isotropic kernel it keeps a radial
 table, kappa at each distinct integer |j|^2 of the lattice {0..M}^d,
 with M doubled when an attempt goes beyond it; so the kernel is
 evaluated once per table growth, not once per attempt.
@@ -150,7 +154,12 @@ class Spectrum:
     layout); `min_value` is the smallest eigenvalue *before* any clamping;
     `tolerance` is the clamp threshold that was applied (0 when none).
     `rounding_bound` bounds the float64 error of every eigenvalue (see
-    `spectrum`).  `certified` is set by `minimal_embedding`: True when every
+    `spectrum`).  From `spectrum` the values are the FFT of the column.
+    From `minimal_embedding` they are the folded block of eigenvalues that
+    decided the returned m, from the DCT-I or the FFT, repeated by the
+    evenness of the spectrum, and `min_value` and `rounding_bound` are
+    that transform's; both transforms lie within `rounding_bound` of the
+    exact eigenvalues.  `certified` is set by `minimal_embedding`: True when every
     verdict of its search was decided beyond the rounding bound; None on a
     spectrum no search has judged.  `attempts` is that search's record,
     one (m, decider) pair per attempt in order, the decider "witness",
@@ -463,9 +472,15 @@ def minimal_embedding(kernel, grid: GridSpec, tol: float = 0.0,
       fails the attempt too, and certifies its verdict.
     - "dct": the DCT-I minimum lies more than 3b from -tol.
     - "fft": the full FFT `spectrum` decides.
-    The results, errors and `certified` flag are those of a search that
-    takes the FFT `spectrum` at every attempt.  The m returned or run out
-    at is transformed at most once.
+    The verdicts, the m returned or run out at, the error type and the
+    `certified` flag are those of a search that takes the FFT `spectrum`
+    at every attempt.  The returned spectrum, and the `min_eig` and
+    `rounding_bound` of a search that runs out, come from the transform
+    that decided that m; where the witness failed it, that m is
+    transformed once more without the witness (not recorded).  So
+    `min_value` and the values lie within 2b of the FFT's when the DCT-I
+    decided.  The m returned or run out at is transformed at most once
+    by each of the DCT-I and the FFT.
     """
     if not 0 <= tol < math.inf:
         raise ValueError("minimal_embedding: tol must be >= 0 and finite")
@@ -487,36 +502,46 @@ def minimal_embedding(kernel, grid: GridSpec, tol: float = 0.0,
     record = []
     low_at = None  # (flat index, m) of the last negative DCT-I minimum
 
-    def attempt(m: int, screen: bool = True):
-        """The verdict min >= -tol at m and the FFT spectrum, or None when
-        a screen decided.  A screened attempt is recorded."""
+    def transform(emb: Embedding, block: np.ndarray) -> tuple:
+        """The decider ("dct" or "fft") of the folded block at emb.m and
+        the spectrum it decided from, whose values are the folded block of
+        eigenvalues until the search returns."""
         nonlocal certified, low_at
-        emb, block = Embedding(grid, m), blocks.block(m)
-        if screen:
-            if (low_at is not None and block.ndim > 1
-                    and block.size >= WITNESS_MIN_POINTS
-                    and _witness_fails(block, emb, *low_at, tol,
-                                       column_rel_error)):
-                record.append((m, "witness"))
-                return False, None
-            # the DCT-I of the folded block is the FFT of the even column
-            # up to rounding, and both lie within the rounding bound b of
-            # the exact eigenvalues of this float64 column, so they differ
-            # by at most 2b.  Beyond 3b from -tol the FFT verdict is known.
-            values = scipy.fft.dctn(block, type=1)
-            bound = _rounding_bound(_norm1(block, values.flat[0]), emb,
-                                    column_rel_error)
-            at = int(values.argmin())
-            low = float(values.flat[at])
-            if low < 0.0:
-                low_at = at, m
-            if abs(low + tol) > 3.0 * bound:
-                record.append((m, "dct"))
-                return low >= -tol, None
-            record.append((m, "fft"))
+        m = emb.m
+        # the DCT-I of the folded block is the FFT of the even column up to
+        # rounding, and both lie within the rounding bound b of the exact
+        # eigenvalues of this float64 column, so they differ by at most 2b.
+        # Beyond 3b from -tol the FFT verdict is known.
+        values = scipy.fft.dctn(block, type=1)
+        bound = _rounding_bound(_norm1(block, values.flat[0]), emb,
+                                column_rel_error)
+        at = int(values.argmin())
+        low = float(values.flat[at])
+        if low < 0.0:
+            low_at = at, m
+        if abs(low + tol) > 3.0 * bound:
+            return "dct", Spectrum(values=values, min_value=low,
+                                   tolerance=0.0, embedding=emb,
+                                   rounding_bound=bound)
         spec = spectrum(_unfold(block, m), emb,
                         column_rel_error=column_rel_error)
         certified = certified and spec.decides(tol)
+        # a copy, so that the complex transform behind `values` is freed
+        return "fft", replace(spec, values=spec.values[
+            (slice(0, m + 1),) * grid.d].copy())
+
+    def attempt(m: int):
+        """The verdict min >= -tol at m and the spectrum that decided it,
+        None when the witness did; the decider is recorded."""
+        emb, block = Embedding(grid, m), blocks.block(m)
+        if (low_at is not None and block.ndim > 1
+                and block.size >= WITNESS_MIN_POINTS
+                and _witness_fails(block, emb, *low_at, tol,
+                                   column_rel_error)):
+            record.append((m, "witness"))
+            return False, None
+        decider, spec = transform(emb, block)
+        record.append((m, decider))
         return spec.min_value >= -tol, spec
 
     # lo is the largest m known to fail: start - 1 until one does, and m
@@ -537,11 +562,11 @@ def minimal_embedding(kernel, grid: GridSpec, tol: float = 0.0,
             m, spec = mid, mid_spec
         else:
             lo = mid
-    if spec is None:
-        _, spec = attempt(m, screen=False)
+    if spec is None:  # the witness failed m: its spectrum, unrecorded
+        _, spec = transform(Embedding(grid, m), blocks.block(m))
     if not ok:
         raise _exhausted(spec, tol, m_max, tuple(record))
-    # eigenvalues in [-tol, 0) clamped to 0, in a copy
+    # eigenvalues in [-tol, 0) clamped to 0, then unfolded to (2m,)*d
     return Embedding(grid, m), replace(
-        spec, values=np.maximum(spec.values, 0.0), tolerance=tol,
+        spec, values=_unfold(np.maximum(spec.values, 0.0), m), tolerance=tol,
         certified=certified, attempts=tuple(record))

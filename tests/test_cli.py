@@ -124,6 +124,16 @@ class TestMinEll:
         assert (tmp_path / "r" / "spectrum.csv.json").exists()
         assert (tmp_path / "r" / "report.json").exists()
 
+    def test_export_spectrum_requires_out(self, tmp_path, monkeypatch,
+                                          capsys):
+        monkeypatch.chdir(tmp_path)
+        code = main(["min-ell", "--d", "1", "--nu", "0.5", "--lambda", "1",
+                     "--m0", "4", "--tol", "0", "--export-spectrum"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "min-ell --export-spectrum requires --out" in captured.err
+        assert list(tmp_path.iterdir()) == []
+
     def test_gaussian_reference_value_coarse_schedule(self, capsys):
         # reference minimal extension for the Gaussian kernel at lam*m0=8,
         # searched in steps of one correlation length (see repo notes on

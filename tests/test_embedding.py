@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from circembed import (
     CustomStationaryKernel,
@@ -13,6 +14,7 @@ from circembed import (
     PDUndecidableError,
     SymmetryError,
     eigen_lower_bound_diagnostic,
+    embedding,
     first_column,
     gaussian_kernel,
     minimal_embedding,
@@ -251,15 +253,7 @@ class TestMinimalEmbedding:
     ])
     def test_search_attempts_no_m_twice(self, monkeypatch, schedule, d, m0,
                                         nu, m_max):
-        import circembed.embedding as embedding
-        transformed = []
-        full_spectrum = embedding.spectrum
-
-        def counting(column, emb, *args, **kwargs):
-            transformed.append(emb.m)
-            return full_spectrum(column, emb, *args, **kwargs)
-
-        monkeypatch.setattr(embedding, "spectrum", counting)
+        dct, fft = counted_transforms(monkeypatch)
         kernel = MaternKernel(1.0, 0.5, nu, d)
         try:
             emb, spec = minimal_embedding(kernel, GridSpec(d=d, m0=m0),
@@ -269,23 +263,53 @@ class TestMinimalEmbedding:
         except NotPositiveDefiniteError as exc:
             final, attempts = exc.m_max, exc.attempts
         screened = [m for m, _ in attempts]
-        assert final in transformed
         assert len(screened) == len(set(screened)), screened
-        assert len(transformed) == len(set(transformed)), transformed
+        # every m is transformed at most once by each, and the FFT runs
+        # only where the DCT-I ran first and could not decide
+        assert len(dct) == len(set(dct)), dct
+        assert len(fft) == len(set(fft)), fft
+        assert {m for m, decider in attempts if decider == "fft"} \
+            <= set(fft) <= set(dct)
+        # the final m is transformed by the FFT only where it decided there
+        assert final in dct
+        assert (final in fft) == ((final, "fft") in attempts)
 
-    def test_increment_runs_out_off_the_step_grid(self):
+    def test_search_memory_is_its_values_and_a_few_blocks(self):
+        # unit steps to m = 66 in d = 3, every attempt decided by the
+        # witness or the DCT-I: the search holds folded (m+1)^3 blocks and
+        # allocates the (2m)^3 values once, on return.  A complex FFT of
+        # the accepted column would take 3 times the values' bytes more
+        kernel = MaternKernel(1.0, 0.5, 1.5, 3)
+        (emb, spec), peak = traced_peak(lambda: minimal_embedding(
+            kernel, GridSpec(d=3, m0=16), tol=0.0, m_max=1600))
+        assert emb.m == 66
+        assert "fft" not in {decider for _, decider in spec.attempts}
+        block_bytes = 8 * (emb.m + 1) ** 3
+        assert peak <= spec.values.nbytes + 4 * block_bytes, peak / 2**20
+
+    def test_increment_runs_out_off_the_step_grid(self, monkeypatch):
         # m_step = 3 from m0 = 8 tries 8, 11, 14, 17; 20 lies past m_max
         kernel = MaternKernel(1.0, 1.0, 1.5, 1)
         grid = GridSpec(d=1, m0=8)
+        dct, fft = counted_transforms(monkeypatch)
         with pytest.raises(NotPositiveDefiniteError) as info:
             minimal_embedding(kernel, grid, tol=0.0, m_max=19, m_step=3)
+        monkeypatch.undo()
         assert [m for m, _ in info.value.attempts] == [8, 11, 14, 17]
+        assert dct == [8, 11, 14, 17] and fft == []
+        # the error reports the DCT-I of the folded block at m = 17, which
+        # lies within 2b of the FFT of its column
         emb = Embedding(grid, 17)
-        last = spectrum(first_column(kernel, emb), emb,
-                        column_rel_error=kernel.eval_rel_error)
+        column = first_column(kernel, emb)
+        last = scipy.fft.dctn(corner(column, 17), type=1)
+        bound = embedding._rounding_bound(
+            embedding._norm1(corner(column, 17), last.flat[0]), emb,
+            kernel.eval_rel_error)
         assert info.value.m_max == 19
-        assert info.value.min_eig == last.min_value
-        assert info.value.rounding_bound == last.rounding_bound
+        assert info.value.min_eig == last.min()
+        assert info.value.rounding_bound == bound
+        full = spectrum(column, emb, column_rel_error=kernel.eval_rel_error)
+        assert abs(info.value.min_eig - full.min_value) <= 2 * bound
 
     @pytest.mark.parametrize("tol", [-1e-13, math.nan, math.inf])
     def test_tol_must_be_a_nonnegative_number(self, tol):
@@ -333,6 +357,25 @@ class TestMinimalEmbedding:
                               m_max=m_max)
         assert info.value.attempts \
             == tuple((m, "dct") for m in range(m0, m_max + 1))
+
+
+def counted_transforms(monkeypatch):
+    """Lists that record the m of every DCT-I and every FFT `spectrum` the
+    search takes, in order."""
+    dct, fft = [], []
+    dctn, full_spectrum = scipy.fft.dctn, embedding.spectrum
+
+    def counting_dctn(block, *args, **kwargs):
+        dct.append(block.shape[0] - 1)
+        return dctn(block, *args, **kwargs)
+
+    def counting_spectrum(column, emb, *args, **kwargs):
+        fft.append(emb.m)
+        return full_spectrum(column, emb, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.fft, "dctn", counting_dctn)
+    monkeypatch.setattr(embedding, "spectrum", counting_spectrum)
+    return dct, fft
 
 
 def corner(column, m):
@@ -460,6 +503,23 @@ class TestRoundingBound:
                 assert (spec.min_value >= -tol) == (exact.min() >= -tol), m
         if d == 2:
             assert certified > 0  # m = 56..61 are decided in float64
+
+    @pytest.mark.parametrize("d,m0,lam,tol,decider", [
+        (1, 64, 0.25, 1e-10, "dct"), (2, 32, 0.25, 1e-10, "dct"),
+        (3, 8, 0.5, 1e-10, "dct"), (2, 32, 0.25, 1e-13, "fft"),
+        (3, 8, 0.5, 1e-13, "fft"),
+    ])
+    def test_search_spectrum_within_its_bound_of_long_double_oracle(
+            self, d, m0, lam, tol, decider):
+        # the returned values come from the transform that decided the
+        # final m; clamping both sides at 0 moves no gap up
+        kernel = gaussian_kernel(1.0, lam, d)
+        emb, spec = minimal_embedding(kernel, GridSpec(d=d, m0=m0), tol=tol,
+                                      m_max=100 * m0)
+        assert spec.attempts[-1] == (emb.m, decider)
+        exact = np.maximum(gaussian_spectrum_oracle(kernel, emb), 0.0)
+        gap = np.abs(spec.values - embedding._unfold(exact, emb.m)).max()
+        assert float(gap) <= spec.rounding_bound
 
     def test_norm_of_signed_column(self):
         # a column with negative entries takes the folded-block route

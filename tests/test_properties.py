@@ -1,8 +1,8 @@
 """Property tests of the transforms the search and the sampler run in
 place of complex (2m)^d FFTs: the witness and DCT-I screens of the
-extension search against an FFT-only search, the witness eigenvalues
-against a long-double DCT-I, and the output-pruned real sampler against
-the dense transform and across worker counts."""
+extension search against an FFT-only search, the witness eigenvalues and
+the float64 DCT-I against a long-double DCT-I, and the output-pruned real
+sampler against the dense transform and across worker counts."""
 
 import math
 import sys
@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 from circembed import (Embedding, GridSpec, MaternKernel,
                        NotPositiveDefiniteError, Spectrum,
                        batch_sample_values, draw_normal, embedding,
-                       minimal_embedding, sample, sampler)
+                       first_column, minimal_embedding, sample, sampler,
+                       spectrum)
 from conftest import dense_transform, fft_only_search
 
 import test_sampler
@@ -34,12 +35,16 @@ M_MAX_FACTOR = {1: 16, 2: 8, 3: 8}
 
 
 def screened_outcome(kernel, grid, tol, m_max, schedule):
+    """The search's outcome in the layout of `fft_only_search`, its
+    rounding bound, and the spectrum it returns (None when it runs out)."""
     try:
         emb, spec = minimal_embedding(kernel, grid, tol=tol, m_max=m_max,
                                       schedule=schedule)
     except NotPositiveDefiniteError as exc:
-        return (type(exc).__name__, exc.m_max, exc.min_eig)
-    return ("ok", emb.m, spec.min_value, spec.certified)
+        return ((type(exc).__name__, exc.m_max, exc.min_eig),
+                exc.rounding_bound, None)
+    return (("ok", emb.m, spec.min_value, spec.certified),
+            spec.rounding_bound, spec)
 
 
 @st.composite
@@ -100,8 +105,19 @@ def test_screened_search_equals_fft_only_search(case):
     d, m0, nu, lam, tol, schedule, m_max = case
     kernel = MaternKernel(1.0, lam, nu, d)
     grid = GridSpec(d=d, m0=m0)
-    assert screened_outcome(kernel, grid, tol, m_max, schedule) \
-        == fft_only_search(kernel, grid, tol, m_max, schedule)
+    got, b, spec = screened_outcome(kernel, grid, tol, m_max, schedule)
+    want = fft_only_search(kernel, grid, tol, m_max, schedule)
+    # the verdicts are the FFT's: outcome, m and `certified`, bit for bit
+    assert got[:2] + got[3:] == want[:2] + want[3:]
+    # the minimum and the values come from the transform that decided the
+    # final m, DCT-I or FFT; each lies within b of the exact eigenvalues
+    assert abs(got[2] - want[2]) <= 2 * b
+    if spec is not None:
+        emb = spec.embedding
+        fft = spectrum(first_column(kernel, emb), emb,
+                       column_rel_error=kernel.eval_rel_error)
+        gap = np.abs(spec.values - np.maximum(fft.values, 0.0)).max()
+        assert gap <= 2 * b
 
 
 @st.composite
@@ -131,6 +147,36 @@ def test_witness_lies_within_its_bound_of_the_dct(case):
     b = float(np.finfo(np.longdouble).eps / 2) * d * math.log2(2 * m) * norm1
     gap = np.abs(embedding._witnesses(block, freqs) - exact[np.ix_(*freqs)])
     assert gap.max() <= embedding._witness_bound(m, d, norm1) + b
+
+
+@st.composite
+def block_cases(draw):
+    d = draw(st.sampled_from([1, 2, 3]))
+    m = draw(st.integers(1, {1: 4000, 2: 200, 3: 40}[d]))
+    signed = draw(st.booleans())
+    seed = draw(st.integers(0, 2**32 - 1))
+    return d, m, signed, seed
+
+
+@settings(PROPERTY, max_examples=60)
+@given(block_cases())
+def test_dct_lies_within_its_rounding_bound(case):
+    # the search's eigenvalues are the float64 DCT-I of the folded block;
+    # the reference is the DCT-I of the same block in long double, whose
+    # own bound b_ld = u_ld log2(s) ||c||_1 is 2^11 times smaller
+    if np.finfo(np.longdouble).eps >= np.finfo(float).eps:
+        pytest.skip("numpy long double is no wider than float64 here")
+    d, m, signed, seed = case
+    rng = np.random.default_rng(seed)
+    block = rng.uniform(-1.0 if signed else 0.0, 1.0, (m + 1,) * d)
+    values = scipy.fft.dctn(block, type=1)
+    exact = scipy.fft.dctn(block.astype(np.longdouble), type=1)
+    emb = Embedding(GridSpec(d=d, m0=1), m)
+    b = embedding._rounding_bound(embedding._norm1(block, values.flat[0]),
+                                  emb, 0.0)
+    norm1 = embedding._norm1(block, exact.flat[0])
+    b_ld = float(np.finfo(np.longdouble).eps / 2) * math.log2(emb.s) * norm1
+    assert float(np.abs(values - exact).max()) <= b + b_ld
 
 
 @st.composite
