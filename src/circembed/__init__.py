@@ -29,8 +29,6 @@ from .embedding import (
     Spectrum,
     first_column,
     minimal_embedding,
-    phi,
-    rho_ext,
     spectrum,
 )
 from .errors import (
@@ -54,7 +52,7 @@ from .sampler import (
     qmc_map,
     sample,
 )
-from .specialfn import bessel_k, gamma, inv_normal_cdf, log_gamma
+from .specialfn import inv_normal_cdf, log_gamma
 from .validation import ValidationReport, dense_covariance, validate_samples
 
 __all__ = [
@@ -66,13 +64,13 @@ __all__ = [
     "matern_ell_bound", "pd_criterion", "plateau_end", "qmc_criterion_sum",
     "sampling_theorem_check", "spectral_tail_integral",
     "Embedding", "GridSpec", "Spectrum", "first_column",
-    "minimal_embedding", "phi", "rho_ext", "spectrum",
+    "minimal_embedding", "spectrum",
     "CapabilityError", "CircembedError", "ConvergenceError",
     "NotPositiveDefiniteError", "PDUndecidableError", "QuadratureError",
     "SymmetryError",
     "CustomStationaryKernel", "MaternKernel", "gaussian_kernel",
     "batch_sample_values", "draw_normal",
     "importance_ordering", "qmc_map", "sample",
-    "bessel_k", "gamma", "inv_normal_cdf", "log_gamma",
+    "inv_normal_cdf", "log_gamma",
     "ValidationReport", "dense_covariance", "validate_samples",
 ]

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -58,7 +57,7 @@ TAIL_TOL = 1e-12
 
 
 def _require_isotropic(kernel, what: str):
-    if not getattr(kernel, "is_isotropic", False):
+    if not kernel.is_isotropic:
         raise CapabilityError(f"{what} requires an isotropic kernel")
 
 
@@ -420,17 +419,12 @@ class SamplingIdentityResult:
 
 
 def sampling_theorem_check(kernel, h: float, xi, k_trunc: int,
-                           r_trunc: int,
-                           target_residual: Optional[float] = None
-                           ) -> SamplingIdentityResult:
+                           r_trunc: int) -> SamplingIdentityResult:
     """Check the aliasing identity
 
         sum_k rho(h k) cos(2 pi h k . xi)  =  h^(-d) sum_r rho_hat(xi + r/h)
 
-    with both lattice sums truncated at the given sup-norm radii, which
-    must be >= 0.  When
-    `target_residual` is given and the omitted covariance tail (estimated
-    from the truncation shell) cannot meet it, a warning is emitted.
+    with both lattice sums truncated at the given sup-norm radii (>= 0).
     """
     if not 0 < h < math.inf:
         raise ValueError("sampling_theorem_check: h must be finite and > 0")
@@ -446,18 +440,8 @@ def sampling_theorem_check(kernel, h: float, xi, k_trunc: int,
 
     # the spectral side first: a kernel without a density fails here
     rhs = float(np.sum(kernel.spectral_density(xi[None, :] + shifts / h)) / h**d)
-    rho_vals = kernel.rho(h * pts)
-    lhs = float(np.sum(rho_vals * np.cos(2.0 * np.pi * h * (pts @ xi))))
-
-    if target_residual is not None:
-        shell = float(np.sum(np.abs(rho_vals[np.max(np.abs(pts), axis=1)
-                                             == k_trunc])))
-        if shell > 0.5 * target_residual:
-            warnings.warn(
-                f"sampling_theorem_check: covariance truncation shell "
-                f"({shell:.3e}) suggests the target residual "
-                f"{target_residual:.1e} is unreachable at k_trunc={k_trunc}",
-                stacklevel=2)
+    lhs = float(np.sum(kernel.rho(h * pts)
+                       * np.cos(2.0 * np.pi * h * (pts @ xi))))
     return SamplingIdentityResult(lhs=lhs, rhs=rhs, residual=abs(lhs - rhs))
 
 

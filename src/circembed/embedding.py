@@ -55,8 +55,6 @@ __all__ = [
     "GridSpec",
     "Embedding",
     "Spectrum",
-    "phi",
-    "rho_ext",
     "first_column",
     "spectrum",
     "minimal_embedding",
@@ -184,30 +182,13 @@ class Spectrum:
         return abs(self.min_value + tol) > self.rounding_bound
 
 
-def phi(x, ell: float):
-    """2*ell-periodic reflection map: x on [0, ell], 2*ell - x on [ell, 2*ell]."""
-    x = np.asarray(x, dtype=float)
-    y = np.mod(x, 2.0 * ell)
-    out = np.where(y <= ell, y, 2.0 * ell - y)
-    return float(out) if out.ndim == 0 else out
-
-
-def rho_ext(kernel, x, ell: float):
-    """Reflected periodic extension of the covariance, applied componentwise.
-
-    Coincides with rho on [0, ell]^d and is 2*ell-periodic per coordinate.
-    """
-    x = np.asarray(x, dtype=float)
-    return kernel.rho(phi(x, ell))
-
-
 def first_column(kernel, embedding: Embedding) -> np.ndarray:
     """First column of the extended circulant, shape (2m,)*d.
 
-    Entry at multi-index k equals rho_ext(h0 k).  Isotropic kernels are
-    evaluated once per distinct grid radius; the (2m)^d array is then
-    assembled by reflection, so entry(k) = entry((2m - k) mod 2m) holds
-    exactly.
+    Entry at multi-index k equals rho(h0 min(k, 2m - k)), componentwise:
+    the covariance reflected about ell.  Isotropic kernels are evaluated
+    once per distinct grid radius; the (2m)^d array is then assembled by
+    reflection, so entry(k) = entry((2m - k) mod 2m) holds exactly.
     """
     m = embedding.m
     return _unfold(_FoldedBlocks(kernel, embedding.grid, m).block(m), m)
@@ -231,7 +212,7 @@ class _FoldedBlocks:
 
     def block(self, m: int) -> np.ndarray:
         kernel, grid = self.kernel, self.grid
-        if not getattr(kernel, "is_isotropic", False):
+        if not kernel.is_isotropic:
             pts = grid_points(grid.h0 * np.arange(m + 1), grid.d)
             return kernel.rho(pts).reshape((m + 1,) * grid.d)
         if self.table is None or m > self.table.size:
@@ -447,7 +428,9 @@ def minimal_embedding(kernel, grid: GridSpec, tol: float = 0.0,
     Spectrum is the pre-clamp minimum; `certified` says whether every
     verdict of the search lay beyond the rounding bound.  Running out at
     m_max raises NotPositiveDefiniteError, or its subclass
-    PDUndecidableError when the last verdict was not certified.
+    PDUndecidableError when the last verdict was not certified.  A
+    spectrum that is not finite (its column overflows float64) raises
+    ValueError at the m where it occurs.
 
     One loop serves both schedules.  After a failed attempt the next m is
     m + m_step under schedule="increment" (the default step 1 is the
@@ -517,6 +500,12 @@ def minimal_embedding(kernel, grid: GridSpec, tol: float = 0.0,
                                 column_rel_error)
         at = int(values.argmin())
         low = float(values.flat[at])
+        # a larger m only adds terms to an overflowed column sum
+        if not (math.isfinite(low) and math.isfinite(bound)):
+            raise ValueError(
+                f"minimal_embedding: the spectrum at m={m} is not finite "
+                f"(min eigenvalue {low!r}, rounding bound {bound!r}): the "
+                f"covariance column overflows float64")
         if low < 0.0:
             low_at = at, m
         if abs(low + tol) > 3.0 * bound:

@@ -6,6 +6,10 @@ every evaluation is pure.  The Matern profile takes ln Gamma and ln K_nu
 from `specialfn`, the package's one special-function layer.  The radial
 tail integrals of these profiles are theory and live in `analysis`.
 
+Every kernel states its capabilities as the properties `is_gaussian`,
+`is_isotropic` and `eval_rel_error`.  A kernel without a spectral density
+says so in one way only: its `spectral_density` raises CapabilityError.
+
 Conventions
 -----------
 A kernel is isotropic when rho(x) = kappa(||x||_2 / lam) for a radial
@@ -53,7 +57,8 @@ class MaternKernel:
 
     The analyzed smoothness range is nu >= 1/2; values in (0, 1/2) are
     accepted only with allow_small_nu=True and carry no guarantees from
-    the bound evaluators.
+    the bound evaluators.  A finite nu whose `eval_rel_error` is 1 or more
+    (from nu ~ 1.4e14) is rejected: kappa would have no correct digit.
     """
 
     sigma2: float
@@ -63,8 +68,8 @@ class MaternKernel:
     allow_small_nu: bool = False
 
     def __post_init__(self):
-        if not self.sigma2 > 0:
-            raise ValueError("MaternKernel: sigma2 must be positive")
+        if not 0 < self.sigma2 < math.inf:
+            raise ValueError("MaternKernel: sigma2 must be positive and finite")
         if not self.lam > 0:
             raise ValueError("MaternKernel: lam must be positive")
         if self.d not in (1, 2, 3):
@@ -75,6 +80,11 @@ class MaternKernel:
             raise ValueError(
                 "MaternKernel: nu < 1/2 is outside the analyzed range; "
                 "pass allow_small_nu=True to accept it anyway")
+        if not self.is_gaussian and not self.eval_rel_error < 1.0:
+            raise ValueError(
+                f"MaternKernel: at nu={self.nu!r} kappa has no correct digit "
+                f"in float64 (eval_rel_error {self.eval_rel_error:.2g}); "
+                f"use nu=inf for the Gaussian limit")
 
     # -- capabilities -----------------------------------------------------
 
@@ -84,10 +94,6 @@ class MaternKernel:
 
     @property
     def is_isotropic(self) -> bool:
-        return True
-
-    @property
-    def has_spectral_density(self) -> bool:
         return True
 
     @property
@@ -193,13 +199,6 @@ class MaternKernel:
             "d": self.d,
         }
 
-    @staticmethod
-    def from_json(obj: dict) -> "MaternKernel":
-        nu = obj["nu"]
-        nu = math.inf if nu in ("inf", None) else float(nu)
-        return MaternKernel(sigma2=float(obj["sigma2"]), lam=float(obj["lambda"]),
-                            nu=nu, d=int(obj["d"]), allow_small_nu=True)
-
 
 def gaussian_kernel(sigma2: float, lam: float, d: int) -> MaternKernel:
     """Gaussian covariance sigma2 exp(-||x||^2 / (2 lam^2)) as the Matern
@@ -222,9 +221,10 @@ class CustomStationaryKernel:
     """User-supplied stationary symbol.
 
     `rho_fn` must accept an (n, d) array of lags and return n covariance
-    values; `rho_hat_fn` (optional) does the same for frequencies.  The
-    caller is responsible for rho being symmetric in each coordinate,
-    which the embedding machinery relies on.
+    values; `rho_hat_fn` (optional) does the same for frequencies, and
+    without it `spectral_density` raises CapabilityError.  The caller is
+    responsible for rho being symmetric in each coordinate, which the
+    embedding machinery relies on.
     """
 
     rho_fn: Callable[[np.ndarray], np.ndarray]
@@ -238,10 +238,6 @@ class CustomStationaryKernel:
     @property
     def is_isotropic(self) -> bool:
         return False
-
-    @property
-    def has_spectral_density(self) -> bool:
-        return self.rho_hat_fn is not None
 
     @property
     def eval_rel_error(self) -> float:
@@ -262,4 +258,4 @@ class CustomStationaryKernel:
 
     def to_json(self) -> dict:
         return {"family": "custom", "d": self.d,
-                "has_spectral_density": self.has_spectral_density}
+                "has_spectral_density": self.rho_hat_fn is not None}

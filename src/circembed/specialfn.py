@@ -1,12 +1,8 @@
 """Scalar special functions backing the covariance formulas: the one
 module of the package that calls `scipy.special`, and the layer the
 kernels evaluate Gamma and K_nu through.  All functions accept scalars or
-numpy arrays and evaluate in 64-bit arithmetic.
-
-`bessel_k` stays on the linear kve(nu, x) exp(-x): through `log_bessel_k`
-it would move by up to 5.2e-14 relative (464u) on nu in [0.5, 50],
-x <= 120, and from nu = NU_UNIFORM take the uniform expansion, which is
-accurate to about 1e-10 only.
+numpy arrays and evaluate in 64-bit arithmetic.  Gamma and K_nu come in
+the log domain only, as the Matern profile sums them.
 """
 
 import math
@@ -14,8 +10,8 @@ import math
 import numpy as np
 from scipy import special as _sp
 
-__all__ = ["gamma", "log_gamma", "log_gamma_ratio", "bessel_k",
-           "log_bessel_k", "NU_UNIFORM", "inv_normal_cdf"]
+__all__ = ["log_gamma", "log_gamma_ratio", "log_bessel_k", "NU_UNIFORM",
+           "inv_normal_cdf"]
 
 # Order from which `log_bessel_k` uses the uniform large-order expansion
 # instead of scipy's kve (which overflows for large order at small
@@ -26,14 +22,6 @@ NU_UNIFORM = 128.0
 def _domain_check(cond, message):
     if not np.all(cond):
         raise ValueError(message)
-
-
-def gamma(x):
-    """Gamma function for positive real arguments."""
-    x = np.asarray(x, dtype=float)
-    _domain_check(x > 0, "gamma: requires x > 0")
-    out = _sp.gamma(x)
-    return float(out) if out.ndim == 0 else out
 
 
 def log_gamma(x):
@@ -49,24 +37,6 @@ def log_gamma_ratio(nu: float, a: float) -> float:
     if nu < 1e8:
         return log_gamma(nu + a) - log_gamma(nu)
     return a * math.log(nu) + a * (a - 1.0) / (2.0 * nu)
-
-
-def bessel_k(nu, x):
-    """Modified Bessel function of the second kind K_nu(x) for real order.
-
-    The symmetry K_{-nu} = K_nu is applied, so the sign of `nu` is
-    irrelevant.  Saturates to 0 on exponent underflow for large x instead
-    of raising; x <= 0 is a domain error.
-    """
-    nu = np.abs(np.asarray(nu, dtype=float))
-    x = np.asarray(x, dtype=float)
-    _domain_check(x > 0, "bessel_k: requires x > 0")
-    # kve = exp(x) K_nu(x) stays representable far past where K_nu itself
-    # underflows; the product underflows gracefully to 0.  kve is NaN from
-    # x ~ 1.1e9 on, where K_nu(x) underflowed long before.
-    scaled = _sp.kve(nu, x)
-    out = np.where(_kve_gave_up(scaled, x), 0.0, scaled * np.exp(-x))
-    return float(out) if out.ndim == 0 else out
 
 
 def _kve_gave_up(scaled, z):

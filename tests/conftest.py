@@ -6,7 +6,10 @@ dense symmetric eigensolver, so agreement is a genuine two-route check.
 The long-double spectrum oracle evaluates the Gaussian column and its
 transform with 64-bit mantissas instead of 53.  The FFT-only search runs
 the minimal-extension search with a full FFT spectrum at every attempt,
-the reference for the package's screened search.
+the reference for the package's screened search.  `phi` and `rho_ext`
+are the paper's reflection, applied pointwise: the definition that the
+package's folded first column is checked against.  `bessel_k` is the
+linear K_nu of the package's one implementation, `log_bessel_k`.
 """
 
 import numpy as np
@@ -14,13 +17,36 @@ import pytest
 import scipy.fft
 
 from circembed import (Embedding, GridSpec, NotPositiveDefiniteError,
-                       PDUndecidableError, first_column, phi, spectrum)
+                       PDUndecidableError, first_column, spectrum)
+from circembed.specialfn import log_bessel_k
 
 
 def multi_indices(n_per_axis, d):
     axis = np.arange(n_per_axis)
     grids = np.meshgrid(*([axis] * d), indexing="ij")
     return np.stack([g.reshape(-1) for g in grids], axis=-1)
+
+
+def phi(x, ell: float):
+    """2*ell-periodic reflection map: x on [0, ell], 2*ell - x on [ell, 2*ell]."""
+    x = np.asarray(x, dtype=float)
+    y = np.mod(x, 2.0 * ell)
+    out = np.where(y <= ell, y, 2.0 * ell - y)
+    return float(out) if out.ndim == 0 else out
+
+
+def rho_ext(kernel, x, ell: float):
+    """Reflected periodic extension of the covariance, applied componentwise.
+
+    Coincides with rho on [0, ell]^d and is 2*ell-periodic per coordinate.
+    """
+    x = np.asarray(x, dtype=float)
+    return kernel.rho(phi(x, ell))
+
+
+def bessel_k(nu, x):
+    """K_nu(x) as exp(log_bessel_k(nu, x))."""
+    return np.exp(log_bessel_k(nu, x))
 
 
 def dense_extended_matrix(kernel, embedding: Embedding) -> np.ndarray:

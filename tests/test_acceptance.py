@@ -29,7 +29,6 @@ from circembed import (
     NotPositiveDefiniteError,
     PDUndecidableError,
     batch_sample_values,
-    bessel_k,
     continuous_eigenvalue,
     decay_report,
     first_column,
@@ -41,7 +40,7 @@ from circembed import (
     spectrum,
 )
 from circembed import plateau_end as _plateau_end
-from conftest import (dense_extended_matrix, dense_grid_matrix,
+from conftest import (bessel_k, dense_extended_matrix, dense_grid_matrix,
                       gaussian_spectrum_oracle, multi_indices)
 
 

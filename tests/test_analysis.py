@@ -402,12 +402,6 @@ class TestSamplingTheorem:
             lhs = sampling_theorem_check(k, h, xi, 40, 3).lhs
             assert lhs >= rhs_min - 1e-12
 
-    def test_warns_when_target_unreachable(self):
-        k = MaternKernel(1.0, 1.0, 0.5, 1)
-        with pytest.warns(UserWarning):
-            sampling_theorem_check(k, 0.25, 0.0, k_trunc=4, r_trunc=4,
-                                   target_residual=1e-12)
-
     def test_needs_spectral_density(self):
         k = CustomStationaryKernel(
             rho_fn=lambda x: np.exp(-np.abs(x).sum(axis=-1)), d=1)

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import time
 import warnings
 
 import numpy as np
@@ -170,6 +171,26 @@ class TestMinEll:
         assert code == 2 and captured.out == ""
         assert "tol must be >= 0 and finite" in captured.err
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("flags,message", [
+        # the column sum overflows at m0 already, and a larger m only adds
+        # terms: the search stops there instead of running on to m_max
+        (["--d", "2", "--nu", "1.5", "--sigma2", "1e308"],
+         "spectrum at m=8 is not finite"),
+        (["--d", "2", "--nu", "1.5", "--sigma2", "inf"],
+         "sigma2 must be positive and finite"),
+        # kappa would have no correct digit (eval_rel_error >= 1)
+        (["--d", "1", "--nu", "1e16"], "use nu=inf"),
+        (["--d", "1", "--nu", "1e200"], "use nu=inf"),
+    ])
+    def test_no_float64_spectrum_is_usage_error(self, flags, message, capsys):
+        start = time.perf_counter()
+        code = main(["min-ell", "--lambda", "0.5", "--m0", "8", *flags])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert message in captured.err and "Traceback" not in captured.err
+        assert elapsed < 1.0
 
     def test_out_from_config(self, tmp_path, capsys):
         # an `out` key in the config writes the same files as --out

@@ -18,12 +18,10 @@ from circembed import (
     first_column,
     gaussian_kernel,
     minimal_embedding,
-    phi,
-    rho_ext,
     spectrum,
 )
 from conftest import (dense_extended_matrix, dense_grid_matrix,
-                      gaussian_spectrum_oracle)
+                      gaussian_spectrum_oracle, phi, rho_ext)
 
 
 def exponential(d=1, lam=1.0, sigma2=1.0):

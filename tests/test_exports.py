@@ -4,11 +4,14 @@ import ast
 import importlib
 import inspect
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
 import circembed
 
+README = Path(__file__).resolve().parents[1] / "README.md"
 SUBMODULES = sorted(info.name for info in pkgutil.iter_modules(circembed.__path__))
 
 
@@ -41,3 +44,9 @@ def test_package_exports_are_exported_by_their_modules():
         if n not in getattr(module, "__all__", ()):
             unlisted.append(f"{source[n]}.{n}")
     assert unlisted == []
+
+
+def test_every_export_is_named_in_the_readme():
+    readme = README.read_text()
+    assert [n for n in circembed.__all__ if n != "__version__"
+            and not re.search(rf"\b{re.escape(n)}\b", readme)] == []

@@ -25,6 +25,15 @@ class TestConstruction:
             MaternKernel(sigma2=1.0, lam=-1.0, nu=1.0, d=1)
         with pytest.raises(ValueError):
             MaternKernel(sigma2=1.0, lam=1.0, nu=1.0, d=4)
+        with pytest.raises(ValueError, match="positive and finite"):
+            MaternKernel(sigma2=math.inf, lam=1.0, nu=1.0, d=1)
+
+    def test_nu_without_a_correct_digit_is_rejected(self):
+        # eval_rel_error is 0.0063 at nu = 1e12 and 83 at nu = 1e16
+        assert MaternKernel(1.0, 0.5, 1e12, 2).nu == 1e12
+        for nu in (1e16, 1e200):
+            with pytest.raises(ValueError, match="nu=inf"):
+                MaternKernel(1.0, 0.5, nu, 2)
 
     def test_small_nu_needs_flag(self):
         with pytest.raises(ValueError):
@@ -37,11 +46,13 @@ class TestConstruction:
         k = gaussian_kernel(2.0, 0.5, 3)
         assert k.is_gaussian and k.d == 3 and k.sigma2 == 2.0
 
-    def test_json_round_trip(self):
-        for k in (MaternKernel(1.5, 0.25, 2.0, 2), gaussian_kernel(1.0, 1.0, 3)):
-            k2 = MaternKernel.from_json(k.to_json())
-            assert k2 == MaternKernel(k.sigma2, k.lam, k.nu, k.d,
-                                      allow_small_nu=True)
+    def test_to_json_fields(self):
+        assert MaternKernel(1.5, 0.25, 2.0, 2).to_json() == {
+            "family": "matern", "sigma2": 1.5, "lambda": 0.25, "nu": 2.0,
+            "d": 2}
+        assert gaussian_kernel(1.0, 0.5, 3).to_json() == {
+            "family": "matern", "sigma2": 1.0, "lambda": 0.5, "nu": "inf",
+            "d": 3}
 
 
 class TestRho:
@@ -269,7 +280,8 @@ class TestCustomKernel:
         k = CustomStationaryKernel(
             rho_fn=lambda x: np.exp(-np.abs(x).sum(axis=-1)), d=2)
         assert k.rho(np.array([0.5, 0.5])) == pytest.approx(math.exp(-1.0))
-        assert not k.has_spectral_density
+        assert k.to_json() == {"family": "custom", "d": 2,
+                               "has_spectral_density": False}
 
     def test_missing_spectral_density(self):
         k = CustomStationaryKernel(

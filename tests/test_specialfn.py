@@ -3,8 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from circembed import bessel_k, gamma, inv_normal_cdf, log_gamma
+from circembed import inv_normal_cdf, log_gamma
 from circembed.specialfn import log_bessel_k
+from conftest import bessel_k
+
+
+def gamma(x):
+    """Gamma(x) as exp(log_gamma(x))."""
+    return np.exp(log_gamma(x))
 
 
 class TestGamma:
@@ -25,13 +31,9 @@ class TestGamma:
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            gamma(0.0)
+            log_gamma(0.0)
         with pytest.raises(ValueError):
-            gamma(-1.5)
-
-    def test_log_gamma_matches(self):
-        x = np.array([0.5, 1.0, 7.5, 20.0])
-        assert np.allclose(np.exp(log_gamma(x)), gamma(x), rtol=1e-13)
+            log_gamma(-1.5)
 
 
 class TestBesselK:
@@ -61,15 +63,6 @@ class TestBesselK:
             assert bessel_k(nu, 1e10) == 0.0
         assert np.array_equal(bessel_k(1.5, np.array([1e10, 1e300])),
                               np.zeros(2))
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            bessel_k(1.0, 0.0)
-        with pytest.raises(ValueError):
-            bessel_k(1.0, -2.0)
-
-    def test_order_symmetry(self):
-        assert bessel_k(-1.5, 2.0) == bessel_k(1.5, 2.0)
 
     def test_positive_decreasing(self):
         x = np.linspace(0.05, 30.0, 400)
