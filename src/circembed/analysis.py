@@ -319,29 +319,29 @@ def lattice_ordering(d: int, J: int) -> np.ndarray:
         raise ValueError("lattice_ordering: J must be >= 1")
     if d not in (1, 2, 3):
         raise ValueError("lattice_ordering: d must be 1, 2 or 3")
-    # radius guaranteeing at least J points: volume comparison with slack
+    # a ball of radius R holding at least J points.  It contains the cube
+    # of half-side a = R/sqrt(d) and its (2 floor(a) + 1)^d > (2a - 1)^d
+    # points, which exceed J whenever (2a + 1)^d >= 2J + 2d and
+    # (2a + 1) / (2a - 1) <= 2^(1/d), i.e. from R = 8 on; the tests count
+    # the balls of every smaller R
     R = 1
     while (2 * (R / math.sqrt(d)) + 1) ** d < 2 * J + 2 * d:
         R += 1
-    while True:
-        pts = _capped_grid(np.arange(-R, R + 1), d, "lattice box")
-        norm2 = np.sum(pts * pts, axis=1)
-        keep = norm2 <= R * R  # only full shells are safely ordered
-        pts, norm2 = pts[keep], norm2[keep]
-        if pts.shape[0] >= J:
-            break
-        R *= 2
+    pts = _capped_grid(np.arange(-R, R + 1), d, "lattice box")
+    norm2 = np.sum(pts * pts, axis=1)
+    keep = norm2 <= R * R  # only full shells are safely ordered
+    pts, norm2 = pts[keep], norm2[keep]
     keys = tuple(pts[:, i] for i in reversed(range(d))) + (norm2,)
     order = np.lexsort(keys)
     return pts[order[:J]]
 
 
-def plateau_end(spec: Spectrum, nu: float, d: int) -> int:
-    """First rank j with Lambda_j <= 2^-(nu + d/2) Lambda_1: how far the
-    Matern density has fallen at its corner frequency, where
-    (2 pi lam xi)^2 = 2 nu.  s when no eigenvalue has fallen that far."""
+def plateau_end(spec: Spectrum, nu: float) -> int:
+    """First rank j with Lambda_j <= 2^-(nu + d/2) Lambda_1, d that of the
+    spectrum's grid: how far the Matern density has fallen at its corner
+    frequency, where (2 pi lam xi)^2 = 2 nu.  s when none fell that far."""
     vals = np.sort(spec.values_flat)[::-1]
-    fallen = vals <= 2.0 ** -(nu + 0.5 * d) * vals[0]
+    fallen = vals <= 2.0 ** -(nu + 0.5 * spec.embedding.grid.d) * vals[0]
     return int(np.argmax(fallen)) + 1 if fallen.any() else vals.size
 
 
@@ -351,12 +351,12 @@ def decay_sequence(spec: Spectrum) -> np.ndarray:
     return np.sort(np.sqrt(np.maximum(flat, 0.0) / flat.size))[::-1]
 
 
-def decay_report(spec: Spectrum, nu: float, d: int,
+def decay_report(spec: Spectrum, nu: float,
                  fit_range: Optional[tuple] = None,
                  rel_tol: float = 0.15) -> DecayReport:
     """Fit the decay rate of the nonincreasing sqrt(Lambda_j / s) sequence
     on a log-log scale and compare with the conjectured exponent
-    -(1 + 2 nu / d) / 2.
+    -(1 + 2 nu / d) / 2, d that of the spectrum's grid.
 
     `fit_range` is an inclusive (j_lo, j_hi) rank window of two finite
     numbers, rounded inward to integer ranks.  The default
@@ -368,7 +368,7 @@ def decay_report(spec: Spectrum, nu: float, d: int,
     """
     s = spec.values_flat.size
     if fit_range is None:
-        j_lo, j_hi = plateau_end(spec, nu, d), int(math.floor(s**0.9))
+        j_lo, j_hi = plateau_end(spec, nu), int(math.floor(s**0.9))
     else:
         if not (isinstance(fit_range, (tuple, list)) and len(fit_range) == 2
                 and all(isinstance(v, numbers.Real) and math.isfinite(v)
@@ -384,7 +384,7 @@ def decay_report(spec: Spectrum, nu: float, d: int,
     window = (j >= j_lo) & (j <= j_hi)
     points = np.column_stack([j[window], vals[window]])
     positive = window & (vals > 0)
-    expected_beta = 0.5 * (1.0 + 2.0 * nu / d)
+    expected_beta = 0.5 * (1.0 + 2.0 * nu / spec.embedding.grid.d)
     x = np.log(j[positive])
     y = np.log(vals[positive])
     degenerate = bool(positive.sum() < 2 or np.ptp(y) == 0.0)

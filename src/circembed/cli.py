@@ -13,8 +13,9 @@ Subcommands:
 Each flag is declared once, in a parent parser shared by the commands that
 read it, and every search runs through `_search`.  A JSON config
 (--config) may set any flag by its destination (`lam`, `m_max`, `out`);
-explicit flags override it.  Defaults fill only absent settings, so an
-explicit 0 meets the checks of the code that reads it.  Exit codes: 0
+explicit flags override it.  A library setting that neither gives is
+not passed on, so its one default is the library's, and an explicit 0
+meets the checks of the code that reads it.  Exit codes: 0
 success, 2 flag/usage error (also an input too large to allocate), 3
 numerical failure (including a search that ends where float64 cannot
 decide positive definiteness), 4 I/O error.
@@ -41,9 +42,9 @@ from .analysis import (BoundConstants, calibrate_constants,
                        qmc_criterion_sum, sampling_theorem_check)
 from .embedding import GridSpec, minimal_embedding
 from .errors import CircembedError
-from .formats import (read_field_binary, write_csv, write_field_binary,
-                      write_field_csv, write_json, write_manifest,
-                      write_spectrum_csv)
+from .formats import (read_field_binary, spectrum_sidecar, write_csv,
+                      write_field_binary, write_field_csv, write_json,
+                      write_manifest, write_spectrum_csv)
 from .kernels import MaternKernel
 from .sampler import batch_sample_values
 from .validation import validate_samples
@@ -59,6 +60,8 @@ DERIVED_COLUMNS = ["d", "nu", "lambda", "m0", "log2_m0", "log_nu", "log_ell"]
 DECAY_COLUMNS = ["j", "sqrt_lambda_over_s"]
 # config keys a command reads as lists: the sweep's grid, the decay window
 LIST_KEYS = {"sweep": ("d", "nu", "lam", "m0"), "eig-decay": ("fit_range",)}
+# the settings of `minimal_embedding` that every searching command passes on
+SEARCH = {"tol": float, "m_max": int, "schedule": str}
 
 
 def _parse_nu(text: str) -> float:
@@ -94,6 +97,13 @@ def _get(params: dict, key: str, default):
     return default if value is None else value
 
 
+def _given(params: dict, casts: dict) -> dict:
+    """The settings named in `casts` that params hold, each cast; absent
+    ones are left to the defaults of the function they are passed to."""
+    return {key: cast(params[key]) for key, cast in casts.items()
+            if params.get(key) is not None}
+
+
 def _require(params: dict, *names):
     missing = [n for n in names if params.get(n) is None]
     if missing:
@@ -107,21 +117,15 @@ def _kernel_from(params: dict) -> MaternKernel:
                         d=int(params["d"]), allow_small_nu=True)
 
 
-def _search(params: dict, m_step: int = 1, needs: tuple = ()):
+def _search(params: dict, needs: tuple = (), settings: dict = SEARCH):
     """The search of every searching command: kernel and grid from `params`,
-    tol, m_max and schedule defaults, then `minimal_embedding`.  `needs`
+    then `minimal_embedding` with the `settings` that params hold.  `needs`
     names more required parameters, checked with m0 before the search.
     Returns (kernel, embedding, spectrum); spectrum.tolerance is the tol."""
     kernel = _kernel_from(params)
     _require(params, "m0", *needs)
     grid = GridSpec(d=kernel.d, m0=int(params["m0"]))
-    # recommended defaults: exact nonnegativity for finite smoothness,
-    # a 1e-13 absolute allowance for the Gaussian limit
-    tol = _get(params, "tol", 1e-13 if kernel.is_gaussian else 0.0)
-    emb, spec = minimal_embedding(
-        kernel, grid, tol=float(tol),
-        m_max=int(_get(params, "m_max", 100 * grid.m0)),
-        schedule=_get(params, "schedule", "increment"), m_step=m_step)
+    emb, spec = minimal_embedding(kernel, grid, **_given(params, settings))
     return kernel, emb, spec
 
 
@@ -169,7 +173,7 @@ def cmd_min_ell(params: dict) -> int:
     if params.get("export_spectrum") and params.get("out") is None:
         raise ValueError("min-ell --export-spectrum requires --out")
     t0 = time.perf_counter()
-    kernel, emb, spec = _search(params, m_step=int(_get(params, "m_step", 1)))
+    kernel, emb, spec = _search(params, settings={**SEARCH, "m_step": int})
     wall = time.perf_counter() - t0
     report = {"m": emb.m, "ell": emb.ell, "s": emb.s,
               "min_eig": spec.min_value, "rounding_bound": spec.rounding_bound,
@@ -246,8 +250,7 @@ def cmd_eig_decay(params: dict) -> int:
     if lo is not None:
         params["fit_range"] = [lo, hi]
     kernel, emb, spec = _search(params)
-    rep = decay_report(spec, kernel.nu, kernel.d,
-                       fit_range=params.get("fit_range"))
+    rep = decay_report(spec, kernel.nu, fit_range=params.get("fit_range"))
     decay_path = write_csv(
         _out_dir(params) / "decay.csv", DECAY_COLUMNS,
         ([j, v] for j, v in enumerate(decay_sequence(spec).tolist(), 1)))
@@ -287,28 +290,24 @@ def cmd_sample(params: dict) -> int:
     seed = int(_get(params, "seed", 0))
     lognormal = bool(params.get("lognormal"))
     fmt = _get(params, "format", "bin")
+    if fmt not in ("bin", "csv"):
+        raise ValueError(f"unknown format {fmt!r} (expected csv or bin)")
     kernel, emb, spec = _search(params)
     grid = emb.grid
     mean, mean_meta = _parse_mean(params.get("mean"))
     values = batch_sample_values(spec, mean, n, seed, lognormal=lognormal)
     out = _out_dir(params)
-    sidecar = {
-        "kernel": kernel.to_json(), "d": grid.d, "m0": grid.m0,
-        "m": emb.m, "ell": emb.ell, "s": emb.s, "tol": spec.tolerance,
-        "min_eig": spec.min_value, "n_samples": n, "seed": seed,
-        "lognormal": lognormal, **mean_meta,
-    }
+    sidecar = {**spectrum_sidecar(spec, kernel), "n_samples": n,
+               "seed": seed, "lognormal": lognormal, **mean_meta}
     files = []
     if fmt == "bin":
         files.append(write_field_binary(out / "fields.bin", values,
                                         d=grid.d, m0=grid.m0, sidecar=sidecar))
-    elif fmt == "csv":
+    else:
         for i in range(n):
             files.append(write_field_csv(out / f"sample_{i:06d}.csv",
                                          values[i], grid))
         write_json(out / "fields.json", sidecar)
-    else:
-        raise ValueError(f"unknown format {fmt!r} (expected csv or bin)")
     report = {"n": n, "m": emb.m, "ell": emb.ell, "s": emb.s,
               "files": [str(f) for f in files][:8]}
     _emit(params, report, files)
@@ -375,11 +374,11 @@ def cmd_continuous_eigs(params: dict) -> int:
     kernel = _kernel_from(params)
     _require(params, "ell")
     ell = float(params["ell"])
-    quad_n = int(_get(params, "quad_n", 64))
+    quad = _given(params, {"quad_n": int})
     rows = {}
     for k in (int(v) for v in str(_get(params, "k", "0")).split(",")):
         kvec = [k] + [0] * (kernel.d - 1)  # first-axis wavenumber
-        rows[str(k)] = continuous_eigenvalue(kernel, ell, kvec, quad_n=quad_n)
+        rows[str(k)] = continuous_eigenvalue(kernel, ell, kvec, **quad)
     _emit(params, {"ell": ell, "lambda_ext": rows})
     return EXIT_OK
 

@@ -416,12 +416,14 @@ def _exhausted(spec: Spectrum, tol: float, m_max: int, attempts: tuple):
         attempts=attempts)
 
 
-def minimal_embedding(kernel, grid: GridSpec, tol: float = 0.0,
-                      m_max: int = 4096, schedule: str = "increment",
-                      m_start: int | None = None, m_step: int = 1):
+def minimal_embedding(kernel, grid: GridSpec, tol: float | None = None,
+                      m_max: int | None = None, schedule: str = "increment",
+                      m_step: int = 1):
     """Smallest extension m >= m0 whose circulant spectrum is nonnegative
     to tolerance, i.e. min eigenvalue >= -tol (tol is absolute, on the
-    unnormalized eigenvalues).
+    unnormalized eigenvalues).  The search starts at m0.  By default tol
+    is 1e-13 for a Gaussian kernel, whose true spectrum decays below
+    double precision, and 0 otherwise, and m_max is 100 m0.
 
     Returns (Embedding, Spectrum) with eigenvalues in (-tol, 0) clamped to
     zero so downstream square roots stay real.  `min_value` on the returned
@@ -465,14 +467,13 @@ def minimal_embedding(kernel, grid: GridSpec, tol: float = 0.0,
     decided.  The m returned or run out at is transformed at most once
     by each of the DCT-I and the FFT.
     """
+    tol = (1e-13 if kernel.is_gaussian else 0.0) if tol is None else tol
+    m_max = 100 * grid.m0 if m_max is None else m_max
     if not 0 <= tol < math.inf:
         raise ValueError("minimal_embedding: tol must be >= 0 and finite")
     if m_step < 1:
         raise ValueError("minimal_embedding: m_step must be >= 1")
-    start = grid.m0 if m_start is None else m_start
-    if start < grid.m0:
-        raise ValueError("minimal_embedding: m_start must be >= m0")
-    if m_max < start:
+    if m_max < grid.m0:
         raise ValueError("minimal_embedding: m_max must be >= the start m")
     if schedule not in ("increment", "doubling"):
         raise ValueError(f"unknown schedule {schedule!r}")
@@ -533,9 +534,9 @@ def minimal_embedding(kernel, grid: GridSpec, tol: float = 0.0,
         record.append((m, decider))
         return spec.min_value >= -tol, spec
 
-    # lo is the largest m known to fail: start - 1 until one does, and m
+    # lo is the largest m known to fail: m0 - 1 until one does, and m
     # itself when the search runs out, so that no bisection follows
-    m, lo = start, start - 1
+    m, lo = grid.m0, grid.m0 - 1
     ok, spec = attempt(m)
     while not ok:
         lo = m

@@ -132,26 +132,24 @@ def write_field_csv(path, values: np.ndarray, grid: GridSpec) -> Path:
                      (k + [v] for k, v in zip(idx.tolist(), values.tolist())))
 
 
+def spectrum_sidecar(spec: Spectrum, kernel) -> dict:
+    """The sidecar keys of every file made from a searched spectrum: its
+    grid, extension, tol and minimum eigenvalue, and the kernel."""
+    emb = spec.embedding
+    return {"d": emb.grid.d, "m0": emb.grid.m0, "m": emb.m, "ell": emb.ell,
+            "s": emb.s, "tol": spec.tolerance, "min_eig": spec.min_value,
+            "kernel": kernel.to_json() if kernel is not None else None}
+
+
 def write_spectrum_csv(path, spec: Spectrum, kernel=None) -> Path:
     """Export a spectrum as CSV (index_lex, k1..kd, lambda_ext) with a JSON
-    sidecar recording the embedding and kernel."""
-    emb = spec.embedding
-    grid = emb.grid
-    d = grid.d
-    idx = grid_points(np.arange(2 * emb.m), d)
+    sidecar recording the embedding and kernel (`spectrum_sidecar`)."""
+    d, m = spec.embedding.grid.d, spec.embedding.m
+    idx = grid_points(np.arange(2 * m), d)
     path = write_csv(path, ["index_lex"] + [f"k{i + 1}" for i in range(d)]
                      + ["lambda_ext"],
                      ([i, *k, v] for i, (k, v) in enumerate(
                          zip(idx.tolist(), spec.values_flat.tolist()))))
-    sidecar = {
-        "d": d,
-        "m0": grid.m0,
-        "m": emb.m,
-        "ell": emb.ell,
-        "s": emb.s,
-        "tol": spec.tolerance,
-        "min_eig": spec.min_value,
-        "kernel": kernel.to_json() if kernel is not None else None,
-    }
-    write_json(path.with_suffix(path.suffix + ".json"), sidecar)
+    write_json(path.with_suffix(path.suffix + ".json"),
+               spectrum_sidecar(spec, kernel))
     return path

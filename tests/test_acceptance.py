@@ -282,8 +282,8 @@ def test_criterion_5_eigenvalue_decay_stated_window(decay_spectra):
     for d, nu, lam, m0, rel_tol in DECAY_CASES:
         spec = decay_spectra[(d, nu)]
         s = spec.values_flat.size
-        j_lo = _plateau_end(spec, nu, d)
-        rep = decay_report(spec, nu, d, fit_range=(j_lo, s**0.9),
+        j_lo = _plateau_end(spec, nu)
+        rep = decay_report(spec, nu, fit_range=(j_lo, s**0.9),
                            rel_tol=rel_tol)
         results.append((d, nu, rep.j_lo, rep.slope, -rep.expected_beta,
                         rep.rel_dev, rep.passed))
@@ -306,7 +306,7 @@ def test_companion_5_eigenvalue_decay_tail_window(decay_spectra):
     for d, nu, lam, m0, rel_tol in DECAY_CASES:
         spec = decay_spectra[(d, nu)]
         s = spec.values_flat.size
-        rep = decay_report(spec, nu, d, fit_range=(s**0.5, s**0.9),
+        rep = decay_report(spec, nu, fit_range=(s**0.5, s**0.9),
                            rel_tol=rel_tol)
         results.append((d, nu, rep.slope, -rep.expected_beta, rep.rel_dev,
                         rep.passed))

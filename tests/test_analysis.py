@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,10 +9,13 @@ from circembed import analysis
 from circembed import (
     BoundConstants,
     CapabilityError,
+    ConvergenceError,
     CustomStationaryKernel,
     Embedding,
     GridSpec,
     MaternKernel,
+    NotPositiveDefiniteError,
+    QuadratureError,
     Spectrum,
     calibrate_constants,
     continuous_eigenvalue,
@@ -71,6 +75,38 @@ class TestPdCriterion:
             rho_fn=lambda x: np.exp(-np.abs(x).sum(axis=-1)), d=1)
         with pytest.raises(CapabilityError):
             pd_criterion(k, GridSpec(d=1, m0=8), ell=2.0)
+
+
+class TestTailIntegrals:
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    def test_divergent_tail_raises_quadrature_error(self):
+        # kappa(r) = 1 / (1 + r) is not integrable on the half line
+        kernel = SimpleNamespace(is_isotropic=True, d=1,
+                                 kappa=lambda r: 1.0 / (1.0 + r))
+        with pytest.raises(QuadratureError,
+                           match="tail quadrature did not converge"):
+            analysis.covariance_tail_integral(kernel, 0.0)
+
+
+class TestTailTruncationRadius:
+    def test_stops_where_the_kernel_underflows(self):
+        # kappa(h0 (m + 1) / lam) = exp(-1125) is 0 in float64
+        kernel = MaternKernel(1.0, 1e-3, 0.5, 1)
+        assert kernel.kappa(1125.0) == 0.0
+        assert analysis._tail_truncation_radius(kernel, 1 / 8, 8, 1) == 9
+
+    def test_stops_where_the_remainder_is_below_tail_tol(self):
+        kernel = MaternKernel(1.0, 1.0, 0.5, 1)
+        K = analysis._tail_truncation_radius(kernel, 1 / 8, 8, 1)
+        # the shells past K sum to 2 exp(-(K + 1) / 8) / (1 - exp(-1/8))
+        remainder = 2 * math.exp(-(K + 1) / 8) / (1 - math.exp(-1 / 8))
+        assert K > 9 and remainder < analysis.TAIL_TOL
+
+    def test_a_tail_that_does_not_decay_raises(self):
+        kernel = SimpleNamespace(lam=1.0, kappa=lambda r: 1.0)
+        with pytest.raises(NotPositiveDefiniteError,
+                           match="covariance tail does not decay"):
+            analysis._tail_truncation_radius(kernel, 1 / 8, 8, 1)
 
 
 class TestEigenLowerBoundChecks:
@@ -217,6 +253,23 @@ class TestContinuousEigenvalue:
         slope = np.polyfit(ells, np.log(errs), 1)[0]
         assert slope <= -0.8 * math.sqrt(k.nu / 2.0) / k.lam
 
+    def test_grid_too_large_raises_convergence_error(self):
+        # 257^3 points exceed the 2^24 the rectangle rule may take
+        k = MaternKernel(1.0, 1.0, 0.5, 3)
+        with pytest.raises(ConvergenceError,
+                           match="rectangle rule grid too large"):
+            continuous_eigenvalue(k, 1.0, [0, 0, 0], quad_n=257)
+
+    def test_no_convergence_raises_convergence_error(self):
+        # a jump at 1/3, which no dyadic grid holds: the rectangle rule
+        # moves by about 1/n at every doubling
+        k = CustomStationaryKernel(
+            rho_fn=lambda x: (np.abs(x[:, 0]) < 1 / 3).astype(float), d=1)
+        with pytest.raises(ConvergenceError,
+                           match="did not converge to rel_tol=1e-08 within "
+                                 "16 doublings"):
+            continuous_eigenvalue(k, 1.0, [0], quad_n=2)
+
     def test_two_dimensional_mode(self):
         # at ell/lam = 6 the periodization gap exp(-(ell/lam)^2/2) ~ 2e-8,
         # so the full-line transform is a valid reference at 1e-6
@@ -241,6 +294,14 @@ class TestLatticeOrdering:
             norms = np.linalg.norm(lat, axis=1)
             assert np.all(np.diff(norms) >= -1e-12)
             assert np.all(lat[0] == 0)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_first_ball_holds_j_points(self, d):
+        # every J whose ball radius R is below 8, where the count of the
+        # inscribed cube alone does not show that the ball holds J points
+        j_max = int(((14 / math.sqrt(d) + 1) ** d - 2 * d) // 2)
+        for J in range(1, j_max + 1):
+            assert lattice_ordering(d, J).shape == (J, d), J
 
     def test_lattice_box_is_capped(self, monkeypatch):
         # J = 50 in d = 2 starts from the box {-7..7}^2: 225 points
@@ -283,8 +344,7 @@ class TestDecayReport:
     def test_recovers_synthetic_power_law(self):
         emb = Embedding(GridSpec(d=1, m0=2), m=512)
         spec = self._synthetic(1024, beta=2.5, emb=emb)
-        rep = decay_report(spec, nu=2.5 * 1 - 0.5, d=1,
-                           fit_range=(4, 600))
+        rep = decay_report(spec, nu=2.5 * 1 - 0.5, fit_range=(4, 600))
         # expected beta for nu = 2, d = 1 is (1 + 4)/2 = 2.5: exact match
         assert rep.expected_beta == pytest.approx(2.5)
         assert rep.slope == pytest.approx(-2.5, rel=1e-10)
@@ -294,7 +354,7 @@ class TestDecayReport:
         emb = Embedding(GridSpec(d=1, m0=2), m=8)
         spec = Spectrum(values=np.full(16, 3.0), min_value=3.0, tolerance=0.0,
                         embedding=emb)
-        rep = decay_report(spec, nu=1.0, d=1)
+        rep = decay_report(spec, nu=1.0)
         assert rep.degenerate and not rep.passed and rep.slope == 0.0
 
     def test_tail_window_matches_conjecture_small_case(self):
@@ -303,7 +363,7 @@ class TestDecayReport:
         emb, spec = minimal_embedding(k, GridSpec(d=2, m0=16), tol=0.0,
                                       schedule="doubling")
         s = emb.s
-        rep = decay_report(spec, nu=4.0, d=2, fit_range=(s**0.5, s**0.9),
+        rep = decay_report(spec, nu=4.0, fit_range=(s**0.5, s**0.9),
                            rel_tol=0.15)
         assert rep.passed, (rep.slope, rep.expected_beta)
 
@@ -312,15 +372,15 @@ class TestDecayReport:
         spec = Spectrum(values=np.full(16, 3.0), min_value=3.0, tolerance=0.0,
                         embedding=emb)
         with pytest.raises(ValueError):
-            decay_report(spec, nu=1.0, d=1, fit_range=(8, 4))
+            decay_report(spec, nu=1.0, fit_range=(8, 4))
 
     def test_default_window_starts_at_plateau_end(self):
         # the rank window [s^0.1, s^0.6] lies on the plateau here and fits
         # slope -0.77; from the plateau end to s^0.9 the rate is met
         k = MaternKernel(1.0, 0.25, 4.0, 2)
         emb, spec = minimal_embedding(k, GridSpec(d=2, m0=32), tol=0.0)
-        rep = decay_report(spec, nu=4.0, d=2)
-        assert rep.j_lo == plateau_end(spec, 4.0, 2) == 194
+        rep = decay_report(spec, nu=4.0)
+        assert rep.j_lo == plateau_end(spec, 4.0) == 194
         assert rep.j_hi == math.floor(emb.s**0.9) == 7483
         assert rep.slope == pytest.approx(-2.207, abs=1e-3)
         assert rep.passed and not rep.degenerate
@@ -330,7 +390,7 @@ class TestDecayReport:
         emb = Embedding(GridSpec(d=1, m0=1), m=1)
         spec = Spectrum(values=np.array([3.0, 1e-6]), min_value=1e-6,
                         tolerance=0.0, embedding=emb)
-        rep = decay_report(spec, nu=1.0, d=1)
+        rep = decay_report(spec, nu=1.0)
         assert rep.j_lo > rep.j_hi and len(rep.points) == 0
         assert rep.degenerate and not rep.passed
 

@@ -8,6 +8,9 @@ import numpy as np
 import pytest
 import scipy
 
+from circembed import (GridSpec, MaternKernel, continuous_eigenvalue,
+                       minimal_embedding)
+from circembed.analysis import decay_sequence
 from circembed.cli import main
 from circembed.formats import read_field_binary, write_field_binary
 from circembed.sampler import worker_count
@@ -17,6 +20,76 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, (json.loads(out) if out.strip().startswith("{") else out)
+
+
+def usage_error(capsys, *argv) -> str:
+    """The message of a command that exits 2 on its input, printing no
+    report and no traceback."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "Traceback" not in captured.err
+    return captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep"],
+    ["sample", "--d", "1", "--nu", "0.5", "--lambda", "0.5", "--m0", "4"],
+    ["eig-decay", "--d", "1", "--nu", "1.5", "--lambda", "0.5", "--m0", "8"],
+], ids=["sweep", "sample", "eig-decay"])
+def test_writing_commands_require_out(argv, capsys):
+    assert f"{argv[0]} requires --out" in usage_error(capsys, *argv)
+
+
+class TestSearchDefaults:
+    """The searching commands pass tol, m_max and schedule on only when a
+    flag or config key sets them, so without them each reports the search
+    `minimal_embedding(kernel, grid)` makes with its own defaults."""
+
+    @pytest.mark.parametrize("nu,lam,m0", [("inf", 0.25, 32),
+                                           ("1.5", 0.25, 16)],
+                             ids=["gaussian", "matern"])
+    def test_min_ell_and_sample_make_the_librarys_search(self, nu, lam, m0,
+                                                         tmp_path, capsys):
+        emb, spec = minimal_embedding(MaternKernel(1.0, lam, float(nu), 2),
+                                      GridSpec(d=2, m0=m0))
+        want = {"m": emb.m, "min_eig": spec.min_value,
+                "tol": spec.tolerance}
+        assert want["tol"] == (1e-13 if nu == "inf" else 0.0)
+        shape = ["--d", "2", "--nu", nu, "--lambda", str(lam),
+                 "--m0", str(m0)]
+        code, payload = run(capsys, "min-ell", *shape)
+        assert code == 0
+        assert {key: payload["report"][key] for key in want} == want
+        code, _ = run(capsys, "sample", *shape, "--n", "1",
+                      "--out", str(tmp_path))
+        assert code == 0
+        sidecar = json.loads((tmp_path / "fields.bin.json").read_text())
+        assert {key: sidecar[key] for key in want} == want
+
+    def test_eig_decay_makes_the_librarys_search(self, tmp_path, capsys):
+        # its report gives m, and decay.csv the spectrum the search returned
+        emb, spec = minimal_embedding(MaternKernel(1.0, 0.25, 1.5, 2),
+                                      GridSpec(d=2, m0=16))
+        code, payload = run(capsys, "eig-decay", "--d", "2", "--nu", "1.5",
+                            "--lambda", "0.25", "--m0", "16",
+                            "--out", str(tmp_path))
+        assert code == 0 and payload["report"]["m"] == emb.m
+        with open(tmp_path / "decay.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [float(v) for _, v in rows] == decay_sequence(spec).tolist()
+
+    def test_continuous_eigs_quad_n_is_the_librarys(self, capsys):
+        kernel = MaternKernel(1.0, 1.0, 1.5, 1)
+        argv = ["theory", "continuous-eigs", "--d", "1", "--nu", "1.5",
+                "--lambda", "1.0", "--ell", "2", "--k", "1"]
+        code, payload = run(capsys, *argv)
+        assert code == 0
+        assert payload["report"]["lambda_ext"]["1"] == \
+            continuous_eigenvalue(kernel, 2.0, [1])
+        # an explicit 0 is a value, which the library rejects
+        err = usage_error(capsys, *argv, "--quad-n", "0")
+        assert "quad_n must be >= 2" in err
 
 
 class TestMinEll:
@@ -273,6 +346,25 @@ class TestSweep:
         assert rows[0]["error"] == "" and rows[1]["error"] != ""
         assert payload["report"]["failures"] == 1
 
+    def test_scalar_grid_value_is_one_point(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"d": 1, "nu": 0.5, "lam": 1.0,
+                                   "m0": [4, 8], "tol": 0.0}))
+        code, payload = run(capsys, "sweep", "--config", str(cfg),
+                            "--out", str(tmp_path / "sweep"))
+        assert code == 0 and payload["report"]["points"] == 2
+        with open(tmp_path / "sweep" / "sweep.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["d"], r["nu"], r["lambda"], r["m0"]) for r in rows] == [
+            ("1", "0.5", "1.0", "4"), ("1", "0.5", "1.0", "8")]
+
+    def test_missing_grid_key_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"d": [1], "nu": [0.5], "m0": [4]}))
+        err = usage_error(capsys, "sweep", "--config", str(cfg),
+                          "--out", str(tmp_path / "sweep"))
+        assert "sweep config must list values for 'lam'" in err
+
     def test_thread_count_does_not_change_output(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
@@ -377,6 +469,43 @@ class TestSample:
             assert rows[0] == ["k1", "value"]
             assert len(rows) == 6
 
+    def test_unknown_format_is_rejected_before_the_search(
+            self, tmp_path, capsys, monkeypatch):
+        # argparse guards --format, not the config
+        import circembed.cli as cli
+
+        def never(*args, **kwargs):
+            raise AssertionError("a search or batch ran")
+
+        monkeypatch.setattr(cli, "minimal_embedding", never)
+        monkeypatch.setattr(cli, "batch_sample_values", never)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"format": "xml"}))
+        out = tmp_path / "out"
+        err = usage_error(capsys, "sample", "--config", str(cfg), "--d", "2",
+                          "--nu", "1.5", "--lambda", "0.25", "--m0", "64",
+                          "--n", "2000", "--out", str(out))
+        assert "unknown format 'xml' (expected csv or bin)" in err
+        assert not out.exists()
+
+    def test_sidecars_share_the_spectrum_keys(self, tmp_path, capsys):
+        # min-ell's spectrum export and both sample formats describe the
+        # same search with the same keys and values
+        shape = ["--d", "2", "--nu", "1.5", "--lambda", "0.5", "--m0", "4"]
+        run(capsys, "min-ell", *shape, "--export-spectrum",
+            "--out", str(tmp_path / "a"))
+        run(capsys, "sample", *shape, "--format", "bin",
+            "--out", str(tmp_path / "b"))
+        run(capsys, "sample", *shape, "--format", "csv",
+            "--out", str(tmp_path / "c"))
+        meta = json.loads((tmp_path / "a" / "spectrum.csv.json").read_text())
+        assert set(meta) == {"d", "m0", "m", "ell", "s", "tol", "min_eig",
+                             "kernel"}
+        for path in (tmp_path / "b" / "fields.bin.json",
+                     tmp_path / "c" / "fields.json"):
+            sidecar = json.loads(path.read_text())
+            assert {key: sidecar[key] for key in meta} == meta
+
     @pytest.mark.parametrize("n", ["0", "-2"])
     def test_sample_count_below_one_is_usage_error(self, n, tmp_path,
                                                    capsys):
@@ -403,6 +532,30 @@ class TestSample:
         assert code == 0
         values, _ = read_field_binary(tmp_path / "fields.bin")
         assert values.mean() == pytest.approx(10.0, abs=2.0)
+
+    def test_mean_from_file(self, tmp_path, capsys):
+        (tmp_path / "mean.txt").write_text("0\n1\n2\n3\n4\n")
+        mean = f"file:{tmp_path / 'mean.txt'}"
+        base = ["sample", "--d", "1", "--nu", "0.5", "--lambda", "0.5",
+                "--m0", "4", "--n", "2", "--seed", "5"]
+        run(capsys, *base, "--out", str(tmp_path / "zero"))
+        code, _ = run(capsys, *base, "--mean", mean,
+                      "--out", str(tmp_path / "file"))
+        assert code == 0
+        zero, _ = read_field_binary(tmp_path / "zero" / "fields.bin")
+        shifted, _ = read_field_binary(tmp_path / "file" / "fields.bin")
+        assert np.allclose(shifted - zero, np.arange(5.0), rtol=0,
+                           atol=1e-12)
+        sidecar = json.loads((tmp_path / "file" / "fields.bin.json")
+                             .read_text())
+        assert sidecar["mean"] == mean
+
+    def test_malformed_mean_is_usage_error(self, tmp_path, capsys):
+        err = usage_error(capsys, "sample", "--d", "1", "--nu", "0.5",
+                          "--lambda", "0.5", "--m0", "4", "--mean", "1.0",
+                          "--out", str(tmp_path))
+        assert "--mean must be const:<value> or file:<path>" in err
+        assert not (tmp_path / "fields.bin").exists()
 
     @pytest.mark.parametrize("mean", ["const:nan", "const:inf", "file"])
     def test_mean_not_finite_is_usage_error(self, mean, tmp_path, capsys):
@@ -468,6 +621,14 @@ class TestValidateCommand:
         assert code == 2
         assert "finite" in err and "Traceback" not in err
 
+    def test_d_that_disagrees_with_the_file_is_usage_error(self, tmp_path,
+                                                           capsys):
+        path = write_field_binary(tmp_path / "fields.bin", np.zeros((2, 5)),
+                                  d=1, m0=4)
+        err = usage_error(capsys, "validate", "--samples", str(path),
+                          "--d", "2", "--nu", "0.5", "--lambda", "0.5")
+        assert "--d 2 does not match file d=1" in err
+
     def test_missing_file_is_io_error(self, capsys):
         code, _ = run(capsys, "validate", "--samples", "/nonexistent/x.bin",
                       "--d", "1", "--nu", "0.5", "--lambda", "0.5")
@@ -487,6 +648,13 @@ class TestEigDecay:
         assert rows[0] == ["j", "sqrt_lambda_over_s"]
         vals = [float(r[1]) for r in rows[1:]]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
+
+    def test_gaussian_is_usage_error(self, tmp_path, capsys):
+        err = usage_error(capsys, "eig-decay", "--d", "1", "--nu", "inf",
+                          "--lambda", "0.5", "--m0", "8",
+                          "--out", str(tmp_path / "out"))
+        assert "eig-decay expects a finite smoothness nu" in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("config,flags,message", [
         ({"fit_range": 5}, [], "two finite numbers, not 5"),
@@ -542,6 +710,11 @@ class TestTheory:
         assert code == 0
         expected = 1.0 + 0.5 * max(math.sqrt(2) * 8.0, 3.0)
         assert payload["report"]["gaussian_ell_bound"] == pytest.approx(expected)
+
+    def test_bounds_gaussian_without_b_is_usage_error(self, capsys):
+        err = usage_error(capsys, "theory", "bounds", "--nu", "inf",
+                          "--lambda", "0.5", "--m0", "16")
+        assert "gaussian bound needs --b or --calibrate-from" in err
 
     def test_bounds_calibrated_from_sweep(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

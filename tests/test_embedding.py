@@ -221,13 +221,25 @@ class TestMinimalEmbedding:
         assert 0 < spec.min_value < spec.rounding_bound
         assert spec.certified is False
 
-    def test_restart_consistency(self):
-        k = MaternKernel(1.0, 0.5, 1.0, 2)
-        grid = GridSpec(d=2, m0=8)
-        emb1, spec1 = minimal_embedding(k, grid, tol=0.0)
-        emb2, spec2 = minimal_embedding(k, grid, tol=0.0, m_start=emb1.m)
-        assert emb1.m == emb2.m
-        assert np.array_equal(spec1.values, spec2.values)
+    def test_gaussian_default_tol(self):
+        # 1e-13 accepts at m = 66; with tol = 0 every m up to 128 stays
+        # undecided in float64
+        kernel, grid = gaussian_kernel(1.0, 0.25, 2), GridSpec(d=2, m0=32)
+        emb, spec = minimal_embedding(kernel, grid, m_max=128)
+        assert emb.m == 66 and spec.tolerance == 1e-13
+        with pytest.raises(PDUndecidableError):
+            minimal_embedding(kernel, grid, tol=0.0, m_max=128)
+
+    def test_default_tol_and_m_max(self):
+        # finite nu: tol 0; the search runs out at m_max = 100 m0
+        _, spec = minimal_embedding(MaternKernel(1.0, 0.5, 1.5, 1),
+                                    GridSpec(d=1, m0=8))
+        assert spec.tolerance == 0.0
+        with pytest.raises(NotPositiveDefiniteError) as info:
+            minimal_embedding(gaussian_kernel(1.0, 1.0, 1),
+                              GridSpec(d=1, m0=8), tol=0.0)
+        assert info.value.m_max == 800
+        assert info.value.attempts[-1][0] == 800
 
     @pytest.mark.parametrize("d,nu,lam,m0", [
         (1, 0.5, 1.0, 8), (1, 1.5, 0.5, 8), (2, 1.0, 0.5, 8),

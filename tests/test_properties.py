@@ -14,8 +14,8 @@ import scipy.fft
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from circembed import (Embedding, GridSpec, MaternKernel,
-                       NotPositiveDefiniteError, Spectrum,
+from circembed import (CustomStationaryKernel, Embedding, GridSpec,
+                       MaternKernel, NotPositiveDefiniteError, Spectrum,
                        batch_sample_values, draw_normal, embedding,
                        first_column, minimal_embedding, sample, sampler,
                        spectrum)
@@ -118,6 +118,35 @@ def test_screened_search_equals_fft_only_search(case):
                        column_rel_error=kernel.eval_rel_error)
         gap = np.abs(spec.values - np.maximum(fft.values, 0.0)).max()
         assert gap <= 2 * b
+
+
+def anisotropic_matern(d: int) -> CustomStationaryKernel:
+    """The Matern-3/2 profile (1 + r) e^-r of r = sqrt(3) |x / scale| with
+    a scale per axis: a stationary kernel, even in each coordinate, that
+    is not isotropic."""
+    scale = np.array([0.5, 0.25, 0.4][:d])
+
+    def rho(x):
+        r = math.sqrt(3.0) * np.sqrt(((x / scale) ** 2).sum(axis=-1))
+        return (1.0 + r) * np.exp(-r)
+
+    return CustomStationaryKernel(rho_fn=rho, d=d)
+
+
+@pytest.mark.parametrize("schedule", ["increment", "doubling"])
+@pytest.mark.parametrize("d,m0,m_max", [
+    (2, 16, 1600),  # accepts at m = 47
+    (3, 8, 800),    # accepts at m = 25; the witness fails most m >= 15
+    (2, 8, 12),     # runs out at m_max
+])
+def test_lattice_search_equals_fft_only_search(schedule, d, m0, m_max):
+    # a kernel that is not isotropic takes its blocks from the lattice,
+    # and its rounding bound from `CustomStationaryKernel.eval_rel_error`
+    kernel, grid = anisotropic_matern(d), GridSpec(d=d, m0=m0)
+    got, b, _ = screened_outcome(kernel, grid, 0.0, m_max, schedule)
+    want = fft_only_search(kernel, grid, 0.0, m_max, schedule)
+    assert got[:2] + got[3:] == want[:2] + want[3:]
+    assert abs(got[2] - want[2]) <= 2 * b
 
 
 @st.composite

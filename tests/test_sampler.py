@@ -265,8 +265,7 @@ class TestBatchSample:
         # samples would hold all 64 at once, about 9 GB of transforms
         from circembed.sampler import SAMPLE_BUDGET_BYTES
         k = MaternKernel(1.0, 0.5, 0.5, 3)
-        emb, spec = minimal_embedding(k, GridSpec(d=3, m0=16), tol=0.0,
-                                      m_start=61)
+        emb, spec = minimal_embedding(k, GridSpec(d=3, m0=16), tol=0.0)
         assert emb.m == 61
         tracemalloc.start()
         try:
@@ -281,8 +280,7 @@ class TestBatchSample:
         # one chunk in flight per CPU would hold 16 of these 29 MB rows
         from circembed.sampler import SAMPLE_BUDGET_BYTES
         k = MaternKernel(1.0, 0.5, 0.5, 3)
-        emb, spec = minimal_embedding(k, GridSpec(d=3, m0=16), tol=0.0,
-                                      m_start=61)
+        emb, spec = minimal_embedding(k, GridSpec(d=3, m0=16), tol=0.0)
         assert emb.m == 61
         tracemalloc.start()
         try:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from circembed import inv_normal_cdf, log_gamma
-from circembed.specialfn import log_bessel_k
+from circembed.specialfn import log_bessel_k, log_gamma_ratio
 from conftest import bessel_k
 
 
@@ -34,6 +34,19 @@ class TestGamma:
             log_gamma(0.0)
         with pytest.raises(ValueError):
             log_gamma(-1.5)
+
+
+class TestLogGammaRatio:
+    @pytest.mark.parametrize("nu", [1e8, 1e10, 1e14, 1e300])
+    @pytest.mark.parametrize("a", [0.5, 1.0, 1.5])
+    def test_large_nu_matches_mpmath(self, nu, a):
+        # from nu = 1e8 on: a ln(nu) + a (a - 1) / (2 nu), whose next
+        # term is O(nu^-2)
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(int(math.log10(nu)) + 30):  # nu + a exactly
+            x = mpmath.mpf(nu)
+            exact = float(mpmath.loggamma(x + a) - mpmath.loggamma(x))
+        assert log_gamma_ratio(nu, a) == pytest.approx(exact, rel=1e-15)
 
 
 class TestBesselK:
