@@ -22,8 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .embedding import Embedding, GridSpec, Spectrum, grid_points
-from .errors import (CapabilityError, ConvergenceError,
-                     NotPositiveDefiniteError, QuadratureError)
+from .errors import CapabilityError, ConvergenceError, QuadratureError
 from .kernels import MaternKernel
 
 __all__ = [
@@ -54,6 +53,7 @@ LATTICE_BOX_CAP = 50_000_000  # points in one truncated lattice box
 
 # Covariance tail `eigen_lower_bound_diagnostic` may leave out of its sum.
 TAIL_TOL = 1e-12
+DECAY_REL_TOL = 0.15  # relative slope deviation `decay_report` passes
 
 
 def _require_isotropic(kernel, what: str):
@@ -228,8 +228,8 @@ def _tail_truncation_radius(kernel, h0, m, d):
         if ratio < 1.0 and a * ratio / (1.0 - ratio) < TAIL_TOL:
             return K
         K = max(K + 1, int(K * 1.25))
-    raise NotPositiveDefiniteError("covariance tail does not decay; cannot "
-                                   "certify the diagnostic truncation")
+    raise ConvergenceError("covariance tail does not decay; cannot "
+                           "certify the diagnostic truncation")
 
 
 def _outside_box_abs_sum(kernel, h0, m, d, k_cap):
@@ -352,11 +352,11 @@ def decay_sequence(spec: Spectrum) -> np.ndarray:
 
 
 def decay_report(spec: Spectrum, nu: float,
-                 fit_range: Optional[tuple] = None,
-                 rel_tol: float = 0.15) -> DecayReport:
+                 fit_range: Optional[tuple] = None) -> DecayReport:
     """Fit the decay rate of the nonincreasing sqrt(Lambda_j / s) sequence
     on a log-log scale and compare with the conjectured exponent
-    -(1 + 2 nu / d) / 2, d that of the spectrum's grid.
+    -(1 + 2 nu / d) / 2, d that of the spectrum's grid; the report passes
+    when the relative deviation is at most DECAY_REL_TOL.
 
     `fit_range` is an inclusive (j_lo, j_hi) rank window of two finite
     numbers, rounded inward to integer ranks.  The default
@@ -393,7 +393,7 @@ def decay_report(spec: Spectrum, nu: float,
     else:
         slope = float(np.polyfit(x, y, 1)[0])
     rel_dev = float(abs(slope - (-expected_beta)) / expected_beta)
-    passed = bool((not degenerate) and rel_dev <= rel_tol)
+    passed = bool((not degenerate) and rel_dev <= DECAY_REL_TOL)
     return DecayReport(j_lo=j_lo, j_hi=j_hi, slope=slope,
                        expected_beta=expected_beta, rel_dev=rel_dev,
                        passed=passed, degenerate=degenerate, points=points)

@@ -10,15 +10,16 @@ Subcommands:
     theory     pd-criterion | bounds | continuous-eigs | sampling-theorem |
                qmc-sum, each with only the flags it reads
 
-Each flag is declared once, in a parent parser shared by the commands that
-read it, and every search runs through `_search`.  A JSON config
-(--config) may set any flag by its destination (`lam`, `m_max`, `out`);
-explicit flags override it.  A library setting that neither gives is
-not passed on, so its one default is the library's, and an explicit 0
-meets the checks of the code that reads it.  Exit codes: 0
-success, 2 flag/usage error (also an input too large to allocate), 3
-numerical failure (including a search that ends where float64 cannot
-decide positive definiteness), 4 I/O error.
+Each flag is declared once, with the CLI's default if it has one, in a
+parent parser shared by the commands that read it, and every search runs
+through `_search`.  A JSON config (--config) may set any flag by its
+destination (`lam`, `m_max`, `out`); a value is read as the flag's own
+text would be, and explicit flags override it (`_parameters`).  A library
+setting that neither gives is not passed on, so its one default is the
+library's, and an explicit 0 meets the checks of the code that reads it.
+Exit codes: 0 success, 2 flag/usage error (also an input too large to
+allocate), 3 numerical failure (including a search that ends where
+float64 cannot decide positive definiteness), 4 I/O error.
 """
 
 from __future__ import annotations
@@ -26,11 +27,14 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import itertools
 import json
 import math
 import sys
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -61,47 +65,55 @@ DECAY_COLUMNS = ["j", "sqrt_lambda_over_s"]
 # config keys a command reads as lists: the sweep's grid, the decay window
 LIST_KEYS = {"sweep": ("d", "nu", "lam", "m0"), "eig-decay": ("fit_range",)}
 # the settings of `minimal_embedding` that every searching command passes on
-SEARCH = {"tol": float, "m_max": int, "schedule": str}
+SEARCH = ("tol", "m_max", "schedule")
 
 
 def _parse_nu(text: str) -> float:
-    if str(text).lower() in ("inf", "infinity", "gaussian"):
+    if text.lower() in ("inf", "infinity", "gaussian"):
         return math.inf
     return float(text)
 
 
-def _merge_config(args: argparse.Namespace) -> dict:
-    """Effective parameters: config values overridden by explicit flags.
-    A value may be a list only where the command reads one (`LIST_KEYS`),
-    and never an object."""
-    merged = {}
-    if args.config is not None:
-        merged.update(json.loads(Path(args.config).read_text()))
-    for key, value in vars(args).items():
-        if key in ("config", "func", "cmd", "theory_cmd") or value is None:
-            continue
-        merged[key] = value
+def _read(parser: argparse.ArgumentParser, values: dict, argv=()) -> dict:
+    """argv parsed with `values` as `parser`'s defaults, None left out; a
+    value of a flag that takes one goes in as text, read as the flag's is."""
+    bare = {action.dest: action.nargs == 0 for action in parser._actions}
+    parser.set_defaults(**{
+        k: v if bare[k] or isinstance(v, (list, dict)) else str(v)
+        for k, v in values.items() if k in bare and v is not None})
+    return {key: value for key, value in vars(parser.parse_args(argv)).items()
+            if value is not None}
+
+
+def _parameters(argv) -> tuple:
+    """The command's function and parameters: argv read with the config's
+    values as defaults (other keys stay as given, below `command`).  Only a
+    flag's choices (true or false for a bare flag) are accepted, and a list
+    only where the command reads one (`LIST_KEYS`), an object nowhere."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(argv)
+    config = {} if args.config is None else json.loads(args.config.read_text())
+    if not isinstance(config, dict):
+        raise ValueError(f"--config {args.config} must hold a JSON object")
+    flags = {action.dest: action for action in args.parser._actions}
+    read = _read(args.parser, config, argv[len(args.command.split()):])
+    params = {key: value for key, value in {**config, **read}.items()
+              if value is not None and key not in ("config", "func", "parser")}
     listed = LIST_KEYS.get(args.command, ())
-    for key, value in merged.items():
+    for key, value in params.items():
         if isinstance(value, dict) \
                 or isinstance(value, list) and key not in listed:
             kind = "a list" if key in listed else "a single value"
             raise ValueError(f"config key '{key}' must be {kind} for "
                              f"{args.command}, not a {type(value).__name__}")
-    return merged
-
-
-def _get(params: dict, key: str, default):
-    """params[key], or `default` when it is absent or None (not when 0)."""
-    value = params.get(key)
-    return default if value is None else value
-
-
-def _given(params: dict, casts: dict) -> dict:
-    """The settings named in `casts` that params hold, each cast; absent
-    ones are left to the defaults of the function they are passed to."""
-    return {key: cast(params[key]) for key, cast in casts.items()
-            if params.get(key) is not None}
+        action = flags.get(key)
+        if action and (action.nargs == 0 and not isinstance(value, bool) or
+                       action.choices and value not in action.choices):
+            raise ValueError(
+                f"argument {'/'.join(action.option_strings)}: unknown {key} "
+                f"{value!r} (expected "
+                f"{' or '.join(action.choices or ('true', 'false'))})")
+    return read["func"], params
 
 
 def _require(params: dict, *names):
@@ -112,20 +124,20 @@ def _require(params: dict, *names):
 
 def _kernel_from(params: dict) -> MaternKernel:
     _require(params, "d", "nu", "lam")
-    return MaternKernel(sigma2=float(_get(params, "sigma2", 1.0)),
-                        lam=float(params["lam"]), nu=float(params["nu"]),
-                        d=int(params["d"]), allow_small_nu=True)
+    return MaternKernel(sigma2=params.get("sigma2", 1.0), lam=params["lam"],
+                        nu=params["nu"], d=params["d"], allow_small_nu=True)
 
 
-def _search(params: dict, needs: tuple = (), settings: dict = SEARCH):
+def _search(params: dict, needs: tuple = (), settings: tuple = SEARCH):
     """The search of every searching command: kernel and grid from `params`,
-    then `minimal_embedding` with the `settings` that params hold.  `needs`
-    names more required parameters, checked with m0 before the search.
-    Returns (kernel, embedding, spectrum); spectrum.tolerance is the tol."""
+    then `minimal_embedding` with the `settings` that params hold, others
+    left to its defaults.  `needs` names more required parameters, checked
+    with m0.  Returns (kernel, embedding, spectrum); its tolerance is tol."""
     kernel = _kernel_from(params)
     _require(params, "m0", *needs)
-    grid = GridSpec(d=kernel.d, m0=int(params["m0"]))
-    emb, spec = minimal_embedding(kernel, grid, **_given(params, settings))
+    grid = GridSpec(d=kernel.d, m0=params["m0"])
+    emb, spec = minimal_embedding(
+        kernel, grid, **{k: params[k] for k in settings if k in params})
     return kernel, emb, spec
 
 
@@ -136,9 +148,8 @@ def _require_out(params: dict):
 
 def _out_dir(params: dict) -> Path:
     """The output directory, created if needed."""
-    out = Path(params["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    params["out"].mkdir(parents=True, exist_ok=True)
+    return params["out"]
 
 
 def _emit(params: dict, report: dict, files=()):
@@ -170,21 +181,18 @@ def _sanitize(obj):
 # ---------------------------------------------------------------- min-ell
 
 def cmd_min_ell(params: dict) -> int:
-    if params.get("export_spectrum") and params.get("out") is None:
+    if params["export_spectrum"] and params.get("out") is None:
         raise ValueError("min-ell --export-spectrum requires --out")
     t0 = time.perf_counter()
-    kernel, emb, spec = _search(params, settings={**SEARCH, "m_step": int})
+    kernel, emb, spec = _search(params, settings=(*SEARCH, "m_step"))
     wall = time.perf_counter() - t0
     report = {"m": emb.m, "ell": emb.ell, "s": emb.s,
               "min_eig": spec.min_value, "rounding_bound": spec.rounding_bound,
               "certified": spec.certified, "wall_time": wall,
-              "tol": spec.tolerance, "attempts": {}}
-    for _, decider in spec.attempts:
-        report["attempts"][decider] = report["attempts"].get(decider, 0) + 1
-    files = []
-    if params.get("export_spectrum"):
-        files.append(write_spectrum_csv(_out_dir(params) / "spectrum.csv",
-                                        spec, kernel))
+              "tol": spec.tolerance,
+              "attempts": dict(Counter(by for _, by in spec.attempts))}
+    files = ([write_spectrum_csv(_out_dir(params) / "spectrum.csv", spec,
+                                 kernel)] if params["export_spectrum"] else [])
     _emit(params, report, files)
     return EXIT_OK
 
@@ -205,21 +213,17 @@ def _sweep_point(params: dict) -> dict:
     return row
 
 
-def cmd_sweep(params: dict) -> int:
+def cmd_sweep(params: dict, grid: argparse.ArgumentParser) -> int:
+    """The search at every grid point, read by the `grid` parser's flags."""
     _require_out(params)
-    grids = {key: params.get(key) for key in ("d", "nu", "lam", "m0")}
-    for key, val in grids.items():
-        if val is None:
+    keys = LIST_KEYS["sweep"]
+    for key in keys:
+        if params.get(key) is None:
             raise ValueError(f"sweep config must list values for '{key}'")
-        if not isinstance(val, (list, tuple)):
-            grids[key] = [val]
-    points = [dict(params, d=int(d), nu=_parse_nu(nu), lam=float(lam),
-                   m0=int(m0))
-              for d in grids["d"] for nu in grids["nu"]
-              for lam in grids["lam"] for m0 in grids["m0"]]
-    params["threads"] = _get(params, "threads", 1)
-    threads = max(1, int(params["threads"]))
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    lists = [v if isinstance(v, list) else [v] for v in map(params.get, keys)]
+    points = [{**params, **_read(grid, {**params, **dict(zip(keys, point))})}
+              for point in itertools.product(*lists)]
+    with ThreadPoolExecutor(max_workers=max(1, params["threads"])) as pool:
         rows = list(pool.map(_sweep_point, points))
 
     out = _out_dir(params)
@@ -265,42 +269,33 @@ def cmd_eig_decay(params: dict) -> int:
 
 # ----------------------------------------------------------------- sample
 
-def _parse_mean(spec_text):
-    if spec_text is None:
-        return 0.0, {"mean": "const:0"}
-    text = str(spec_text)
+def _parse_mean(text: str):
     if text.startswith("const:"):
         value = float(text[len("const:"):])
         if not math.isfinite(value):
             raise ValueError(f"--mean {text}: the mean must be finite")
-        return value, {"mean": text}
+        return value
     if text.startswith("file:"):
         path = Path(text[len("file:"):])
         data = np.loadtxt(path).reshape(-1)
         if not np.isfinite(data).all():
-            raise ValueError(f"mean file {path} has a value that is not "
-                             "finite")
-        return data, {"mean": text}
+            raise ValueError(f"mean file {path} has a value that is not finite")
+        return data
     raise ValueError("--mean must be const:<value> or file:<path>")
 
 
 def cmd_sample(params: dict) -> int:
     _require_out(params)
-    n = int(_get(params, "n", 1))
-    seed = int(_get(params, "seed", 0))
-    lognormal = bool(params.get("lognormal"))
-    fmt = _get(params, "format", "bin")
-    if fmt not in ("bin", "csv"):
-        raise ValueError(f"unknown format {fmt!r} (expected csv or bin)")
+    n, seed, lognormal = params["n"], params["seed"], params["lognormal"]
     kernel, emb, spec = _search(params)
     grid = emb.grid
-    mean, mean_meta = _parse_mean(params.get("mean"))
-    values = batch_sample_values(spec, mean, n, seed, lognormal=lognormal)
+    values = batch_sample_values(spec, _parse_mean(params["mean"]), n, seed,
+                                 lognormal=lognormal)
     out = _out_dir(params)
     sidecar = {**spectrum_sidecar(spec, kernel), "n_samples": n,
-               "seed": seed, "lognormal": lognormal, **mean_meta}
+               "seed": seed, "lognormal": lognormal, "mean": params["mean"]}
     files = []
-    if fmt == "bin":
+    if params["format"] == "bin":
         files.append(write_field_binary(out / "fields.bin", values,
                                         d=grid.d, m0=grid.m0, sidecar=sidecar))
     else:
@@ -318,13 +313,13 @@ def cmd_sample(params: dict) -> int:
 
 def cmd_validate(params: dict) -> int:
     _require(params, "samples")
-    values, header = read_field_binary(Path(params["samples"]))
+    values, header = read_field_binary(params["samples"])
     grid = GridSpec(d=header["d"], m0=header["m0"])
     kernel = _kernel_from({"d": header["d"], **params})
     if kernel.d != header["d"]:
         raise ValueError(f"--d {kernel.d} does not match file d={header['d']}")
-    mean, _ = _parse_mean(params.get("mean"))
-    report_obj = validate_samples(values, kernel, grid, mean=mean)
+    report_obj = validate_samples(values, kernel, grid,
+                                  mean=_parse_mean(params["mean"]))
     _emit(params, dataclasses.asdict(report_obj))
     return EXIT_OK if report_obj.passed else EXIT_NUMERICAL
 
@@ -334,8 +329,8 @@ def cmd_validate(params: dict) -> int:
 def cmd_pd_criterion(params: dict) -> int:
     kernel = _kernel_from(params)
     _require(params, "m0", "ell")
-    res = pd_criterion(kernel, GridSpec(d=kernel.d, m0=int(params["m0"])),
-                       float(params["ell"]))
+    res = pd_criterion(kernel, GridSpec(d=kernel.d, m0=params["m0"]),
+                       params["ell"])
     _emit(params, dataclasses.asdict(res))
     return EXIT_OK
 
@@ -355,17 +350,17 @@ def cmd_bounds(params: dict) -> int:
     nu = params.get("nu")
     if nu is not None:
         _require(params, "lam", "m0")
-        if float(params["m0"]) < 1:
+        if params["m0"] < 1:
             raise ValueError("theory bounds: m0 must be >= 1")
-        h0 = 1.0 / float(params["m0"])
-        if not math.isinf(float(nu)):
+        h0 = 1.0 / params["m0"]
+        if not math.isinf(nu):
             report["matern_ell_bound"] = matern_ell_bound(
-                float(nu), float(params["lam"]), h0, consts)
+                nu, params["lam"], h0, consts)
         elif consts.B is None:
             raise ValueError("gaussian bound needs --b or --calibrate-from")
         else:
             report["gaussian_ell_bound"] = gaussian_ell_bound(
-                float(params["lam"]), h0, consts.B)
+                params["lam"], h0, consts.B)
     _emit(params, report)
     return EXIT_OK
 
@@ -373,33 +368,31 @@ def cmd_bounds(params: dict) -> int:
 def cmd_continuous_eigs(params: dict) -> int:
     kernel = _kernel_from(params)
     _require(params, "ell")
-    ell = float(params["ell"])
-    quad = _given(params, {"quad_n": int})
+    quad = {"quad_n": params["quad_n"]} if "quad_n" in params else {}
     rows = {}
-    for k in (int(v) for v in str(_get(params, "k", "0")).split(",")):
+    for k in (int(v) for v in params["k"].split(",")):
         kvec = [k] + [0] * (kernel.d - 1)  # first-axis wavenumber
-        rows[str(k)] = continuous_eigenvalue(kernel, ell, kvec, **quad)
-    _emit(params, {"ell": ell, "lambda_ext": rows})
+        rows[str(k)] = continuous_eigenvalue(kernel, params["ell"], kvec,
+                                             **quad)
+    _emit(params, {"ell": params["ell"], "lambda_ext": rows})
     return EXIT_OK
 
 
 def cmd_sampling_theorem(params: dict) -> int:
     kernel = _kernel_from(params)
     _require(params, "h")
-    xi = np.array([float(v) for v in str(_get(params, "xi", "0")).split(",")])
-    res = sampling_theorem_check(
-        kernel, float(params["h"]), xi,
-        k_trunc=int(_get(params, "k_trunc", 64)),
-        r_trunc=int(_get(params, "r_trunc", 64)))
+    xi = np.array([float(v) for v in params["xi"].split(",")])
+    res = sampling_theorem_check(kernel, params["h"], xi,
+                                 k_trunc=params["k_trunc"],
+                                 r_trunc=params["r_trunc"])
     _emit(params, dataclasses.asdict(res))
     return EXIT_OK
 
 
 def cmd_qmc_sum(params: dict) -> int:
     _, emb, spec = _search(params, needs=("p",))
-    total = qmc_criterion_sum(spec, float(params["p"]))
-    _emit(params, {"m": emb.m, "ell": emb.ell, "s": emb.s,
-                   "p": float(params["p"]), "sum": total})
+    _emit(params, {"m": emb.m, "ell": emb.ell, "s": emb.s, "p": params["p"],
+                   "sum": qmc_criterion_sum(spec, params["p"])})
     return EXIT_OK
 
 
@@ -424,10 +417,11 @@ def build_parser() -> argparse.ArgumentParser:
     m0.add_argument("--m0", type=int, help="grid intervals per axis")
     search = argparse.ArgumentParser(add_help=False)
     search.add_argument("--tol", type=float)
-    search.add_argument("--m-max", dest="m_max", type=int)
+    search.add_argument("--m-max", type=int)
     search.add_argument("--schedule", choices=["increment", "doubling"])
     mean = argparse.ArgumentParser(add_help=False)
-    mean.add_argument("--mean", type=str, help="const:<value> or file:<path>")
+    mean.add_argument("--mean", default="const:0",
+                      help="const:<value> or file:<path>")
     ell = argparse.ArgumentParser(add_help=False)
     ell.add_argument("--ell", type=float, help="extension length")
 
@@ -441,32 +435,34 @@ def build_parser() -> argparse.ArgumentParser:
     def command(subparsers, name, func, parents, text):
         p = subparsers.add_parser(name.split()[-1], parents=parents,
                                   help=text)
-        p.set_defaults(func=func, command=name)
+        p.set_defaults(func=func, command=name, parser=p)
         return p
 
     p = command(sub, "min-ell", cmd_min_ell, [kernel, common, m0, search],
                 "minimal positive definite extension")
-    p.add_argument("--m-step", dest="m_step", type=int)
-    p.add_argument("--export-spectrum", dest="export_spectrum",
-                   action="store_true", default=None)
+    p.add_argument("--m-step", type=int)
+    p.add_argument("--export-spectrum", action="store_true")
 
-    p = command(sub, "sweep", cmd_sweep, [common, search],
+    # reads the sweep's grid values with the kernel and grid flags
+    grid = argparse.ArgumentParser("circembed sweep", argparse.SUPPRESS,
+                                   add_help=False, parents=[kernel, m0])
+    p = command(sub, "sweep", partial(cmd_sweep, grid=grid), [common, search],
                 "minimal-extension parameter sweep")
-    p.add_argument("--threads", type=int,
-                   help="sweep points searched in parallel (default 1)")
+    p.add_argument("--threads", type=int, default=1,
+                   help="sweep points searched in parallel")
 
     p = command(sub, "eig-decay", cmd_eig_decay, [kernel, common, m0, search],
                 "eigenvalue decay CSV + slope fit")
-    p.add_argument("--fit-lo", dest="fit_lo", type=float)
-    p.add_argument("--fit-hi", dest="fit_hi", type=float)
+    p.add_argument("--fit-lo", type=float)
+    p.add_argument("--fit-hi", type=float)
 
     p = command(sub, "sample", cmd_sample,
                 [kernel, common, m0, search, mean],
                 "draw field samples to files")
-    p.add_argument("--n", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--lognormal", action="store_true", default=None)
-    p.add_argument("--format", choices=["csv", "bin"])
+    p.add_argument("--n", type=int, default=1)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--lognormal", action="store_true")
+    p.add_argument("--format", choices=["csv", "bin"], default="bin")
 
     p = command(sub, "validate", cmd_validate, [kernel, common, mean],
                 "empirical moment check of samples")
@@ -479,23 +475,22 @@ def build_parser() -> argparse.ArgumentParser:
             "sufficient positive-definiteness criterion")
     p = command(tsub, "theory bounds", cmd_bounds, [shape, common, m0],
                 "extension-length bounds")
-    p.add_argument("--c1", type=float)
-    p.add_argument("--c2", type=float)
-    p.add_argument("--b", type=float)
-    p.add_argument("--calibrate-from", dest="calibrate_from", type=Path,
+    for flag in ("--c1", "--c2", "--b"):
+        p.add_argument(flag, type=float)
+    p.add_argument("--calibrate-from", type=Path,
                    help="sweep CSV to calibrate constants from")
     p = command(tsub, "theory continuous-eigs", cmd_continuous_eigs,
                 [kernel, common, ell],
                 "eigenvalues of the continuous periodized covariance")
-    p.add_argument("--k", type=str,
+    p.add_argument("--k", default="0",
                    help="comma-separated first-axis wavenumbers")
-    p.add_argument("--quad-n", dest="quad_n", type=int)
+    p.add_argument("--quad-n", type=int)
     p = command(tsub, "theory sampling-theorem", cmd_sampling_theorem,
                 [kernel, common], "aliasing identity check")
     p.add_argument("--h", type=float)
-    p.add_argument("--xi", type=str, help="comma-separated frequency point")
-    p.add_argument("--k-trunc", dest="k_trunc", type=int)
-    p.add_argument("--r-trunc", dest="r_trunc", type=int)
+    p.add_argument("--xi", default="0", help="comma-separated frequency point")
+    p.add_argument("--k-trunc", type=int, default=64)
+    p.add_argument("--r-trunc", type=int, default=64)
     p = command(tsub, "theory qmc-sum", cmd_qmc_sum,
                 [kernel, common, m0, search],
                 "QMC criterion sum of the minimal extension")
@@ -504,9 +499,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        return args.func(_merge_config(args))
+        func, params = _parameters(argv)
+        return func(params)
     except (ValueError, KeyError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -17,6 +17,8 @@ __all__ = ["log_gamma", "log_gamma_ratio", "log_bessel_k", "NU_UNIFORM",
 # instead of scipy's kve (which overflows for large order at small
 # argument).  At nu = 128 the truncated expansion is accurate to ~1e-10.
 NU_UNIFORM = 128.0
+# Bernoulli numbers B_0 .. B_6, for `log_gamma_ratio`
+_BERNOULLI = (1.0, -0.5, 1.0 / 6.0, 0.0, -1.0 / 30.0, 0.0, 1.0 / 42.0)
 
 
 def _domain_check(cond, message):
@@ -33,15 +35,17 @@ def log_gamma(x):
 
 
 def log_gamma_ratio(nu: float, a: float) -> float:
-    """ln Gamma(nu + a) - ln Gamma(nu), stable also for very large nu."""
-    if nu < 1e8:
+    """ln Gamma(nu + a) - ln Gamma(nu).  From nu = 50 on, where that
+    difference cancels, the series a ln nu + sum_(k=2..7) (-1)^k
+    (B_k(a) - B_k) / (k (k-1) nu^(k-1)) in Bernoulli polynomials."""
+    if nu < 50.0:
         return log_gamma(nu + a) - log_gamma(nu)
-    return a * math.log(nu) + a * (a - 1.0) / (2.0 * nu)
-
-
-def _kve_gave_up(scaled, z):
-    """Where scipy's kve returned NaN for a (large) non-NaN argument."""
-    return np.isnan(scaled) & ~np.isnan(z)
+    series = 0.0
+    for k in range(7, 1, -1):  # by Horner's rule in 1 / nu
+        shift = sum(math.comb(k, j) * _BERNOULLI[j] * a ** (k - j)
+                    for j in range(k))  # B_k(a) - B_k
+        series = (series + (-1) ** k * shift / (k * (k - 1))) / nu
+    return a * math.log(nu) + series
 
 
 def _log_bessel_k_uniform(nu, z):
@@ -89,7 +93,7 @@ def log_bessel_k(nu: float, z):
             k += 1
         out[small] = (math.log(0.5) + log_gamma(nu)
                       + nu * (math.log(2.0) - np.log(zb)) + np.log1p(corr))
-    large = _kve_gave_up(scaled, z)
+    large = np.isnan(scaled) & ~np.isnan(z)  # where kve gave up
     if large.any():
         # kve is NaN from z ~ 1.1e9 on.  There the large-argument (Hankel)
         # expansion K_nu(z) = sqrt(pi / (2z)) e^-z sum_k a_k z^-k, with

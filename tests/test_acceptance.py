@@ -283,10 +283,10 @@ def test_criterion_5_eigenvalue_decay_stated_window(decay_spectra):
         spec = decay_spectra[(d, nu)]
         s = spec.values_flat.size
         j_lo = _plateau_end(spec, nu)
-        rep = decay_report(spec, nu, fit_range=(j_lo, s**0.9),
-                           rel_tol=rel_tol)
+        rep = decay_report(spec, nu, fit_range=(j_lo, s**0.9))
+        passed = not rep.degenerate and rep.rel_dev <= rel_tol
         results.append((d, nu, rep.j_lo, rep.slope, -rep.expected_beta,
-                        rep.rel_dev, rep.passed))
+                        rep.rel_dev, passed))
     ok = all(r[-1] for r in results)
     detail = "; ".join(
         f"d={d} nu={nu}: from j={j}, slope {s:.3f} vs {e:.3f} (dev {dev:.0%})"
@@ -306,10 +306,10 @@ def test_companion_5_eigenvalue_decay_tail_window(decay_spectra):
     for d, nu, lam, m0, rel_tol in DECAY_CASES:
         spec = decay_spectra[(d, nu)]
         s = spec.values_flat.size
-        rep = decay_report(spec, nu, fit_range=(s**0.5, s**0.9),
-                           rel_tol=rel_tol)
+        rep = decay_report(spec, nu, fit_range=(s**0.5, s**0.9))
+        passed = not rep.degenerate and rep.rel_dev <= rel_tol
         results.append((d, nu, rep.slope, -rep.expected_beta, rep.rel_dev,
-                        rep.passed))
+                        passed))
     ok = all(r[-1] for r in results)
     detail = "; ".join(
         f"d={d} nu={nu}: slope {s:.3f} vs {e:.3f} (dev {dev:.0%})"

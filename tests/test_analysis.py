@@ -14,7 +14,6 @@ from circembed import (
     Embedding,
     GridSpec,
     MaternKernel,
-    NotPositiveDefiniteError,
     QuadratureError,
     Spectrum,
     calibrate_constants,
@@ -76,6 +75,13 @@ class TestPdCriterion:
         with pytest.raises(CapabilityError):
             pd_criterion(k, GridSpec(d=1, m0=8), ell=2.0)
 
+    @pytest.mark.parametrize("ell", [0.125, 0.05])
+    def test_requires_ell_above_h0(self, ell):
+        # h0 = 1/8
+        with pytest.raises(ValueError, match="requires ell > h0"):
+            pd_criterion(MaternKernel(1.0, 0.5, 1.0, 1), GridSpec(d=1, m0=8),
+                         ell=ell)
+
 
 class TestTailIntegrals:
     @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
@@ -104,7 +110,7 @@ class TestTailTruncationRadius:
 
     def test_a_tail_that_does_not_decay_raises(self):
         kernel = SimpleNamespace(lam=1.0, kappa=lambda r: 1.0)
-        with pytest.raises(NotPositiveDefiniteError,
+        with pytest.raises(ConvergenceError,
                            match="covariance tail does not decay"):
             analysis._tail_truncation_radius(kernel, 1 / 8, 8, 1)
 
@@ -181,6 +187,10 @@ class TestEllBounds:
             matern_ell_bound(1.0, 0.5, 0.4, consts)  # h0/lam > 1/e
         with pytest.raises(ValueError):
             matern_ell_bound(1.0, 0.5, 1 / 64, BoundConstants(C1=1.0, C2=2.0))
+        for missing in (BoundConstants(), BoundConstants(C1=1.0),
+                        BoundConstants(C2=3.0)):
+            with pytest.raises(ValueError, match="needs C1 and C2"):
+                matern_ell_bound(1.0, 0.5, 1 / 64, missing)
 
     def test_gaussian_bound_algebra(self):
         # with lam m0 = 8 fixed, the lam sqrt(2) lam/h0 term is 8 sqrt(2) lam
@@ -208,6 +218,11 @@ class TestEllBounds:
 
 
 class TestContinuousEigenvalue:
+    @pytest.mark.parametrize("k", [[0], [0, 0, 0]])
+    def test_wavenumber_needs_d_components(self, k):
+        with pytest.raises(ValueError, match="k must have 2 components"):
+            continuous_eigenvalue(MaternKernel(1.0, 1.0, 0.5, 2), 1.0, k)
+
     def test_exponential_closed_form(self):
         # lambda_0(ell) = 2 (1 - e^-ell) for the unit exponential kernel
         k = MaternKernel(1.0, 1.0, 0.5, 1)
@@ -280,6 +295,12 @@ class TestContinuousEigenvalue:
 
 
 class TestLatticeOrdering:
+    @pytest.mark.parametrize("d,J,message", [
+        (2, 0, "J must be >= 1"), (4, 5, "d must be 1, 2 or 3")])
+    def test_domain(self, d, J, message):
+        with pytest.raises(ValueError, match=message):
+            lattice_ordering(d, J)
+
     def test_d1_first_five(self):
         lat = lattice_ordering(1, 5)
         assert lat.reshape(-1).tolist() == [0, -1, 1, -2, 2]
@@ -363,8 +384,7 @@ class TestDecayReport:
         emb, spec = minimal_embedding(k, GridSpec(d=2, m0=16), tol=0.0,
                                       schedule="doubling")
         s = emb.s
-        rep = decay_report(spec, nu=4.0, fit_range=(s**0.5, s**0.9),
-                           rel_tol=0.15)
+        rep = decay_report(spec, nu=4.0, fit_range=(s**0.5, s**0.9))
         assert rep.passed, (rep.slope, rep.expected_beta)
 
     def test_invalid_range(self):
@@ -435,6 +455,14 @@ class TestQmcCriterionSum:
         with pytest.raises(ValueError):
             qmc_criterion_sum(spec, 0.5)
 
+    @pytest.mark.parametrize("p", [0.0, 1.0, -0.5, 1.5])
+    def test_p_outside_the_unit_interval(self, p):
+        emb = Embedding(GridSpec(d=1, m0=1), m=1)
+        spec = Spectrum(values=np.array([3.0, 1.0]), min_value=1.0,
+                        tolerance=0.0, embedding=emb)
+        with pytest.raises(ValueError, match="requires 0 < p < 1"):
+            qmc_criterion_sum(spec, p)
+
 
 class TestSamplingTheorem:
     def test_gaussian_identity_tight(self, rng):
@@ -467,6 +495,12 @@ class TestSamplingTheorem:
             rho_fn=lambda x: np.exp(-np.abs(x).sum(axis=-1)), d=1)
         with pytest.raises(CapabilityError):
             sampling_theorem_check(k, 0.25, 0.0, 8, 8)
+
+    @pytest.mark.parametrize("xi", [[0.1], [0.1, 0.2, 0.3]])
+    def test_frequency_needs_d_components(self, xi):
+        with pytest.raises(ValueError, match="xi must have 2 components"):
+            sampling_theorem_check(gaussian_kernel(1.0, 1.0, 2), 0.25,
+                                   np.array(xi), 8, 3)
 
 
 class TestCalibrateConstants:

@@ -11,6 +11,7 @@ import scipy
 from circembed import (GridSpec, MaternKernel, continuous_eigenvalue,
                        minimal_embedding)
 from circembed.analysis import decay_sequence
+from circembed import cli
 from circembed.cli import main
 from circembed.formats import read_field_binary, write_field_binary
 from circembed.sampler import worker_count
@@ -817,3 +818,163 @@ class TestTheory:
                             "--tol", "0", "--p", "0.7")
         assert code == 0
         assert payload["report"]["sum"] > 0
+
+
+def _value_flags():
+    """(command words, flag, destination, choices) of every flag that takes
+    a value, --config aside, in every command."""
+    found = []
+
+    def walk(parser, words):
+        for action in parser._actions:
+            if isinstance(action.choices, dict):  # the subcommands
+                for name, sub in action.choices.items():
+                    walk(sub, words + [name])
+            elif (action.option_strings and action.nargs is None
+                  and action.dest != "config"):
+                flag = action.option_strings[0]
+                found.append(pytest.param(words, flag, action.dest,
+                                          action.choices,
+                                          id=" ".join([*words, flag])))
+
+    walk(cli.build_parser(), [])
+    return found
+
+
+def read_settings(capsys, argv):
+    """(0, parameters) of a command line, or (2, message) when reading it
+    fails; the command itself does not run."""
+    try:
+        return 0, cli._parameters(list(argv))[1]
+    except SystemExit as exc:
+        return exc.code, capsys.readouterr().err
+    except ValueError as exc:
+        return 2, str(exc)
+
+
+def rejected(capsys, *argv) -> str:
+    """stderr of a command line that exits 2, with no report and no
+    traceback, whether argparse or the command rejects it."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "Traceback" not in captured.err
+    return captured.err
+
+
+class TestConfigIsReadLikeFlags:
+    """A --config value goes through its flag's declaration: its type, its
+    choices, and true or false for a bare flag."""
+
+    @pytest.mark.parametrize("words,flag,dest,choices", _value_flags())
+    def test_flag_and_config_give_the_same_settings(
+            self, words, flag, dest, choices, tmp_path, capsys):
+        texts = (list(choices) if choices else
+                 ["7", "-1", "0.25", "8.0", "inf", "abc", "const:1"])
+        cfg = tmp_path / "cfg.json"
+        for text in texts + ["xml"]:
+            values = [text]
+            try:
+                number = json.loads(text)
+                if str(number) == text:
+                    values.append(number)
+            except ValueError:
+                pass
+            want = read_settings(capsys, [*words, flag, text])
+            for value in values:
+                cfg.write_text(json.dumps({dest: value}))
+                got = read_settings(capsys, [*words, "--config", str(cfg)])
+                assert got[0] == want[0], (text, value, want, got)
+                if want[0] == 0:
+                    assert got == want, (text, value)
+                else:
+                    assert want[0] == 2, want
+                    assert f"argument {flag}" in want[1]
+                    assert f"argument {flag}" in got[1], got
+
+    @pytest.mark.parametrize("argv,config,flag", [
+        (["min-ell", "--d", "1", "--nu", "0.5", "--lambda", "1"],
+         {"m0": 1e400}, "--m0"),
+        (["sweep"], {"d": [1], "nu": [0.5], "lam": [1.0], "m0": [1e400]},
+         "--m0"),
+        (["sweep"], {"d": [1], "nu": [0.5, "x"], "lam": [1.0], "m0": [4]},
+         "--nu"),
+        (["sweep"], {"d": [2.0], "nu": [0.5], "lam": [1.0], "m0": [4]},
+         "--d"),
+        (["sample", "--d", "1", "--nu", "0.5", "--lambda", "1", "--m0", "4"],
+         {"lognormal": "false"}, "--lognormal"),
+        (["sample", "--d", "1", "--nu", "0.5", "--lambda", "1", "--m0", "4"],
+         {"lognormal": 1}, "--lognormal"),
+        (["sample", "--d", "1", "--nu", "0.5", "--lambda", "1", "--m0", "4"],
+         {"seed": 1.5}, "--seed"),
+        (["min-ell", "--d", "1", "--nu", "0.5", "--lambda", "1", "--m0", "4"],
+         {"schedule": "halving"}, "--schedule"),
+    ], ids=["m0-overflow", "sweep-m0-overflow", "sweep-nu-text",
+            "sweep-d-float", "lognormal-text", "lognormal-number",
+            "seed-fraction", "unknown-schedule"])
+    def test_a_value_its_flag_rejects_exits_2(self, argv, config, flag,
+                                              tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        err = rejected(capsys, *argv, "--config", str(cfg),
+                       "--out", str(out))
+        assert f"argument {flag}" in err
+        assert not out.exists()
+
+    def test_bounds_constants_from_config(self, tmp_path, capsys):
+        shape = ["theory", "bounds", "--nu", "1", "--lambda", "0.5",
+                 "--m0", "8"]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"c1": "1", "c2": "3"}))
+        code, payload = run(capsys, *shape, "--config", str(cfg))
+        assert code == 0
+        assert payload["report"]["matern_ell_bound"] == 2.5794415416798357
+        code, flags = run(capsys, *shape, "--c1", "1", "--c2", "3")
+        assert flags["report"] == payload["report"]
+
+    def test_bare_flag_from_config(self, tmp_path, capsys):
+        shape = ["sample", "--d", "1", "--nu", "0.5", "--lambda", "1",
+                 "--m0", "4"]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"lognormal": True}))
+        assert read_settings(capsys, [*shape, "--config", str(cfg)]) == \
+            read_settings(capsys, [*shape, "--lognormal"])
+
+    def test_keys_that_are_no_flag_cannot_replace_the_command(
+            self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"command": "sweep", "func": "x",
+                                   "parser": "y", "note": "kept"}))
+        code, payload = run(capsys, "min-ell", "--config", str(cfg),
+                            "--d", "1", "--nu", "0.5", "--lambda", "1",
+                            "--m0", "4", "--tol", "0")
+        assert code == 0 and payload["report"]["m"] == 4
+        assert payload["parameters"]["command"] == "min-ell"
+        assert payload["parameters"]["note"] == "kept"
+
+    def test_config_must_be_an_object(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1, 2]")
+        err = usage_error(capsys, "min-ell", "--config", str(cfg))
+        assert "must hold a JSON object" in err
+
+    def test_parameters_record_the_cli_defaults(self, tmp_path, capsys):
+        code, payload = run(capsys, "sample", "--d", "1", "--nu", "0.5",
+                            "--lambda", "1", "--m0", "4",
+                            "--out", str(tmp_path))
+        assert code == 0
+        params = payload["parameters"]
+        assert {key: params[key] for key in
+                ("n", "seed", "format", "mean", "lognormal")} == {
+            "n": 1, "seed": 0, "format": "bin", "mean": "const:0",
+            "lognormal": False}
+        code, payload = run(capsys, "theory", "sampling-theorem", "--d", "1",
+                            "--nu", "inf", "--lambda", "1.0", "--h", "0.25")
+        assert code == 0
+        assert {key: payload["parameters"][key] for key in
+                ("xi", "k_trunc", "r_trunc")} == {
+            "xi": "0", "k_trunc": 64, "r_trunc": 64}

@@ -136,6 +136,16 @@ class TestSpectrum:
         spec = spectrum(first_column(k, emb), emb)
         assert spec.values.sum() == pytest.approx(emb.s * k.sigma2, rel=1e-12)
 
+    def test_flattened_column_gives_the_shaped_spectrum(self):
+        k = MaternKernel(1.0, 0.5, 1.5, 2)
+        emb = Embedding(GridSpec(d=2, m0=4), m=6)
+        column = first_column(k, emb)
+        shaped, flat = spectrum(column, emb), spectrum(column.ravel(), emb)
+        assert flat.values.shape == emb.shape
+        assert np.array_equal(flat.values, shaped.values)
+        assert (flat.min_value, flat.rounding_bound) == \
+            (shaped.min_value, shaped.rounding_bound)
+
     def test_asymmetric_column_raises(self):
         emb = Embedding(GridSpec(d=1, m0=2), m=2)
         with pytest.raises(SymmetryError):
@@ -325,6 +335,15 @@ class TestMinimalEmbedding:
     def test_tol_must_be_a_nonnegative_number(self, tol):
         with pytest.raises(ValueError, match="tol must be >= 0"):
             minimal_embedding(exponential(), GridSpec(d=1, m0=8), tol=tol)
+
+    @pytest.mark.parametrize("settings,message", [
+        ({"schedule": "halving"}, "unknown schedule 'halving'"),
+        ({"schedule": "doubling", "m_step": 2},
+         "doubling schedule supports m_step=1 only"),
+    ], ids=["unknown", "doubling-step"])
+    def test_schedule_checks(self, settings, message):
+        with pytest.raises(ValueError, match=message):
+            minimal_embedding(exponential(), GridSpec(d=1, m0=8), **settings)
 
     def test_monotone_in_correlation_length(self):
         # minimal ell does not grow when lam shrinks, all else fixed

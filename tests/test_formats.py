@@ -77,6 +77,9 @@ class TestCsvFormats:
         assert rows[0] == ["k1", "k2", "value"]
         assert rows[1] == ["0", "0", "1.0"]
         assert rows[4] == ["1", "1", "4.0"]
+        with pytest.raises(ValueError,
+                           match="sample size does not match grid"):
+            write_field_csv(tmp_path / "t.csv", np.ones(3), grid)
 
     def test_spectrum_csv_with_sidecar(self, tmp_path):
         k = MaternKernel(1.0, 1.0, 0.5, 1)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -27,6 +28,8 @@ class TestConstruction:
             MaternKernel(sigma2=1.0, lam=1.0, nu=1.0, d=4)
         with pytest.raises(ValueError, match="positive and finite"):
             MaternKernel(sigma2=math.inf, lam=1.0, nu=1.0, d=1)
+        with pytest.raises(ValueError, match="nu must be positive"):
+            MaternKernel(sigma2=1.0, lam=1.0, nu=0.0, d=1)
 
     def test_nu_without_a_correct_digit_is_rejected(self):
         # eval_rel_error is 0.0063 at nu = 1e12 and 83 at nu = 1e16
@@ -56,6 +59,15 @@ class TestConstruction:
 
 
 class TestRho:
+    def test_lags_with_the_wrong_last_axis_are_rejected(self):
+        custom = CustomStationaryKernel(
+            rho_fn=lambda x: np.exp(-np.abs(x).sum(axis=-1)), d=2)
+        for kernel in (MaternKernel(1.0, 1.0, 1.5, 2), custom):
+            for lags in (np.ones(3), np.ones((4, 3))):
+                with pytest.raises(ValueError, match=re.escape(
+                        "rho: expected lag(s) with last axis 2")):
+                    kernel.rho(lags)
+
     def test_exponential_case(self):
         k = exponential_1d()
         assert k.rho(2.0) == pytest.approx(math.exp(-2.0), rel=1e-13)

@@ -87,6 +87,8 @@ class TestQmcMap:
     def test_domain(self):
         with pytest.raises(ValueError):
             qmc_map(np.array([0.0, 0.5]), np.arange(2))
+        with pytest.raises(ValueError, match="must have equal length"):
+            qmc_map(np.array([0.25, 0.5]), np.arange(3))
 
 
 class TestImportanceOrdering:
@@ -170,6 +172,12 @@ class TestSample:
         _, emb, spec = exponential_spectrum()
         with pytest.raises(ValueError):
             sample(spec, np.zeros(7), np.zeros(emb.s))
+
+    def test_normal_count_mismatch(self):
+        _, emb, spec = exponential_spectrum()
+        with pytest.raises(ValueError, match=f"expected {emb.s} normal "
+                           f"inputs, got {emb.s - 1}"):
+            sample(spec, 0.0, np.zeros(emb.s - 1))
 
 
 class TestFactorizationIdentity:

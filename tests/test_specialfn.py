@@ -40,13 +40,29 @@ class TestLogGammaRatio:
     @pytest.mark.parametrize("nu", [1e8, 1e10, 1e14, 1e300])
     @pytest.mark.parametrize("a", [0.5, 1.0, 1.5])
     def test_large_nu_matches_mpmath(self, nu, a):
-        # from nu = 1e8 on: a ln(nu) + a (a - 1) / (2 nu), whose next
-        # term is O(nu^-2)
+        # the asymptotic series, up to nu = 1e300 where nu^2 overflows
         mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(int(math.log10(nu)) + 30):  # nu + a exactly
             x = mpmath.mpf(nu)
             exact = float(mpmath.loggamma(x + a) - mpmath.loggamma(x))
         assert log_gamma_ratio(nu, a) == pytest.approx(exact, rel=1e-15)
+
+    @pytest.mark.parametrize("a", [0.5, 1.0, 1.5])
+    def test_matches_mpmath_over_the_finite_nu_range(self, a):
+        # the difference of log_gamma values below nu = 50, the series from
+        # there on: error within 512 units in the last place of
+        # max(1, |value|), where the difference alone loses up to 1e8
+        mpmath = pytest.importorskip("mpmath")
+        nus = np.concatenate([np.geomspace(0.5, 1.4e14, 61),
+                              [49.99, 50.0, 1e6, 9.9e7]])
+        worst = 0.0
+        for nu in nus.tolist():
+            with mpmath.workdps(60):
+                x = mpmath.mpf(nu)
+                exact = float(mpmath.loggamma(x + a) - mpmath.loggamma(x))
+            err = abs(log_gamma_ratio(nu, a) - exact) / max(1.0, abs(exact))
+            worst = max(worst, err / 2.0**-53)
+        assert worst <= 512
 
 
 class TestBesselK:

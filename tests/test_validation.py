@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -221,6 +222,9 @@ class TestValidateSamples:
         k, _, values = good_run
         with pytest.raises(ValueError):
             validate_samples(values, k, GridSpec(d=1, m0=8))
+        with pytest.raises(ValueError,
+                           match=re.escape("expected a (n_samples, M) array")):
+            validate_samples(values[0], k, GridSpec(d=1, m0=16))
 
     def test_mean_size_mismatch(self, good_run):
         k, grid, values = good_run
