@@ -246,18 +246,20 @@ def matern_ell_bound(nu: float, lam: float, h0: float,
     """Extension length sufficient for positive definiteness in the Matern
     case:  lam * (C1 + C2 nu^(1/2) log(max(lam/h0, nu^(1/2)))).
 
-    Hypotheses: 1/2 <= nu < inf, lam <= 1, h0/lam <= 1/e; violations are
-    reported rather than silently ignored.  C2 >= 2 sqrt(2) is required.
+    Needs finite C1 and C2 >= 2 sqrt(2) and the hypotheses 1/2 <= nu < inf,
+    0 < lam <= 1, h0/lam <= 1/e; a violation, NaN too, raises ValueError.
     """
     if consts.C1 is None or consts.C2 is None:
         raise ValueError("matern_ell_bound: needs C1 and C2")
-    if consts.C2 < 2.0 * math.sqrt(2.0):
-        raise ValueError("matern_ell_bound: requires C2 >= 2 sqrt(2)")
+    if not math.isfinite(consts.C1):
+        raise ValueError("matern_ell_bound: C1 must be finite")
+    if not 2.0 * math.sqrt(2.0) <= consts.C2 < math.inf:
+        raise ValueError("matern_ell_bound: requires finite C2 >= 2 sqrt(2)")
     if not (0.5 <= nu < math.inf):
         raise ValueError("matern_ell_bound hypothesis violated: 1/2 <= nu < inf")
-    if lam > 1.0:
-        raise ValueError("matern_ell_bound hypothesis violated: lam <= 1")
-    if h0 / lam > math.exp(-1.0):
+    if not 0.0 < lam <= 1.0:
+        raise ValueError("matern_ell_bound hypothesis violated: 0 < lam <= 1")
+    if not h0 / lam <= math.exp(-1.0):
         raise ValueError("matern_ell_bound hypothesis violated: h0/lam <= 1/e")
     return lam * (consts.C1 + consts.C2 * math.sqrt(nu)
                   * math.log(max(lam / h0, math.sqrt(nu))))
@@ -266,6 +268,8 @@ def matern_ell_bound(nu: float, lam: float, h0: float,
 def gaussian_ell_bound(lam: float, h0: float, B: float) -> float:
     """Extension length sufficient for positive definiteness in the
     Gaussian (nu = inf) case:  1 + lam * max(sqrt(2) lam/h0, B)."""
+    if not (math.isfinite(B) and 0.0 < lam < math.inf):
+        raise ValueError("gaussian_ell_bound: needs a finite B and lam > 0")
     return 1.0 + lam * max(math.sqrt(2.0) * lam / h0, B)
 
 
@@ -432,6 +436,8 @@ def sampling_theorem_check(kernel, h: float, xi, k_trunc: int,
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     if xi.size != d:
         raise ValueError(f"sampling_theorem_check: xi must have {d} components")
+    if not np.isfinite(xi).all():
+        raise ValueError("sampling_theorem_check: xi must be finite")
     if k_trunc < 0 or r_trunc < 0:
         raise ValueError("sampling_theorem_check: k_trunc and r_trunc must "
                          "be >= 0")

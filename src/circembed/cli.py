@@ -13,8 +13,9 @@ Subcommands:
 Each flag is declared once, with the CLI's default if it has one, in a
 parent parser shared by the commands that read it, and every search runs
 through `_search`.  A JSON config (--config) may set any flag by its
-destination (`lam`, `m_max`, `out`); a value is read as the flag's own
-text would be, and explicit flags override it (`_parameters`).  A library
+destination (`lam`, `m_max`, `out`); a value (each element of a list) is
+read as the flag's own text would be, and explicit flags override it
+(`_parameters`).  A library
 setting that neither gives is not passed on, so its one default is the
 library's, and an explicit 0 meets the checks of the code that reads it.
 Exit codes: 0 success, 2 flag/usage error (also an input too large to
@@ -34,7 +35,6 @@ import sys
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -89,7 +89,8 @@ def _parameters(argv) -> tuple:
     """The command's function and parameters: argv read with the config's
     values as defaults (other keys stay as given, below `command`).  Only a
     flag's choices (true or false for a bare flag) are accepted, and a list
-    only where the command reads one (`LIST_KEYS`), an object nowhere."""
+    only where the command reads one (`LIST_KEYS`), each element, null too,
+    read as text by its key's flag if it has one; an object nowhere."""
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
     config = {} if args.config is None else json.loads(args.config.read_text())
@@ -113,6 +114,9 @@ def _parameters(argv) -> tuple:
                 f"argument {'/'.join(action.option_strings)}: unknown {key} "
                 f"{value!r} (expected "
                 f"{' or '.join(action.choices or ('true', 'false'))})")
+        if action and isinstance(value, list):
+            params[key] = [_read(args.parser, {key: str(v)})[key]
+                           for v in value]
     return read["func"], params
 
 
@@ -171,10 +175,10 @@ def _sanitize(obj):
         return [_sanitize(v) for v in obj]
     if isinstance(obj, Path):
         return str(obj)
-    if isinstance(obj, float) and math.isinf(obj):
-        return "inf"
     if isinstance(obj, np.generic):
-        return obj.item()
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return str(obj)  # "inf", "-inf" or "nan": strict JSON has neither
     return obj
 
 
@@ -213,17 +217,19 @@ def _sweep_point(params: dict) -> dict:
     return row
 
 
-def cmd_sweep(params: dict, grid: argparse.ArgumentParser) -> int:
-    """The search at every grid point, read by the `grid` parser's flags."""
+def cmd_sweep(params: dict) -> int:
+    """The search at every point of the product of the grid lists."""
     _require_out(params)
+    if params["threads"] < 1:
+        raise ValueError("sweep: threads must be >= 1")
     keys = LIST_KEYS["sweep"]
     for key in keys:
         if params.get(key) is None:
             raise ValueError(f"sweep config must list values for '{key}'")
     lists = [v if isinstance(v, list) else [v] for v in map(params.get, keys)]
-    points = [{**params, **_read(grid, {**params, **dict(zip(keys, point))})}
+    points = [{**params, **dict(zip(keys, point))}
               for point in itertools.product(*lists)]
-    with ThreadPoolExecutor(max_workers=max(1, params["threads"])) as pool:
+    with ThreadPoolExecutor(max_workers=params["threads"]) as pool:
         rows = list(pool.map(_sweep_point, points))
 
     out = _out_dir(params)
@@ -345,8 +351,7 @@ def cmd_bounds(params: dict) -> int:
                      1.0 / float(r["m0"]), float(r["ell_min"]))
                     for r in csv.DictReader(fh) if not r.get("error")]
         consts, stats = calibrate_constants(rows)
-        report["calibration"] = _sanitize(
-            {**dataclasses.asdict(consts), "stats": stats})
+        report["calibration"] = {**dataclasses.asdict(consts), "stats": stats}
     nu = params.get("nu")
     if nu is not None:
         _require(params, "lam", "m0")
@@ -365,15 +370,21 @@ def cmd_bounds(params: dict) -> int:
     return EXIT_OK
 
 
+def _comma_list(params: dict, key: str, kind) -> list:
+    try:
+        return [kind(v) for v in params[key].split(",")]
+    except ValueError:
+        raise ValueError(f"argument --{key}: expected comma-separated "
+                         f"{kind.__name__} values") from None
+
+
 def cmd_continuous_eigs(params: dict) -> int:
     kernel = _kernel_from(params)
     _require(params, "ell")
     quad = {"quad_n": params["quad_n"]} if "quad_n" in params else {}
-    rows = {}
-    for k in (int(v) for v in params["k"].split(",")):
-        kvec = [k] + [0] * (kernel.d - 1)  # first-axis wavenumber
-        rows[str(k)] = continuous_eigenvalue(kernel, params["ell"], kvec,
-                                             **quad)
+    rows = {str(k): continuous_eigenvalue(  # k on the first axis
+        kernel, params["ell"], [k] + [0] * (kernel.d - 1), **quad)
+        for k in _comma_list(params, "k", int)}
     _emit(params, {"ell": params["ell"], "lambda_ext": rows})
     return EXIT_OK
 
@@ -381,10 +392,9 @@ def cmd_continuous_eigs(params: dict) -> int:
 def cmd_sampling_theorem(params: dict) -> int:
     kernel = _kernel_from(params)
     _require(params, "h")
-    xi = np.array([float(v) for v in params["xi"].split(",")])
-    res = sampling_theorem_check(kernel, params["h"], xi,
-                                 k_trunc=params["k_trunc"],
-                                 r_trunc=params["r_trunc"])
+    res = sampling_theorem_check(
+        kernel, params["h"], _comma_list(params, "xi", float),
+        k_trunc=params["k_trunc"], r_trunc=params["r_trunc"])
     _emit(params, dataclasses.asdict(res))
     return EXIT_OK
 
@@ -443,10 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m-step", type=int)
     p.add_argument("--export-spectrum", action="store_true")
 
-    # reads the sweep's grid values with the kernel and grid flags
-    grid = argparse.ArgumentParser("circembed sweep", argparse.SUPPRESS,
-                                   add_help=False, parents=[kernel, m0])
-    p = command(sub, "sweep", partial(cmd_sweep, grid=grid), [common, search],
+    p = command(sub, "sweep", cmd_sweep, [kernel, common, m0, search],
                 "minimal-extension parameter sweep")
     p.add_argument("--threads", type=int, default=1,
                    help="sweep points searched in parallel")

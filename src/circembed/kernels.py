@@ -40,14 +40,17 @@ __all__ = [
 ]
 
 
-def _lag_norm(x, d: int, error: str):
-    """Norm of the lag(s) x as `MaternKernel.rho` takes them."""
+def _at_lags(fn, x, d: int, expected: str):
+    """fn, mapping an (n, d) array of lags or frequencies to n values, at x
+    of shape (d,) or (..., d), in d = 1 also a scalar or a 1-d array; the
+    result has the shape of x without its d components (a float at one)."""
     x = np.asarray(x, dtype=float)
-    if d == 1 and (x.ndim == 0 or (x.ndim == 1 and x.shape[-1] != 1)):
-        return np.abs(x)
-    if x.shape[-1] != d:
-        raise ValueError(error)
-    return np.sqrt(np.sum(x * x, axis=-1))
+    if d == 1 and (x.ndim == 0 or x.ndim == 1 and x.shape[0] != 1):
+        x = x[..., None]
+    if x.ndim == 0 or x.shape[-1] != d:
+        raise ValueError(f"{expected} with last axis {d}")
+    out = np.asarray(fn(x.reshape(-1, d)), dtype=float).reshape(x.shape[:-1])
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -154,12 +157,10 @@ class MaternKernel:
         return float(out[0]) if scalar else out
 
     def rho(self, x):
-        """Covariance rho(x) at a lag x (shape (d,)) or lags (shape (n, d)).
-
-        For d = 1 a bare scalar or 1-d array of lags is also accepted.
-        """
-        r = _lag_norm(x, self.d, f"rho: expected lag(s) with last axis {self.d}")
-        return self.kappa(r / self.lam)
+        """Covariance rho(x) at the lag(s) x, as `_at_lags` reads them."""
+        return _at_lags(lambda p: self.kappa(np.linalg.norm(p, axis=1)
+                                             / self.lam), x, self.d,
+                        "rho: expected lag(s)")
 
     # -- spectral side ----------------------------------------------------
 
@@ -178,17 +179,12 @@ class MaternKernel:
                 - 0.5 * d * math.log(2.0 * nu)
                 - (nu + 0.5 * d) * np.log1p(two_pi_r * two_pi_r / (2.0 * nu)))
 
-    def kappa_hat(self, r):
-        """Radial spectral profile kappa_hat_d(r); strictly positive."""
-        r = np.asarray(r, dtype=float)
-        out = np.exp(self.log_kappa_hat(r))
-        return float(out) if out.ndim == 0 else out
-
     def spectral_density(self, xi):
-        """Spectral density rho_hat(xi) = lam^d kappa_hat_d(lam ||xi||_2)."""
-        r = _lag_norm(xi, self.d,
-                      f"spectral_density: expected last axis {self.d}")
-        return self.lam**self.d * self.kappa_hat(self.lam * r)
+        """Spectral density rho_hat(xi) = lam^d kappa_hat_d(lam ||xi||_2) > 0
+        at the frequency(ies) xi, as `_at_lags` reads them."""
+        return _at_lags(lambda p: self.lam**self.d * np.exp(
+            self.log_kappa_hat(self.lam * np.linalg.norm(p, axis=1))),
+            xi, self.d, "spectral_density: expected frequency(ies)")
 
     def to_json(self) -> dict:
         return {
@@ -206,25 +202,15 @@ def gaussian_kernel(sigma2: float, lam: float, d: int) -> MaternKernel:
     return MaternKernel(sigma2=sigma2, lam=lam, nu=math.inf, d=d)
 
 
-def _at_points(fn, x, d: int, error: str):
-    """fn at a point x (shape (d,)), a float, or at points (shape (n, d))."""
-    x = np.asarray(x, dtype=float)
-    pts = np.atleast_2d(x)
-    if pts.shape[-1] != d:
-        raise ValueError(error)
-    out = np.asarray(fn(pts), dtype=float).reshape(pts.shape[0])
-    return float(out[0]) if x.ndim <= 1 else out
-
-
 @dataclass(frozen=True)
 class CustomStationaryKernel:
     """User-supplied stationary symbol.
 
     `rho_fn` must accept an (n, d) array of lags and return n covariance
     values; `rho_hat_fn` (optional) does the same for frequencies, and
-    without it `spectral_density` raises CapabilityError.  The caller is
-    responsible for rho being symmetric in each coordinate, which the
-    embedding machinery relies on.
+    without it `spectral_density` raises CapabilityError.  Both take the
+    shapes that `MaternKernel` takes.  The caller is responsible for rho
+    being symmetric in each coordinate, which the embedding relies on.
     """
 
     rho_fn: Callable[[np.ndarray], np.ndarray]
@@ -246,15 +232,14 @@ class CustomStationaryKernel:
         return 4 * np.finfo(float).eps
 
     def rho(self, x):
-        return _at_points(self.rho_fn, x, self.d,
-                          f"rho: expected lag(s) with last axis {self.d}")
+        return _at_lags(self.rho_fn, x, self.d, "rho: expected lag(s)")
 
     def spectral_density(self, xi):
         if self.rho_hat_fn is None:
             raise CapabilityError(
                 "kernel capability missing: no spectral density supplied")
-        return _at_points(self.rho_hat_fn, xi, self.d,
-                          f"spectral_density: expected last axis {self.d}")
+        return _at_lags(self.rho_hat_fn, xi, self.d,
+                        "spectral_density: expected frequency(ies)")
 
     def to_json(self) -> dict:
         return {"family": "custom", "d": self.d,

@@ -205,8 +205,9 @@ def batch_sample_values(spec: Spectrum, mean, n: int, seed: int,
     Row i equals sample(spec, mean, draw_normal(s, seed, i)), bit for bit,
     whatever the chunking or worker count.
     """
-    if n < 1:
-        raise ValueError("batch_sample_values: n must be >= 1")
+    if n < 1 or seed < 0:
+        raise ValueError("batch_sample_values: n must be >= 1 and seed >= 0 "
+                         f"(n={n}, seed={seed})")
     return _field_values(
         spec, mean, n,
         lambda row, i: _generator(seed, i).standard_normal(out=row),

@@ -192,6 +192,20 @@ class TestEllBounds:
             with pytest.raises(ValueError, match="needs C1 and C2"):
                 matern_ell_bound(1.0, 0.5, 1 / 64, missing)
 
+    @pytest.mark.parametrize("c1,c2,lam", [
+        (math.nan, 3.0, 0.5), (math.inf, 3.0, 0.5), (1.0, math.nan, 0.5),
+        (1.0, math.inf, 0.5), (1.0, 3.0, math.nan), (1.0, 3.0, 0.0)])
+    def test_non_finite_input_is_rejected(self, c1, c2, lam):
+        with pytest.raises(ValueError):
+            matern_ell_bound(1.0, lam, 1 / 64, BoundConstants(C1=c1, C2=c2))
+
+    @pytest.mark.parametrize("lam,B", [
+        (0.5, math.nan), (0.5, math.inf), (math.nan, 3.0), (math.inf, 3.0),
+        (0.0, 3.0)])
+    def test_gaussian_non_finite_input_is_rejected(self, lam, B):
+        with pytest.raises(ValueError):
+            gaussian_ell_bound(lam, 1 / 16, B)
+
     def test_gaussian_bound_algebra(self):
         # with lam m0 = 8 fixed, the lam sqrt(2) lam/h0 term is 8 sqrt(2) lam
         for lam in (1.0, 0.5, 0.25):
@@ -502,6 +516,12 @@ class TestSamplingTheorem:
             sampling_theorem_check(gaussian_kernel(1.0, 1.0, 2), 0.25,
                                    np.array(xi), 8, 3)
 
+
+    @pytest.mark.parametrize("xi", [[0.0, math.inf], [math.nan, 0.0]])
+    def test_frequency_must_be_finite(self, xi):
+        with pytest.raises(ValueError, match="xi must be finite"):
+            sampling_theorem_check(gaussian_kernel(1.0, 1.0, 2), 0.25,
+                                   np.array(xi), 8, 3)
 
 class TestCalibrateConstants:
     def test_round_trip_recovery(self):

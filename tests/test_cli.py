@@ -423,6 +423,52 @@ class TestSweep:
         assert info.value.code == 2
         assert "unrecognized arguments: --threads" in capsys.readouterr().err
 
+    def test_grid_and_sigma2_are_recorded_as_read(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"d": [2], "nu": [0.5, "inf"],
+                                   "lam": ["0.25"], "m0": [8],
+                                   "sigma2": "2", "tol": 0}))
+        out = tmp_path / "sweep"
+        code, payload = run(capsys, "sweep", "--config", str(cfg),
+                            "--out", str(out))
+        assert code == 0
+        with open(out / "sweep.csv", newline="") as fh:
+            rows = [{k: v for k, v in r.items() if k != "seconds"}
+                    for r in csv.DictReader(fh)]
+        assert rows == [
+            {"d": "2", "nu": "0.5", "lambda": "0.25", "m0": "8",
+             "ell_min": "1.0", "m": "8", "s": "256", "error": ""},
+            {"d": "2", "nu": "inf", "lambda": "0.25", "m0": "8",
+             "ell_min": "1.375", "m": "11", "s": "484", "error": ""}]
+        report = json.loads((out / "report.json").read_text())
+        for params in (payload["parameters"], report["parameters"]):
+            assert {k: params[k] for k in ("d", "nu", "lam", "m0", "sigma2")} \
+                == {"d": [2], "nu": [0.5, "inf"], "lam": [0.25], "m0": [8],
+                    "sigma2": 2.0}
+
+    def test_a_flag_gives_one_value_in_place_of_a_list(self, tmp_path,
+                                                        capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"d": [1], "nu": [0.5, 1.5],
+                                   "lam": [0.5, 1.0], "m0": [4], "tol": 0}))
+        code, payload = run(capsys, "sweep", "--config", str(cfg),
+                            "--out", str(tmp_path / "sweep"),
+                            "--nu", "inf", "--lambda", "0.5")
+        assert code == 0 and payload["report"]["points"] == 1
+        assert (payload["parameters"]["nu"], payload["parameters"]["lam"]) \
+            == ("inf", 0.5)
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_is_usage_error(self, threads, tmp_path,
+                                              capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"d": [1], "nu": [0.5], "lam": [1.0],
+                                   "m0": [4]}))
+        err = usage_error(capsys, "sweep", "--config", str(cfg),
+                          "--out", str(tmp_path / "sweep"),
+                          "--threads", threads)
+        assert "sweep: threads must be >= 1" in err
+
 
 class TestSample:
     def test_binary_deterministic(self, tmp_path, capsys):
@@ -524,6 +570,12 @@ class TestSample:
         assert code == 2
         assert err.startswith("error: ") and "Traceback" not in err
         assert not (tmp_path / "fields.bin").exists()
+
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        err = usage_error(capsys, "sample", "--d", "1", "--nu", "0.5",
+                          "--lambda", "0.5", "--m0", "4", "--seed", "-1",
+                          "--out", str(tmp_path))
+        assert "seed >= 0 (n=1, seed=-1)" in err
 
     def test_constant_mean(self, tmp_path, capsys):
         code, _ = run(capsys, "sample", "--d", "1", "--nu", "0.5",
@@ -635,6 +687,30 @@ class TestValidateCommand:
                       "--d", "1", "--nu", "0.5", "--lambda", "0.5")
         assert code == 4
 
+    def test_report_with_a_nan_is_strict_json(self, tmp_path, capsys):
+        values = np.random.default_rng(3).standard_normal((1000, 5))
+        values[17, 2] = np.nan
+        path = write_field_binary(tmp_path / "fields.bin", values, d=1, m0=4)
+        out = tmp_path / "out"
+        code = main(["validate", "--samples", str(path), "--d", "1",
+                     "--nu", "0.5", "--lambda", "0.5", "--out", str(out)])
+        assert code == 3
+
+        def strict(text):
+            raise ValueError(f"not strict JSON: {text}")
+
+        for text in (capsys.readouterr().out,
+                     (out / "report.json").read_text()):
+            report = json.loads(text, parse_constant=strict)["report"]
+            assert report["max_cov_error"] == "nan"
+            assert not report["passed"]
+
+
+def test_non_finite_floats_are_written_as_text():
+    assert cli._sanitize({"a": -math.inf, "b": [np.float64("nan")],
+                          "c": math.inf, "d": np.float64(1.5)}) == {
+        "a": "-inf", "b": ["nan"], "c": "inf", "d": 1.5}
+
 
 class TestEigDecay:
     def test_csv_and_report(self, tmp_path, capsys):
@@ -717,6 +793,24 @@ class TestTheory:
                           "--lambda", "0.5", "--m0", "16")
         assert "gaussian bound needs --b or --calibrate-from" in err
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--nu", "1", "--c1", "nan", "--c2", "3"], "C1 must be finite"),
+        (["--nu", "1", "--c1", "inf", "--c2", "3"], "C1 must be finite"),
+        (["--nu", "1", "--c1", "1", "--c2", "nan"], "requires finite C2"),
+        (["--nu", "1", "--lambda", "nan", "--c1", "1", "--c2", "3"],
+         "0 < lam <= 1"),
+        (["--nu", "inf", "--b", "nan"], "needs a finite B"),
+        (["--nu", "inf", "--lambda", "nan", "--b", "3"],
+         "and lam > 0"),
+    ], ids=["c1-nan", "c1-inf", "c2-nan", "lambda-nan", "b-nan",
+            "gaussian-lambda-nan"])
+    def test_bounds_input_not_finite_is_usage_error(self, flags, message,
+                                                    capsys):
+        # the last --lambda given wins, so 0.5 is only the default here
+        err = usage_error(capsys, "theory", "bounds", "--lambda", "0.5",
+                          "--m0", "8", *flags)
+        assert message in err
+
     def test_bounds_calibrated_from_sweep(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
@@ -761,6 +855,25 @@ class TestTheory:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert message in captured.err and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("xi", ["0,inf", "nan,0"])
+    def test_xi_not_finite_is_usage_error(self, xi, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            err = usage_error(capsys, "theory", "sampling-theorem", "--d",
+                              "2", "--nu", "1.5", "--lambda", "0.5",
+                              "--h", "0.25", "--xi", xi)
+        assert "xi must be finite" in err
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["continuous-eigs", "--ell", "1", "--k", ""], "--k"),
+        (["continuous-eigs", "--ell", "1", "--k", "0,1.5"], "--k"),
+        (["sampling-theorem", "--h", "0.25", "--xi", "0.1,"], "--xi"),
+    ], ids=["k-empty", "k-fraction", "xi-trailing-comma"])
+    def test_malformed_comma_list_names_its_flag(self, argv, flag, capsys):
+        err = usage_error(capsys, "theory", *argv, "--d", "1", "--nu", "1.5",
+                          "--lambda", "0.5")
+        assert f"argument {flag}: expected comma-separated" in err
 
     @pytest.mark.parametrize("flags", [["--k-trunc", "-1"],
                                        ["--r-trunc", "-3"]],

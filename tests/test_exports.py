@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import circembed
+from circembed.cli import build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 SUBMODULES = sorted(info.name for info in pkgutil.iter_modules(circembed.__path__))
@@ -50,3 +51,24 @@ def test_every_export_is_named_in_the_readme():
     readme = README.read_text()
     assert [n for n in circembed.__all__ if n != "__version__"
             and not re.search(rf"\b{re.escape(n)}\b", readme)] == []
+
+
+def _subcommand_options(parser) -> set:
+    """Every long option of every subcommand under `parser`, --help aside."""
+    found = set()
+    for action in parser._actions:
+        if isinstance(action.choices, dict):  # the subcommands
+            for sub in action.choices.values():
+                found.update(o for a in sub._actions for o in a.option_strings
+                             if o.startswith("--") and o != "--help")
+                found |= _subcommand_options(sub)
+    return found
+
+
+def test_every_long_option_is_named_in_the_readmes_command_line():
+    section = README.read_text().split("## Command line", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    options = _subcommand_options(build_parser())
+    assert "--threads" in options
+    assert sorted(o for o in options
+                  if not re.search(rf"{re.escape(o)}(?![\w-])", section)) == []

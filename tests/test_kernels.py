@@ -68,6 +68,34 @@ class TestRho:
                         "rho: expected lag(s) with last axis 2")):
                     kernel.rho(lags)
 
+    @pytest.mark.parametrize("nu", [0.5, 1.5, math.inf])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_custom_kernel_on_the_matern_profile_is_matern(self, d, nu):
+        matern = MaternKernel(1.3, 0.4, nu, d)
+        custom = CustomStationaryKernel(
+            rho_fn=lambda x: matern.kappa(np.sqrt(np.sum(x * x, axis=1))
+                                          / matern.lam), d=d)
+        rng = np.random.default_rng(d)
+        cases = [((d,), ()), ((6, d), (6,)), ((2, 3, d), (2, 3))]
+        if d == 1:  # a bare lag or a 1-d array of them
+            cases += [((), ()), ((5,), (5,))]
+        for shape, out_shape in cases:
+            lags = rng.standard_normal(shape)
+            want, got = matern.rho(lags), custom.rho(lags)
+            assert type(got) is type(want)
+            assert np.shape(got) == np.shape(want) == out_shape
+            assert np.array_equal(got, want)
+        wrong = [np.ones((4, d + 1)), np.ones((2, 3, d + 1))]
+        if d > 1:
+            wrong += [np.ones(d + 1), 1.0]
+        for lags in wrong:
+            messages = []
+            for kernel in (matern, custom):
+                with pytest.raises(ValueError) as info:
+                    kernel.rho(lags)
+                messages.append(str(info.value))
+            assert messages[0] == messages[1]
+
     def test_exponential_case(self):
         k = exponential_1d()
         assert k.rho(2.0) == pytest.approx(math.exp(-2.0), rel=1e-13)

@@ -234,6 +234,11 @@ class TestBatchSample:
         direct = sample(spec, 0.0, draw_normal(emb.s, seed=5, stream=0))
         assert np.array_equal(batch[0], direct)
 
+    def test_negative_seed_is_rejected(self):
+        _, _, spec = exponential_spectrum()
+        with pytest.raises(ValueError, match="seed >= 0"):
+            batch_sample_values(spec, 0.0, n=1, seed=-1)
+
     def test_content_is_stream_indexed(self):
         _, emb, spec = exponential_spectrum(d=2, m0=2, m=3)
         with chunks_of(3):
