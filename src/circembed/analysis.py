@@ -105,13 +105,24 @@ class PdCriterionResult:
 
 
 def _checked_quad(f, lower):
+    """integral_lower^inf f; QuadratureError when quad warns (its message
+    comes with the estimate), when f overflows or is not finite, or when
+    the estimate misses relative accuracy _QUAD_REL_TOL."""
     from scipy import integrate  # loads scipy.linalg: only theory needs it
-    val, err = integrate.quad(f, lower, np.inf, epsabs=0.0, epsrel=1e-11,
-                              limit=400)
-    if not np.isfinite(val) or (val != 0.0 and err > _QUAD_REL_TOL * abs(val)):
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            val, err, _, *warning = integrate.quad(
+                f, lower, np.inf, epsabs=0.0, epsrel=1e-11, limit=400,
+                full_output=1)
+    except (FloatingPointError, OverflowError) as exc:
+        raise QuadratureError(f"tail quadrature from {lower!r}: the "
+                              f"integrand is not finite ({exc})") from None
+    if warning or not np.isfinite(val) or (
+            val != 0.0 and err > _QUAD_REL_TOL * abs(val)):
         raise QuadratureError(
             f"tail quadrature did not converge: value={val!r}, "
-            f"error estimate={err!r}")
+            f"error estimate={err!r}"
+            + "".join(f" ({w.splitlines()[0]})" for w in warning))
     return val
 
 
@@ -163,10 +174,16 @@ def pd_criterion(kernel: MaternKernel, grid: GridSpec,
     """
     _require_isotropic(kernel, "pd_criterion")
     d, h0, lam = grid.d, grid.h0, kernel.lam
-    if ell <= h0:
+    if not ell > h0:
         raise ValueError("pd_criterion: requires ell > h0")
+    # (lam/h0)^d as a product: 0 where it underflows, inf where it overflows
+    coef = ((3**d - 1) * 3 ** (d - 1) * d ** (0.5 * d - 1.0) / 2.0
+            * math.prod([lam / h0] * d))
+    if not coef < math.inf:
+        raise ValueError(
+            f"pd_criterion: (lam/h0)^{d} is not finite in float64 at "
+            f"lam={lam!r}, h0={h0!r}: lower --lambda or --m0")
     lhs = spectral_tail_integral(kernel, 3.0 * lam * math.sqrt(d) / (2.0 * h0))
-    coef = (3**d - 1) * 3 ** (d - 1) * d ** (0.5 * d - 1.0) / (2.0 * (h0 / lam) ** d)
     rhs = coef * covariance_tail_integral(kernel, (ell - h0) / lam)
     return PdCriterionResult(lhs=lhs, rhs=rhs, satisfied=bool(lhs > rhs))
 
@@ -246,8 +263,9 @@ def matern_ell_bound(nu: float, lam: float, h0: float,
     """Extension length sufficient for positive definiteness in the Matern
     case:  lam * (C1 + C2 nu^(1/2) log(max(lam/h0, nu^(1/2)))).
 
-    Needs finite C1 and C2 >= 2 sqrt(2) and the hypotheses 1/2 <= nu < inf,
-    0 < lam <= 1, h0/lam <= 1/e; a violation, NaN too, raises ValueError.
+    Needs finite C1 and C2 >= 2 sqrt(2), a finite h0 > 0 and the hypotheses
+    1/2 <= nu < inf, 0 < lam <= 1, h0/lam <= 1/e; a violation, NaN too,
+    raises ValueError.
     """
     if consts.C1 is None or consts.C2 is None:
         raise ValueError("matern_ell_bound: needs C1 and C2")
@@ -259,6 +277,8 @@ def matern_ell_bound(nu: float, lam: float, h0: float,
         raise ValueError("matern_ell_bound hypothesis violated: 1/2 <= nu < inf")
     if not 0.0 < lam <= 1.0:
         raise ValueError("matern_ell_bound hypothesis violated: 0 < lam <= 1")
+    if not 0.0 < h0 < math.inf:
+        raise ValueError("matern_ell_bound: requires a finite h0 > 0")
     if not h0 / lam <= math.exp(-1.0):
         raise ValueError("matern_ell_bound hypothesis violated: h0/lam <= 1/e")
     return lam * (consts.C1 + consts.C2 * math.sqrt(nu)
@@ -267,9 +287,12 @@ def matern_ell_bound(nu: float, lam: float, h0: float,
 
 def gaussian_ell_bound(lam: float, h0: float, B: float) -> float:
     """Extension length sufficient for positive definiteness in the
-    Gaussian (nu = inf) case:  1 + lam * max(sqrt(2) lam/h0, B)."""
+    Gaussian (nu = inf) case:  1 + lam * max(sqrt(2) lam/h0, B), for a
+    finite B, a finite lam > 0 and a finite h0 > 0 (NaN fails each)."""
     if not (math.isfinite(B) and 0.0 < lam < math.inf):
         raise ValueError("gaussian_ell_bound: needs a finite B and lam > 0")
+    if not 0.0 < h0 < math.inf:
+        raise ValueError("gaussian_ell_bound: requires a finite h0 > 0")
     return 1.0 + lam * max(math.sqrt(2.0) * lam / h0, B)
 
 
@@ -288,6 +311,9 @@ def continuous_eigenvalue(kernel, ell: float, k, quad_n: int = 64) -> float:
     if quad_n < 2:
         raise ValueError("continuous_eigenvalue: quad_n must be >= 2")
     d = kernel.d
+    if not math.prod([2.0 * ell] * d) < math.inf:
+        raise ValueError(f"continuous_eigenvalue: ell={ell!r} is too large: "
+                         f"the volume (2 ell)^{d} of its grid overflows")
     k = np.atleast_1d(np.asarray(k, dtype=float))
     if k.size != d:
         raise ValueError(f"continuous_eigenvalue: k must have {d} components")
@@ -299,7 +325,12 @@ def continuous_eigenvalue(kernel, ell: float, k, quad_n: int = 64) -> float:
                 "continuous_eigenvalue: rectangle rule grid too large")
         pts = grid_points(-ell + 2.0 * ell * np.arange(n) / n, d)
         vals = kernel.rho(pts) * np.cos(2.0 * np.pi * (pts @ xi))
-        return float(vals.sum() * (2.0 * ell / n) ** d)
+        with np.errstate(over="ignore"):  # an overflow is reported below
+            value = float(vals.sum() * (2.0 * ell / n) ** d)
+        if not math.isfinite(value):
+            raise ValueError(f"continuous_eigenvalue: the rectangle rule "
+                             f"overflows at ell={ell!r} for {kernel!r}")
+        return value
 
     prev = rect(quad_n)
     n = quad_n
@@ -444,10 +475,18 @@ def sampling_theorem_check(kernel, h: float, xi, k_trunc: int,
     pts = _capped_grid(np.arange(-k_trunc, k_trunc + 1), d).astype(float)
     shifts = _capped_grid(np.arange(-r_trunc, r_trunc + 1), d).astype(float)
 
-    # the spectral side first: a kernel without a density fails here
-    rhs = float(np.sum(kernel.spectral_density(xi[None, :] + shifts / h)) / h**d)
-    lhs = float(np.sum(kernel.rho(h * pts)
-                       * np.cos(2.0 * np.pi * h * (pts @ xi))))
+    # the spectral side first: a kernel without a density fails here.  A
+    # side that overflows or is NaN is reported below, not warned about
+    with np.errstate(all="ignore"):
+        rhs = float(np.sum(kernel.spectral_density(xi[None, :] + shifts / h))
+                    / np.float64(h) ** d)
+        lhs = float(np.sum(kernel.rho(h * pts)
+                           * np.cos(2.0 * np.pi * h * (pts @ xi))))
+    if not (math.isfinite(lhs) and math.isfinite(rhs)):
+        raise ValueError(
+            f"sampling_theorem_check: the identity is not finite in float64 "
+            f"at h={h!r}, xi={xi.tolist()} for {kernel!r} (lhs {lhs!r}, "
+            f"rhs {rhs!r})")
     return SamplingIdentityResult(lhs=lhs, rhs=rhs, residual=abs(lhs - rhs))
 
 

@@ -13,9 +13,9 @@ Subcommands:
 Each flag is declared once, with the CLI's default if it has one, in a
 parent parser shared by the commands that read it, and every search runs
 through `_search`.  A JSON config (--config) may set any flag by its
-destination (`lam`, `m_max`, `out`); a value (each element of a list) is
-read as the flag's own text would be, and explicit flags override it
-(`_parameters`).  A library
+destination (`lam`, `m_max`, `out`); explicit flags override it, and a
+value (each element of a list) is read as the flag's own text would be
+(`_value`).  No call changes the parser, which is built once.  A library
 setting that neither gives is not passed on, so its one default is the
 library's, and an explicit 0 meets the checks of the code that reads it.
 Exit codes: 0 success, 2 flag/usage error (also an input too large to
@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -74,30 +75,39 @@ def _parse_nu(text: str) -> float:
     return float(text)
 
 
-def _read(parser: argparse.ArgumentParser, values: dict, argv=()) -> dict:
-    """argv parsed with `values` as `parser`'s defaults, None left out; a
-    value of a flag that takes one goes in as text, read as the flag's is."""
-    bare = {action.dest: action.nargs == 0 for action in parser._actions}
-    parser.set_defaults(**{
-        k: v if bare[k] or isinstance(v, (list, dict)) else str(v)
-        for k, v in values.items() if k in bare and v is not None})
-    return {key: value for key, value in vars(parser.parse_args(argv)).items()
-            if value is not None}
+def _value(parser: argparse.ArgumentParser, action: argparse.Action, value):
+    """A config value read as its flag's text would be: by the flag's type,
+    then its choices (true or false for a bare flag); a list by element."""
+    if isinstance(value, list):
+        return [_value(parser, action, v) for v in value]
+    if action.nargs != 0:
+        try:
+            value = parser._get_value(action, str(value))
+        except argparse.ArgumentError as exc:
+            parser.error(str(exc))
+    if (action.nargs == 0 and not isinstance(value, bool)
+            or action.choices and value not in action.choices):
+        raise ValueError(
+            f"argument {'/'.join(action.option_strings)}: unknown "
+            f"{action.dest} {value!r} (expected "
+            f"{' or '.join(action.choices or ('true', 'false'))})")
+    return value
 
 
 def _parameters(argv) -> tuple:
-    """The command's function and parameters: argv read with the config's
-    values as defaults (other keys stay as given, below `command`).  Only a
-    flag's choices (true or false for a bare flag) are accepted, and a list
-    only where the command reads one (`LIST_KEYS`), each element, null too,
-    read as text by its key's flag if it has one; an object nowhere."""
+    """The command's function and parameters: the config's values (other
+    keys stay as given, below `command`) with argv's flags in their place,
+    and each value no flag replaced read by `_value`.  A list is accepted
+    only where the command reads one (`LIST_KEYS`), an object nowhere."""
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
     config = {} if args.config is None else json.loads(args.config.read_text())
     if not isinstance(config, dict):
         raise ValueError(f"--config {args.config} must hold a JSON object")
     flags = {action.dest: action for action in args.parser._actions}
-    read = _read(args.parser, config, argv[len(args.command.split()):])
+    given = {k: v for k, v in config.items() if k in flags and v is not None}
+    read = vars(args.parser.parse_args(argv[len(args.command.split()):],
+                                       argparse.Namespace(**given)))
     params = {key: value for key, value in {**config, **read}.items()
               if value is not None and key not in ("config", "func", "parser")}
     listed = LIST_KEYS.get(args.command, ())
@@ -107,16 +117,8 @@ def _parameters(argv) -> tuple:
             kind = "a list" if key in listed else "a single value"
             raise ValueError(f"config key '{key}' must be {kind} for "
                              f"{args.command}, not a {type(value).__name__}")
-        action = flags.get(key)
-        if action and (action.nargs == 0 and not isinstance(value, bool) or
-                       action.choices and value not in action.choices):
-            raise ValueError(
-                f"argument {'/'.join(action.option_strings)}: unknown {key} "
-                f"{value!r} (expected "
-                f"{' or '.join(action.choices or ('true', 'false'))})")
-        if action and isinstance(value, list):
-            params[key] = [_read(args.parser, {key: str(v)})[key]
-                           for v in value]
+        if key in given and value is given[key]:  # no flag replaced it
+            params[key] = _value(args.parser, flags[key], value)
     return read["func"], params
 
 
@@ -408,6 +410,7 @@ def cmd_qmc_sum(params: dict) -> int:
 
 # ------------------------------------------------------------------- main
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", type=Path,

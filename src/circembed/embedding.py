@@ -401,17 +401,18 @@ def _witness_fails(block: np.ndarray, embedding: Embedding, at: int,
 
 def _exhausted(spec: Spectrum, tol: float, m_max: int, attempts: tuple):
     """The error for a search that ran out of extensions at `spec`."""
-    bound = spec.rounding_bound
+    bound, m = spec.rounding_bound, spec.embedding.m
     if spec.decides(tol):
         return NotPositiveDefiniteError(
-            f"not positive definite within m_max={m_max} "
-            f"(last min eigenvalue {spec.min_value!r}, rounding bound "
+            f"not positive definite within m_max={m_max} (last m tried {m}, "
+            f"its min eigenvalue {spec.min_value!r}, rounding bound "
             f"{bound:.3e})", m_max=m_max, min_eig=spec.min_value,
             rounding_bound=bound, attempts=attempts)
     return PDUndecidableError(
-        f"not positive definite within m_max={m_max} in float64: the last "
-        f"min eigenvalue {spec.min_value!r} lies within the rounding bound "
-        f"{bound:.3e} of -tol, so double precision cannot decide",
+        f"not positive definite within m_max={m_max} in float64: at the last "
+        f"m tried, {m}, the min eigenvalue {spec.min_value!r} lies within the "
+        f"rounding bound {bound:.3e} of -tol, so double precision cannot "
+        f"decide",
         m_max=m_max, min_eig=spec.min_value, rounding_bound=bound,
         attempts=attempts)
 

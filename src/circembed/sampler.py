@@ -71,8 +71,9 @@ def draw_normal(s: int, seed: int, stream: int = 0) -> np.ndarray:
     Distinct (seed, stream) pairs give independent streams; the output is
     deterministic for a fixed pair.
     """
-    if s < 1:
-        raise ValueError("draw_normal: s must be >= 1")
+    if s < 1 or seed < 0 or stream < 0:
+        raise ValueError("draw_normal: s must be >= 1 and seed and stream "
+                         f">= 0 (s={s}, seed={seed}, stream={stream})")
     return _generator(seed, stream).standard_normal(s)
 
 

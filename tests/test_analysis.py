@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from types import SimpleNamespace
 
@@ -81,6 +82,41 @@ class TestPdCriterion:
         with pytest.raises(ValueError, match="requires ell > h0"):
             pd_criterion(MaternKernel(1.0, 0.5, 1.0, 1), GridSpec(d=1, m0=8),
                          ell=ell)
+
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_coefficient_is_the_documented_one(self, d):
+        # (3^d - 1) 3^(d-1) d^(d/2-1) / (2 (h0/lam)^d), to rounding
+        k, grid, ell = MaternKernel(1.0, 0.3, 1.5, d), GridSpec(d, 8), 2.0
+        coef = ((3**d - 1) * 3 ** (d - 1) * d ** (0.5 * d - 1.0)
+                / (2.0 * (grid.h0 / k.lam) ** d))
+        tail = analysis.covariance_tail_integral(k, (ell - grid.h0) / k.lam)
+        assert pd_criterion(k, grid, ell).rhs == pytest.approx(
+            coef * tail, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("lam", [math.inf, 1e308, 1e200])
+    def test_lam_over_h0_must_stay_finite(self, lam):
+        # (lam/h0)^2 overflows at lam = 1e200 though lam/h0 does not
+        with pytest.raises(ValueError, match="lower --lambda or --m0"):
+            pd_criterion(MaternKernel(1.0, lam, 0.5, 2), GridSpec(2, 8), 6.0)
+
+    def test_tiny_lam_underflows_the_coefficient_to_zero(self):
+        res = pd_criterion(MaternKernel(1.0, 1e-300, 0.5, 2), GridSpec(2, 8),
+                           6.0)
+        assert res.rhs == 0.0 and 0.0 < res.lhs < math.inf and res.satisfied
+
+    @pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
+    @pytest.mark.parametrize("lam,m0", [(1e20, 8), (0.5, 10**20)])
+    def test_a_quadrature_warning_is_a_quadrature_error(self, lam, m0):
+        # quad warned and returned a negative integral of a positive density
+        with pytest.raises(QuadratureError, match="probably divergent"):
+            pd_criterion(MaternKernel(1.0, lam, 0.5, 2), GridSpec(2, m0), 6.0)
+
+    def test_an_integrand_that_overflows_is_a_quadrature_error(self):
+        # (2 pi r)^2 / (2 nu) overflows inside log_kappa_hat at nu = 1e-300
+        kernel = MaternKernel(1.0, 0.5, 1e-300, 2, allow_small_nu=True)
+        with pytest.raises(QuadratureError, match="integrand is not finite"):
+            pd_criterion(kernel, GridSpec(2, 8), 6.0)
 
 
 class TestTailIntegrals:
@@ -206,6 +242,14 @@ class TestEllBounds:
         with pytest.raises(ValueError):
             gaussian_ell_bound(lam, 1 / 16, B)
 
+    @pytest.mark.parametrize("h0", [0.0, -0.1, math.nan, math.inf])
+    def test_h0_must_be_finite_and_positive(self, h0):
+        # h0 = 0 divided by zero, and h0 = -0.1 gave 0.5 for the Matern bound
+        with pytest.raises(ValueError, match="requires a finite h0 > 0"):
+            matern_ell_bound(1.0, 0.5, h0, BoundConstants(1.0, 3.0))
+        with pytest.raises(ValueError, match="requires a finite h0 > 0"):
+            gaussian_ell_bound(0.5, h0, 3.0)
+
     def test_gaussian_bound_algebra(self):
         # with lam m0 = 8 fixed, the lam sqrt(2) lam/h0 term is 8 sqrt(2) lam
         for lam in (1.0, 0.5, 0.25):
@@ -236,6 +280,19 @@ class TestContinuousEigenvalue:
     def test_wavenumber_needs_d_components(self, k):
         with pytest.raises(ValueError, match="k must have 2 components"):
             continuous_eigenvalue(MaternKernel(1.0, 1.0, 0.5, 2), 1.0, k)
+
+    @pytest.mark.parametrize("d,ell", [(1, 1e308), (3, 1e150)])
+    def test_ell_whose_grid_overflows_is_rejected(self, d, ell):
+        # 2 ell, or (2 ell)^d, overflows float64
+        with pytest.raises(ValueError,
+                           match=re.escape(f"ell={ell!r} is too large")):
+            continuous_eigenvalue(MaternKernel(1.0, 1.0, 0.5, d), ell, [0] * d)
+
+    def test_rule_that_overflows_is_rejected(self):
+        kernel = MaternKernel(1e308, 1.0, 0.5, 1)
+        with pytest.raises(ValueError, match=r"rectangle rule overflows at "
+                           r"ell=1.0 for MaternKernel\(sigma2=1e\+308"):
+            continuous_eigenvalue(kernel, 1.0, [0])
 
     def test_exponential_closed_form(self):
         # lambda_0(ell) = 2 (1 - e^-ell) for the unit exponential kernel
@@ -522,6 +579,25 @@ class TestSamplingTheorem:
         with pytest.raises(ValueError, match="xi must be finite"):
             sampling_theorem_check(gaussian_kernel(1.0, 1.0, 2), 0.25,
                                    np.array(xi), 8, 3)
+
+    @pytest.mark.parametrize("sigma2,lam,h,xi", [
+        (1.0, math.inf, 0.25, 0.0), (1.0, 1e308, 0.25, 0.0),
+        (1e308, 1.0, 0.25, 0.0), (1.0, 1.0, 1e308, 0.0),
+        (1.0, 1.0, 0.25, 1e308)],
+        ids=["lam-inf", "lam-huge", "sigma2-huge", "h-huge", "xi-huge"])
+    def test_a_side_that_is_not_finite_is_rejected(self, sigma2, lam, h, xi):
+        # warnings are errors here, so none may escape either
+        kernel = MaternKernel(sigma2, lam, math.inf, 1)
+        with pytest.raises(ValueError, match="identity is not finite") as info:
+            sampling_theorem_check(kernel, h, xi, 64, 64)
+        assert f"h={h!r}, xi={[xi]}" in str(info.value)
+        assert repr(kernel) in str(info.value)
+
+    def test_tiny_h_gives_a_finite_report(self):
+        res = sampling_theorem_check(gaussian_kernel(1.0, 1.0, 1), 1e-300,
+                                     0.0, 64, 64)
+        assert res.lhs == 129.0 and math.isfinite(res.rhs)
+
 
 class TestCalibrateConstants:
     def test_round_trip_recovery(self):

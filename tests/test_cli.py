@@ -122,6 +122,23 @@ class TestMinEll:
         assert "rounding bound" in err and "cannot decide" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--nu", "1.5", "--m-step", "1000000000000"],
+         "not positive definite within m_max=800 (last m tried 8, its min "
+         "eigenvalue"),
+        (["--nu", "inf", "--m0", "32", "--tol", "1e-13", "--schedule",
+          "doubling", "--m-max", "512"],
+         "not positive definite within m_max=512 in float64: at the last m "
+         "tried, 512, the min eigenvalue"),
+    ], ids=["step-past-m-max", "undecidable"])
+    def test_run_out_message_names_the_last_m_tried(self, argv, message,
+                                                     capsys):
+        # the first search tries m=8 only: its next step passes m_max
+        code = main(["min-ell", "--d", "2", "--lambda", "0.5", "--m0", "8",
+                     *argv])
+        err = capsys.readouterr().err
+        assert code == 3 and message in err and "Traceback" not in err
+
     def test_report_rounding_keys(self, capsys):
         code, payload = run(capsys, "min-ell", "--d", "1", "--nu", "0.5",
                             "--lambda", "1", "--m0", "8", "--tol", "0")
@@ -1091,3 +1108,125 @@ class TestConfigIsReadLikeFlags:
         assert {key: payload["parameters"][key] for key in
                 ("xi", "k_trunc", "r_trunc")} == {
             "xi": "0", "k_trunc": 64, "r_trunc": 64}
+
+
+class TestOneParser:
+    """The parser is built once per process, and no call changes it."""
+
+    def test_build_parser_is_cached(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    @staticmethod
+    def _defaults(parser) -> list:
+        """(command words, dest, default) of every action of every
+        subparser, in declaration order."""
+        found = []
+
+        def walk(parser, words):
+            for action in parser._actions:
+                if isinstance(action.choices, dict):
+                    for name, sub in action.choices.items():
+                        walk(sub, words + [name])
+                found.append((tuple(words), action.dest, action.default))
+
+        walk(parser, [])
+        return found
+
+    @pytest.mark.parametrize("words,config", [
+        (["min-ell"], {"lam": 0.25, "schedule": "doubling", "m_max": 50}),
+        (["sample"], {"lam": 0.25, "schedule": "doubling", "m_max": 50,
+                      "lognormal": True, "n": 3}),
+        (["theory", "qmc-sum"], {"lam": 0.25, "schedule": "doubling",
+                                 "m_max": 50}),
+    ], ids=["min-ell", "sample", "qmc-sum"])
+    def test_a_config_does_not_leak_into_the_next_call(self, words, config,
+                                                       tmp_path):
+        declared = self._defaults(cli.build_parser.__wrapped__())
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = [*words, "--d", "1", "--nu", "0.5", "--m0", "4"]
+        _, first = cli._parameters([*argv, "--config", str(cfg)])
+        assert {key: first[key] for key in config} == config
+        _, second = cli._parameters(argv)
+        assert not (set(config) - {"lognormal", "n"}) & set(second)
+        if "lognormal" in config:
+            assert second["lognormal"] is False and second["n"] == 1
+        assert self._defaults(cli.build_parser()) == declared
+
+
+# a valid command line of each theory subcommand; --m-max 64 bounds the
+# searches that cannot end sooner
+THEORY_ARGV = {
+    "pd-criterion": ["--d", "2", "--nu", "0.5", "--lambda", "0.5",
+                     "--m0", "8", "--ell", "6"],
+    "bounds": ["--nu", "1", "--lambda", "0.5", "--m0", "8", "--c1", "1",
+               "--c2", "3"],
+    "continuous-eigs": ["--d", "1", "--nu", "0.5", "--lambda", "1.0",
+                        "--ell", "1"],
+    "sampling-theorem": ["--d", "1", "--nu", "inf", "--lambda", "1.0",
+                         "--h", "0.25"],
+    "qmc-sum": ["--d", "1", "--nu", "1.5", "--lambda", "0.5", "--m0", "8",
+                "--tol", "0", "--p", "0.7", "--m-max", "64"],
+}
+EXTREMES = ["0", "-1", "nan", "inf", "-inf", "1e308", "1e-300",
+            "99999999999999999999", ""]
+
+
+@pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("words,flag,dest,choices", [
+    param for param in _value_flags() if param.values[0][0] == "theory"])
+def test_theory_flag_at_an_extreme_value_ends_cleanly(
+        words, flag, dest, choices, tmp_path, monkeypatch, capsys):
+    """Each value of EXTREMES, given to one flag of a valid theory command
+    line, ends in a report with no NaN, a usage error or a numerical
+    failure (an I/O error too where the flag names a file to read), with
+    no warning and no traceback.  The parameters echo the input as given."""
+    monkeypatch.chdir(tmp_path)  # `--out=0` and `--out=` write here
+    ends = (0, 2, 3, 4) if flag == "--calibrate-from" else (0, 2, 3)
+    for text in EXTREMES:
+        try:
+            code = main([*words, *THEORY_ARGV[words[1]], f"{flag}={text}"])
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code in ends, (text, code, captured.err)
+        assert "Traceback" not in captured.err, text
+        if code == 0:
+            report = json.dumps(json.loads(captured.out)["report"])
+            assert '"nan"' not in report, (text, report)
+
+
+# inputs that ended in a traceback, a warning, a NaN or an infinite report
+BEYOND_FLOAT64 = [
+    ("pd-criterion", ["--lambda", "inf"], 2,
+     "(lam/h0)^2 is not finite in float64 at lam=inf, h0=0.125: lower "
+     "--lambda or --m0"),
+    ("pd-criterion", ["--lambda", "1e308"], 2, "lower --lambda or --m0"),
+    ("pd-criterion", ["--lambda", "99999999999999999999"], 3,
+     "tail quadrature did not converge"),
+    ("pd-criterion", ["--m0", "99999999999999999999"], 3,
+     "tail quadrature did not converge"),
+    ("pd-criterion", ["--nu", "1e-300"], 3, "integrand is not finite"),
+    ("sampling-theorem", ["--h", "1e308"], 2,
+     "at h=1e+308, xi=[0.0] for MaternKernel(sigma2=1.0, lam=1.0, nu=inf"),
+    ("sampling-theorem", ["--xi", "1e308"], 2, "at h=0.25, xi=[1e+308]"),
+    ("sampling-theorem", ["--sigma2", "1e308"], 2,
+     "for MaternKernel(sigma2=1e+308"),
+    ("sampling-theorem", ["--lambda", "inf"], 2, "lam=inf"),
+    ("sampling-theorem", ["--lambda", "1e308"], 2, "lam=1e+308"),
+    ("continuous-eigs", ["--ell", "1e308"], 2, "ell=1e+308 is too large"),
+    ("continuous-eigs", ["--sigma2", "1e308"], 2,
+     "rectangle rule overflows at ell=1.0 for MaternKernel(sigma2=1e+308"),
+]
+
+
+@pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("command,flags,code,message", BEYOND_FLOAT64,
+                         ids=[" ".join([c, *f]) for c, f, *_ in BEYOND_FLOAT64])
+def test_theory_input_beyond_float64_names_itself(command, flags, code,
+                                                  message, capsys):
+    """A usage error names the input, or the quadrature fails."""
+    got = main(["theory", command, *THEORY_ARGV[command], *flags])
+    captured = capsys.readouterr()
+    assert got == code and captured.out == "", captured.err
+    assert message in captured.err and "Traceback" not in captured.err

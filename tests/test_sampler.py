@@ -64,6 +64,12 @@ class TestDrawNormal:
         with pytest.raises(ValueError):
             draw_normal(0, seed=1)
 
+    @pytest.mark.parametrize("seed,stream", [(-1, 0), (4, -2)])
+    def test_negative_seed_or_stream_is_rejected(self, seed, stream):
+        # numpy's own error named neither
+        with pytest.raises(ValueError, match=f"seed={seed}, stream={stream}"):
+            draw_normal(4, seed, stream)
+
 
 class TestQmcMap:
     def test_center_maps_to_zero(self):
