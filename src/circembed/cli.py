@@ -47,9 +47,12 @@ from .analysis import (BoundConstants, calibrate_constants,
                        qmc_criterion_sum, sampling_theorem_check)
 from .embedding import GridSpec, minimal_embedding
 from .errors import CircembedError
-from .formats import (read_field_binary, spectrum_sidecar, write_csv,
-                      write_field_binary, write_field_csv, write_json,
-                      write_manifest, write_spectrum_csv)
+# write_field_binary is not called here; perfbench/tracing.py looks it up
+# in this module
+from .formats import (field_binary_writer, field_csv_writer,
+                      read_field_binary, spectrum_sidecar, write_csv,
+                      write_field_binary, write_json, write_manifest,
+                      write_spectrum_csv)
 from .kernels import MaternKernel
 from .sampler import batch_sample_values
 from .validation import validate_samples
@@ -293,24 +296,31 @@ def _parse_mean(text: str):
 
 
 def cmd_sample(params: dict) -> int:
+    """Stream the samples to their files chunk by chunk as they are done,
+    so memory follows the sampler's budget, not n; a failed run removes
+    what it wrote."""
     _require_out(params)
     n, seed, lognormal = params["n"], params["seed"], params["lognormal"]
     kernel, emb, spec = _search(params)
     grid = emb.grid
-    values = batch_sample_values(spec, _parse_mean(params["mean"]), n, seed,
-                                 lognormal=lognormal)
+    mean = _parse_mean(params["mean"])
     out = _out_dir(params)
     sidecar = {**spectrum_sidecar(spec, kernel), "n_samples": n,
                "seed": seed, "lognormal": lognormal, "mean": params["mean"]}
-    files = []
+
+    def draw(sink):
+        batch_sample_values(spec, mean, n, seed, lognormal=lognormal,
+                            sink=sink)
+
     if params["format"] == "bin":
-        files.append(write_field_binary(out / "fields.bin", values,
-                                        d=grid.d, m0=grid.m0, sidecar=sidecar))
+        path = out / "fields.bin"
+        with field_binary_writer(path, n, grid.d, grid.m0, sidecar) as write:
+            draw(write)
+        files = [path]
     else:
-        for i in range(n):
-            files.append(write_field_csv(out / f"sample_{i:06d}.csv",
-                                         values[i], grid))
-        write_json(out / "fields.json", sidecar)
+        with field_csv_writer(out, n, grid, sidecar) as write:
+            draw(write)
+        files = [out / f"sample_{i:06d}.csv" for i in range(n)]
     report = {"n": n, "m": emb.m, "ell": emb.ell, "s": emb.s,
               "files": [str(f) for f in files][:8]}
     _emit(params, report, files)

@@ -10,16 +10,25 @@ Binary field layout (all little-endian):
     then n_samples * (m0+1)^d float64 field values, each sample in
     lexicographic grid order.
 
-Every binary or CSV artifact gets a JSON sidecar with the full metadata
-needed to reproduce it.
+A binary field file is written by one writer, `field_binary_writer`: it
+checks the free space first, streams chunks of samples to their offsets
+in a `.part` file as they are done, and renames that file at the end, so
+its memory does not grow with the file and a failed run leaves no
+half-written file.  `field_csv_writer` streams samples to one CSV file
+each in the same way, after checking that files of their shortest
+possible size fit.  Every binary or CSV artifact gets a JSON sidecar with
+the full metadata needed to reproduce it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import errno
 import json
 import os
 import struct
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -33,10 +42,12 @@ _HEADER = struct.Struct("<8sIIQ")
 
 __all__ = [
     "MAGIC",
+    "field_binary_writer",
     "write_field_binary",
     "read_field_binary",
     "write_csv",
     "write_field_csv",
+    "field_csv_writer",
     "write_spectrum_csv",
     "write_json",
     "write_manifest",
@@ -69,21 +80,80 @@ def write_manifest(out_dir, command: str, params: dict, outputs=()) -> Path:
     return path
 
 
+def _pwrite_all(fd: int, data, offset: int) -> None:
+    """Write all of `data` (bytes or a contiguous array) at `offset`."""
+    view = memoryview(data).cast("B")
+    while view:
+        done = os.pwrite(fd, view, offset)
+        view, offset = view[done:], offset + done
+
+
+@contextlib.contextmanager
+def field_binary_writer(path, n: int, d: int, m0: int,
+                        sidecar: dict | None = None):
+    """Stream n samples into a binary field file: yields write(lo, rows),
+    which writes `rows` (shape (k, (m0+1)^d)) as samples lo..lo+k-1 at
+    their place in the file, in any order and from several threads at
+    once.
+
+    The header and rows go to `<path>.part`, which replaces `path` when the
+    block ends and is removed when it raises, so a failed run leaves no
+    half-written file; the sidecar, if given, is written after the rename.
+    Before creating anything, raises ValueError when the file is larger
+    than its whole file system, and OSError (ENOSPC) when the file system
+    has fewer free bytes than the file needs.
+    """
+    if n < 1:
+        raise ValueError(f"field_binary_writer: n must be >= 1 (n={n})")
+    path = Path(path)
+    npts = (m0 + 1) ** d
+    size = _HEADER.size + 8 * n * npts
+    stat = os.statvfs(path.parent)
+    if size > stat.f_blocks * stat.f_frsize:
+        raise ValueError(f"{path} would need {size} bytes, more than its "
+                         f"file system holds ({stat.f_blocks * stat.f_frsize}"
+                         f" bytes)")
+    free = stat.f_bavail * stat.f_frsize
+    if size > free:
+        raise OSError(errno.ENOSPC, f"{path} needs {size} bytes, and its "
+                      f"file system has {free} bytes free")
+    part = path.with_name(path.name + ".part")
+    fd = os.open(part, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+
+    def write(lo: int, rows) -> None:
+        rows = np.ascontiguousarray(rows, dtype="<f8")
+        if rows.ndim != 2 or rows.shape[1] != npts \
+                or not 0 <= lo <= n - len(rows):
+            raise ValueError(f"field_binary_writer: rows of shape "
+                             f"{rows.shape} at sample {lo} do not fit {n} "
+                             f"samples of {npts} values")
+        _pwrite_all(fd, rows, _HEADER.size + 8 * npts * lo)
+
+    try:
+        _pwrite_all(fd, _HEADER.pack(MAGIC, d, m0, n), 0)
+        yield write
+    except BaseException:
+        os.close(fd)
+        part.unlink(missing_ok=True)
+        raise
+    os.close(fd)
+    os.replace(part, path)
+    if sidecar is not None:
+        write_json(path.with_suffix(path.suffix + ".json"), sidecar)
+
+
 def write_field_binary(path, values: np.ndarray, d: int, m0: int,
                        sidecar: dict | None = None) -> Path:
-    """Write samples (shape (n, (m0+1)^d)) in the raw binary field format."""
+    """Write samples (shape (n, (m0+1)^d)) in the raw binary field format,
+    through `field_binary_writer`."""
     values = np.atleast_2d(np.asarray(values, dtype=float))
     n, npts = values.shape
     if npts != (m0 + 1) ** d:
         raise ValueError(f"write_field_binary: expected {(m0 + 1) ** d} "
                          f"values per sample, got {npts}")
-    path = Path(path)
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, d, m0, n))
-        fh.write(np.ascontiguousarray(values, dtype="<f8").data)
-    if sidecar is not None:
-        write_json(path.with_suffix(path.suffix + ".json"), sidecar)
-    return path
+    with field_binary_writer(path, n, d, m0, sidecar) as write:
+        write(0, values)
+    return Path(path)
 
 
 def read_field_binary(path):
@@ -130,6 +200,57 @@ def write_field_csv(path, values: np.ndarray, grid: GridSpec) -> Path:
     idx = grid_points(np.arange(grid.m0 + 1), grid.d)
     return write_csv(path, [f"k{i + 1}" for i in range(grid.d)] + ["value"],
                      (k + [v] for k, v in zip(idx.tolist(), values.tolist())))
+
+
+@contextlib.contextmanager
+def field_csv_writer(out_dir, n: int, grid: GridSpec,
+                     sidecar: dict | None = None):
+    """Stream n samples into CSV files out_dir/sample_000000.csv, ... (one
+    per sample, `write_field_csv`): yields write(lo, rows), which writes
+    `rows` as samples lo..lo+len(rows)-1, in any order and from several
+    threads at once.
+
+    When the block raises, the sample files below the highest index
+    handed to write are removed, so a failed run leaves none; the sidecar,
+    if given, is written to out_dir/fields.json when the block ends.
+    Before creating anything, raises ValueError when n files of the
+    shortest possible size (d one-digit indices and a one-digit value per
+    line) would not fit the whole file system, in bytes or in files, and
+    OSError (ENOSPC) when they would not fit its free space.
+    """
+    out_dir = Path(out_dir)
+    least = n * grid.n_points * (2 * grid.d + 3)
+    stat = os.statvfs(out_dir)
+    total, free = stat.f_blocks * stat.f_frsize, stat.f_bavail * stat.f_frsize
+    # a file system that reports no file count does not limit it
+    files, free_files = (stat.f_files, stat.f_favail) if stat.f_files \
+        else (n, n)
+    if least > total or n > files:
+        raise ValueError(
+            f"{n} CSV files in {out_dir} would need {least} bytes at least, "
+            f"more than their file system holds ({total} bytes, {files} "
+            f"files)")
+    if least > free or n > free_files:
+        raise OSError(errno.ENOSPC, f"{n} CSV files in {out_dir} need "
+                      f"{least} bytes at least, and their file system has "
+                      f"{free} bytes and {free_files} files free")
+    lock, top = threading.Lock(), 0
+
+    def write(lo: int, rows) -> None:
+        nonlocal top
+        with lock:
+            top = max(top, lo + len(rows))
+        for i, row in enumerate(rows, lo):
+            write_field_csv(out_dir / f"sample_{i:06d}.csv", row, grid)
+
+    try:
+        yield write
+    except BaseException:
+        for i in range(top):
+            (out_dir / f"sample_{i:06d}.csv").unlink(missing_ok=True)
+        raise
+    if sidecar is not None:
+        write_json(out_dir / "fields.json", sidecar)
 
 
 def spectrum_sidecar(spec: Spectrum, kernel) -> dict:

@@ -73,8 +73,9 @@ class MaternKernel:
     def __post_init__(self):
         if not 0 < self.sigma2 < math.inf:
             raise ValueError("MaternKernel: sigma2 must be positive and finite")
-        if not self.lam > 0:
-            raise ValueError("MaternKernel: lam must be positive")
+        if not 0 < self.lam < math.inf:
+            raise ValueError("MaternKernel: lam must be positive and finite, "
+                             f"got lam={self.lam!r}")
         if self.d not in (1, 2, 3):
             raise ValueError("MaternKernel: d must be 1, 2 or 3")
         if not (self.nu > 0):

@@ -11,23 +11,31 @@ next axis (output pruning; m0 <= m makes the cut valid).
 
 Samples are computed in chunks of rows sized to one core's cache
 (CHUNK_BYTES), and a chunk is the unit of parallel work: one pool thread
-draws and scales its normals, transforms them and writes the field
-values, mean and `exp` included, into the output rows.  One thread per
-CPU the process may run on, at most, works at once, and never more
-chunks than SAMPLE_BUDGET_BYTES holds, so memory does not grow with the
-number of samples.  When fewer chunks than CPUs are in flight (a small
-batch, or rows so large that the budget holds few of them), the idle
-CPUs share each chunk's FFTs.  Row i depends only on (seed, i), so the
-output is the same bit for bit at any chunking or worker count.
+draws and scales its normals, transforms them and computes the field
+values, mean and `exp` included, then hands the finished rows to a sink.
+Within a chunk, axis 0 of each sample is drawn, scaled by the square
+roots of its slab of eigenvalues and rfft'd in slabs of at most
+CHUNK_BYTES into a complex (2m)^(d-1) (m0+1) buffer, so no step holds a
+whole (2m)^d sample, or all its square roots, when it is larger than
+that.  One thread per CPU the process may run on, at most, works at
+once, never more chunks than SAMPLE_BUDGET_BYTES holds, and at most one
+more chunk per thread waits, queued and holding no memory, so memory
+does not grow with the number of samples, and grows with the extension m
+only through that buffer.  When fewer chunks than CPUs are in flight (a
+small batch, or rows so large that the budget holds few of them), the
+idle CPUs share each chunk's FFTs.  Row i depends only on (seed, i), so
+the output is the same bit for bit at any chunking, slab height or
+worker count.
 
 A sample is its (m0+1)^d array of grid values: `sample` returns one,
-`batch_sample_values` an (n, (m0+1)^d) array.
+`batch_sample_values` an (n, (m0+1)^d) array, or hands each chunk of rows
+to a sink as it is done, such as a writer of the rows' file.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 
 import numpy as np
 import scipy.fft
@@ -43,14 +51,14 @@ __all__ = [
     "batch_sample_values",
 ]
 
-# Bytes of normals plus transform output held at once by all chunks in
-# flight.
+# Bytes held at once by all chunks in flight (`_row_bytes` per sample).
 SAMPLE_BUDGET_BYTES = 64 * 2**20
 
-# Bytes of normals plus transform output per chunk: about one core's L2
-# cache, so a chunk stays in cache from its draws to its output rows.  On
-# 2 CPUs with 2 MiB of L2 each, chunks of 512 KiB to 4 MiB sampled equally
-# fast within the run-to-run spread, and 64 MiB took about twice as long.
+# Bytes per chunk, and of normals plus rfft output per slab: about one
+# core's L2 cache, so a chunk stays in cache from its draws to its output
+# rows.  On 2 CPUs with 2 MiB of L2 each, chunks of 512 KiB to 4 MiB
+# sampled equally fast within the run-to-run spread, and 64 MiB took about
+# twice as long.
 CHUNK_BYTES = 2 * 2**20
 
 # The module that runs the sampler's transforms (recorded in run manifests).
@@ -103,30 +111,31 @@ def importance_ordering(spec: Spectrum) -> np.ndarray:
     return np.argsort(-flat, kind="stable")
 
 
-def _pruned_transform(u: np.ndarray, m0: int, workers: int) -> np.ndarray:
-    """The real symmetric orthogonal circulant factor (the unitary
-    positive-exponent DFT followed by Re + Im) applied to each u[i], cut to
-    indices 0..m0 on every axis.
+def _transform_bytes(embedding) -> int:
+    """Bytes of a whole sample's normals and their complex rfft output."""
+    s, m = embedding.s, embedding.m
+    return 8 * s + 16 * (s // (2 * m)) * (m + 1)
 
-    Axis 0 of `u` indexes samples.  Re + Im of the unitary inverse DFT of
-    a real array is Re - Im of its unitary forward DFT, which is computed
-    as an rfft on the last axis and an fft on each other axis, keeping
-    only indices 0..m0 after every axis.  `workers` threads share each
-    axis's transforms; they change no value.
-    """
-    keep = slice(0, m0 + 1)
-    w = scipy.fft.rfft(u, axis=-1, norm="ortho", workers=workers)[..., keep]
-    for axis in range(1, u.ndim - 1):
-        w = scipy.fft.fft(w, axis=axis, norm="ortho", workers=workers)
-        w = w[(slice(None),) * axis + (keep,)]
-    return w.real - w.imag
+
+def _slab_height(embedding, rows: int) -> int:
+    """Axis-0 indices per slab of a chunk of `rows` samples: as many as
+    fit CHUNK_BYTES, at least one; all 2m for d = 1, whose axis 0 is the
+    rfft's."""
+    two_m = 2 * embedding.m
+    if embedding.grid.d == 1:
+        return two_m
+    plane = _transform_bytes(embedding) // two_m
+    return min(two_m, max(1, CHUNK_BYTES // (rows * plane)))
 
 
 def _row_bytes(embedding) -> int:
-    """Bytes one sample holds while it is transformed: its float64 normals
-    and the complex output of the first (rfft) axis."""
-    s, m = embedding.s, embedding.m
-    return 8 * s + 16 * (s // (2 * m)) * (m + 1)
+    """Bytes one sample holds while it is transformed: its slab of normals
+    and their rfft output, its buffer of rfft output cut to m0+1 and its
+    output row."""
+    grid, two_m = embedding.grid, 2 * embedding.m
+    slab = _transform_bytes(embedding) * _slab_height(embedding, 1) // two_m
+    buffer = 16 * (embedding.s // two_m) * (grid.m0 + 1)
+    return slab + buffer + 8 * grid.n_points
 
 
 def _chunk_size(embedding) -> int:
@@ -134,25 +143,32 @@ def _chunk_size(embedding) -> int:
     return max(1, CHUNK_BYTES // _row_bytes(embedding))
 
 
-def _field_values(spec: Spectrum, mean, n: int, fill,
-                  lognormal: bool) -> np.ndarray:
-    """(n, (m0+1)^d) field values; fill(row, i) writes the s normals that
-    drive row i into the float64 s-vector `row`.  The one transform path
-    of `sample` and `batch_sample_values`, and the one place that rejects
-    a spectrum with negative entries.
+def _field_values(spec: Spectrum, mean, n: int, normals, lognormal: bool,
+                  sink) -> None:
+    """Field values of samples 0..n-1, handed to sink(lo, rows) one
+    finished chunk at a time: rows is the (hi - lo, (m0+1)^d) array of
+    samples lo..hi-1.  normals(i) returns draw(planes, a), which writes
+    the normals that drive axis-0 indices a..a+len(planes)-1 of sample i
+    into the float64 array `planes`; it is called for a = 0 first and then
+    for each following slab in order.  The one transform path of `sample`,
+    `batch_sample_values` and the CLI, and the one place that rejects a
+    spectrum with negative entries.
 
-    Each chunk is filled, scaled by the eigenvalue square roots,
-    transformed and written by one pool thread, several chunks at once, so
-    a fill must be safe to run in several threads at once.
+    Each chunk is drawn, scaled and transformed by one pool thread,
+    several chunks at once, so `normals` and `sink` must be safe to run in
+    several threads at once.  Axis 0 of each sample goes through the
+    draws, the scaling and the rfft in slabs (`_slab_height`) into a
+    complex (2m)^(d-1) (m0+1) buffer; the other axes' FFTs then run on the
+    chunk's buffer in axis order, as on whole samples, so the values do
+    not depend on the slab height.
     """
     if spec.values.min() < 0.0:
         raise ValueError("spectrum has negative entries beyond the clamp; "
                          "not a valid factorization")
     emb = spec.embedding
-    grid = emb.grid
-    sqrt_vals = np.sqrt(spec.values_flat)
+    grid, m = emb.grid, emb.m
+    keep = slice(0, grid.m0 + 1)
     mean_flat = resolve_mean(mean, grid.n_points)
-    out = np.empty((n, grid.n_points))
     size = _chunk_size(emb)
 
     starts = range(0, n, size)
@@ -163,23 +179,48 @@ def _field_values(spec: Spectrum, mean, n: int, fill,
     # chunks) share the chunks' FFTs.
     fft_workers = max(1, workers // in_flight)
 
+    def rfft_slab(draws, buffer, a: int, b: int) -> None:
+        slab = np.empty((len(draws), b - a) + emb.shape[1:])
+        for draw, planes in zip(draws, slab):
+            draw(planes, a)
+        slab *= np.sqrt(spec.values[a:b])
+        w = scipy.fft.rfft(slab, axis=-1, norm="ortho", workers=fft_workers)
+        # a d = 1 slab is the whole sample, whose axis 0 is the rfft's
+        target = buffer if grid.d == 1 else buffer[:, a:b]
+        target[...] = w[..., keep]
+
     def run_chunk(lo: int) -> None:
         hi = min(lo + size, n)
-        u = np.empty((hi - lo, emb.s))
-        for i in range(lo, hi):
-            row = u[i - lo]
-            fill(row, i)
-            row *= sqrt_vals  # while the row is still in cache
-        v = _pruned_transform(u.reshape((hi - lo,) + emb.shape), grid.m0,
-                              fft_workers)
-        rows = out[lo:hi]
-        np.add(v.reshape(hi - lo, -1), mean_flat, out=rows)
+        draws = [normals(i) for i in range(lo, hi)]
+        w = np.empty((hi - lo,) + emb.shape[:-1] + (grid.m0 + 1,), complex)
+        height = _slab_height(emb, hi - lo)
+        for a in range(0, 2 * m, height):
+            rfft_slab(draws, w, a, min(a + height, 2 * m))
+        for axis in range(1, grid.d):
+            w = scipy.fft.fft(w, axis=axis, norm="ortho", workers=fft_workers,
+                              overwrite_x=True)
+            w = w[(slice(None),) * axis + (keep,)]
+        rows = np.subtract(w.real, w.imag).reshape(hi - lo, -1)
+        rows += mean_flat
         if lognormal:
             np.exp(rows, out=rows)
+        sink(lo, rows)
 
+    # chunks are submitted as others finish, so no more than 2 in_flight
+    # exist at once, whatever n is; the second one per thread is queued, so
+    # a thread that finishes a chunk starts the next without waiting for
+    # this loop, and holds no memory until it runs.  The first error stops
+    # the run.
     with ThreadPoolExecutor(max_workers=in_flight) as pool:
-        list(pool.map(run_chunk, starts))
-    return out
+        running = set()
+        for lo in starts:
+            if len(running) == 2 * in_flight:
+                done, running = wait(running, return_when=FIRST_COMPLETED)
+                for future in done:
+                    future.result()
+            running.add(pool.submit(run_chunk, lo))
+        for future in running:
+            future.result()
 
 
 def sample(spec: Spectrum, mean, y: np.ndarray,
@@ -194,22 +235,42 @@ def sample(spec: Spectrum, mean, y: np.ndarray,
     y = np.asarray(y, dtype=float).reshape(-1)
     if y.size != emb.s:
         raise ValueError(f"sample: expected {emb.s} normal inputs, got {y.size}")
-    return _field_values(spec, mean, 1, lambda row, i: np.copyto(row, y),
-                         lognormal)[0]
+    y = y.reshape(emb.shape)
+    out = np.empty(emb.grid.n_points)
+
+    def draw(planes, a):
+        np.copyto(planes, y[a:a + len(planes)])
+
+    _field_values(spec, mean, 1, lambda i: draw, lognormal,
+                  lambda lo, rows: np.copyto(out, rows[0]))
+    return out
 
 
 def batch_sample_values(spec: Spectrum, mean, n: int, seed: int,
-                        lognormal: bool = False) -> np.ndarray:
+                        lognormal: bool = False, sink=None):
     """n independent samples using streams 0..n-1 of the given seed, as
     an (n, (m0+1)^d) array.
 
     Row i equals sample(spec, mean, draw_normal(s, seed, i)), bit for bit,
-    whatever the chunking or worker count.
+    whatever the chunking or worker count.  With a `sink`, no array is
+    built: each finished chunk of rows lo..hi-1 goes to sink(lo, rows) as
+    it is done, in any order and from several threads at once, and the
+    call returns None; the sampler then holds no more than its byte
+    budget, whatever n is.
     """
     if n < 1 or seed < 0:
         raise ValueError("batch_sample_values: n must be >= 1 and seed >= 0 "
                          f"(n={n}, seed={seed})")
-    return _field_values(
-        spec, mean, n,
-        lambda row, i: _generator(seed, i).standard_normal(out=row),
-        lognormal)
+    out = None
+    if sink is None:
+        out = np.empty((n, spec.embedding.grid.n_points))
+
+        def sink(lo, rows):
+            out[lo:lo + len(rows)] = rows
+
+    def normals(i):
+        gen = _generator(seed, i)
+        return lambda planes, a: gen.standard_normal(out=planes)
+
+    _field_values(spec, mean, n, normals, lognormal, sink)
+    return out

@@ -10,7 +10,12 @@ the reference for the package's screened search.  `phi` and `rho_ext`
 are the paper's reflection, applied pointwise: the definition that the
 package's folded first column is checked against.  `bessel_k` is the
 linear K_nu of the package's one implementation, `log_bessel_k`.
+`traced_peak` measures the peak bytes allocated inside a block.
 """
+
+import contextlib
+import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -25,6 +30,19 @@ def multi_indices(n_per_axis, d):
     axis = np.arange(n_per_axis)
     grids = np.meshgrid(*([axis] * d), indexing="ij")
     return np.stack([g.reshape(-1) for g in grids], axis=-1)
+
+
+@contextlib.contextmanager
+def traced_peak():
+    """Trace allocations (numpy's included) inside the block; the yielded
+    object's `bytes` is then their peak, in bytes."""
+    peak = types.SimpleNamespace(bytes=None)
+    tracemalloc.start()
+    try:
+        yield peak
+    finally:
+        peak.bytes = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
 
 
 def phi(x, ell: float):

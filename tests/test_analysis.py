@@ -96,8 +96,11 @@ class TestPdCriterion:
 
     @pytest.mark.parametrize("lam", [math.inf, 1e308, 1e200])
     def test_lam_over_h0_must_stay_finite(self, lam):
-        # (lam/h0)^2 overflows at lam = 1e200 though lam/h0 does not
-        with pytest.raises(ValueError, match="lower --lambda or --m0"):
+        # (lam/h0)^2 overflows at lam = 1e200 though lam/h0 does not; no
+        # kernel with lam = inf can be built
+        message = ("lam must be positive and finite, got lam=inf"
+                   if lam == math.inf else "lower --lambda or --m0")
+        with pytest.raises(ValueError, match=message):
             pd_criterion(MaternKernel(1.0, lam, 0.5, 2), GridSpec(2, 8), 6.0)
 
     def test_tiny_lam_underflows_the_coefficient_to_zero(self):
@@ -587,6 +590,12 @@ class TestSamplingTheorem:
         ids=["lam-inf", "lam-huge", "sigma2-huge", "h-huge", "xi-huge"])
     def test_a_side_that_is_not_finite_is_rejected(self, sigma2, lam, h, xi):
         # warnings are errors here, so none may escape either
+        if lam == math.inf:
+            # no kernel with lam = inf can be built
+            with pytest.raises(ValueError, match="lam must be positive and "
+                               "finite, got lam=inf"):
+                MaternKernel(sigma2, lam, math.inf, 1)
+            return
         kernel = MaternKernel(sigma2, lam, math.inf, 1)
         with pytest.raises(ValueError, match="identity is not finite") as info:
             sampling_theorem_check(kernel, h, xi, 64, 64)

@@ -1,8 +1,12 @@
 import csv
 import json
 import math
+import os
+import sys
 import time
+import types
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,10 +15,12 @@ import scipy
 from circembed import (GridSpec, MaternKernel, continuous_eigenvalue,
                        minimal_embedding)
 from circembed.analysis import decay_sequence
-from circembed import cli
+from circembed import Embedding, cli, formats, sampler
 from circembed.cli import main
-from circembed.formats import read_field_binary, write_field_binary
+from circembed.formats import (read_field_binary, write_field_binary,
+                               write_field_csv)
 from circembed.sampler import worker_count
+from conftest import traced_peak
 
 
 def run(capsys, *argv):
@@ -102,6 +108,13 @@ class TestMinEll:
         assert payload["report"]["ell"] == 1.0
         assert payload["report"]["min_eig"] > 0
         assert "wall_time" in payload["report"]
+
+    def test_infinite_lambda_is_a_usage_error(self, capsys):
+        # lam = inf makes the covariance constant: no extension of it is
+        # positive definite
+        err = usage_error(capsys, "min-ell", "--d", "2", "--nu", "1.5",
+                          "--lambda", "inf", "--m0", "8")
+        assert "lam must be positive and finite, got lam=inf" in err
 
     def test_exhaustion_exit_code(self, capsys):
         code = main(["min-ell", "--d", "1", "--nu", "inf", "--lambda", "1",
@@ -533,6 +546,30 @@ class TestSample:
             assert rows[0] == ["k1", "value"]
             assert len(rows) == 6
 
+    def test_each_csv_file_holds_its_own_row_at_several_workers(
+            self, tmp_path, capsys):
+        # chunks of one sample on more threads than a small host has
+        # cores, switched every microsecond: each thread's rows must land
+        # in their own files
+        argv = [*self.SMALL, "--n", "24", "--seed", "3"]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with mock.patch.object(sampler, "worker_count", return_value=4), \
+                    mock.patch.object(sampler, "_chunk_size", return_value=1):
+                assert main([*argv, "--format", "csv",
+                             "--out", str(tmp_path / "csv")]) == 0
+        finally:
+            sys.setswitchinterval(interval)
+        assert main([*argv, "--out", str(tmp_path / "bin")]) == 0
+        capsys.readouterr()
+        want, _ = read_field_binary(tmp_path / "bin" / "fields.bin")
+        for i, row in enumerate(want):
+            with open(tmp_path / "csv" / f"sample_{i:06d}.csv",
+                      newline="") as fh:
+                got = [float(r[-1]) for r in list(csv.reader(fh))[1:]]
+            assert got == row.tolist()
+
     def test_unknown_format_is_rejected_before_the_search(
             self, tmp_path, capsys, monkeypatch):
         # argparse guards --format, not the config
@@ -569,6 +606,106 @@ class TestSample:
                      tmp_path / "c" / "fields.json"):
             sidecar = json.loads(path.read_text())
             assert {key: sidecar[key] for key in meta} == meta
+
+    SMALL = ["sample", "--d", "1", "--nu", "0.5", "--lambda", "0.5",
+             "--m0", "8", "--tol", "0"]
+
+    @staticmethod
+    def never(*args, **kwargs):
+        raise AssertionError("a normal was drawn")
+
+    @pytest.mark.parametrize("error,code,prefix", [
+        (OSError("disk went away"), 4, "i/o error: "),
+        (MemoryError("no room"), 2, "error: ")], ids=["oserror", "memory"])
+    def test_a_write_that_fails_mid_run_leaves_no_file(
+            self, error, code, prefix, tmp_path, capsys, monkeypatch):
+        pwrite, offsets = os.pwrite, []
+
+        def failing(fd, data, offset):
+            offsets.append(offset)
+            if len(offsets) == 3:  # the header, a chunk, then this one
+                raise error
+            return pwrite(fd, data, offset)
+
+        monkeypatch.setattr(os, "pwrite", failing)
+        with mock.patch.object(sampler, "_chunk_size", return_value=4):
+            got = main([*self.SMALL, "--n", "40", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert got == code and err.startswith(prefix + str(error)), err
+        assert "Traceback" not in err and len(offsets) >= 3
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_csv_run_that_fails_leaves_no_sample_file(
+            self, tmp_path, capsys, monkeypatch):
+        written = []
+
+        def failing(path, values, grid):
+            if len(written) >= 5:
+                raise OSError("disk went away")
+            written.append(path)
+            return write_field_csv(path, values, grid)
+
+        monkeypatch.setattr(formats, "write_field_csv", failing)
+        with mock.patch.object(sampler, "_chunk_size", return_value=2):
+            got = main([*self.SMALL, "--n", "12", "--format", "csv",
+                        "--out", str(tmp_path)])
+        assert got == 4 and len(written) >= 5
+        assert "disk went away" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("fmt", ["bin", "csv"])
+    @pytest.mark.parametrize("where", ["a_file", "under_a_file"])
+    def test_an_unwritable_out_exits_4_before_a_normal_is_drawn(
+            self, fmt, where, tmp_path, capsys, monkeypatch):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("x")
+        out = blocker if where == "a_file" else blocker / "out"
+        monkeypatch.setattr(cli, "batch_sample_values", self.never)
+        got = main([*self.SMALL, "--format", fmt, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert got == 4 and err.startswith("i/o error: "), err
+        assert [p.name for p in tmp_path.iterdir()] == ["blocker"]
+        assert blocker.read_text() == "x"
+
+    def test_too_little_free_space_exits_4_before_a_normal_is_drawn(
+            self, tmp_path, capsys, monkeypatch):
+        full = types.SimpleNamespace(f_bavail=1000, f_frsize=4,
+                                     f_blocks=10**9)
+        monkeypatch.setattr(os, "statvfs", lambda path: full)
+        monkeypatch.setattr(cli, "batch_sample_values", self.never)
+        got = main([*self.SMALL, "--n", "1000", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        need = 24 + 8 * 1000 * 9
+        assert got == 4
+        assert f"needs {need} bytes" in err and "has 4000 bytes free" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_csv_count_too_large_for_the_file_system_is_usage_error(
+            self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "batch_sample_values", self.never)
+        got = main([*self.SMALL, "--format", "csv", "--n", str(10**15),
+                    "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert got == 2 and err.startswith("error: "), err
+        assert "more than their file system holds" in err
+        assert "Traceback" not in err and list(tmp_path.iterdir()) == []
+
+    def test_memory_does_not_grow_with_n(self, tmp_path, capsys):
+        # holding all n rows would add 60 of these 130 KiB rows, 7.9 MiB,
+        # several chunks
+        argv = ["sample", "--d", "2", "--nu", "0.5", "--lambda", "0.1",
+                "--m0", "128", "--format", "bin"]
+        peaks = {}
+        for n in (4, 64):
+            with mock.patch.object(sampler, "worker_count", return_value=2), \
+                    traced_peak() as peak:
+                assert main([*argv, "--n", str(n),
+                             "--out", str(tmp_path / str(n))]) == 0
+            peaks[n] = peak.bytes
+        capsys.readouterr()
+        emb = Embedding(GridSpec(d=2, m0=128), m=128)
+        chunk = sampler._chunk_size(emb) * sampler._row_bytes(emb)
+        assert abs(peaks[64] - peaks[4]) <= chunk, peaks
 
     @pytest.mark.parametrize("n", ["0", "-2"])
     def test_sample_count_below_one_is_usage_error(self, n, tmp_path,
@@ -1199,8 +1336,7 @@ def test_theory_flag_at_an_extreme_value_ends_cleanly(
 # inputs that ended in a traceback, a warning, a NaN or an infinite report
 BEYOND_FLOAT64 = [
     ("pd-criterion", ["--lambda", "inf"], 2,
-     "(lam/h0)^2 is not finite in float64 at lam=inf, h0=0.125: lower "
-     "--lambda or --m0"),
+     "MaternKernel: lam must be positive and finite, got lam=inf"),
     ("pd-criterion", ["--lambda", "1e308"], 2, "lower --lambda or --m0"),
     ("pd-criterion", ["--lambda", "99999999999999999999"], 3,
      "tail quadrature did not converge"),

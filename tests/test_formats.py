@@ -1,7 +1,9 @@
 import csv
 import json
+import os
+import re
 import struct
-import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -10,9 +12,11 @@ import scipy
 from circembed import (Embedding, GridSpec, MaternKernel, first_column,
                        sampler, spectrum)
 from circembed.embedding import grid_points
-from circembed.formats import (MAGIC, read_field_binary, write_field_binary,
+from circembed.formats import (MAGIC, field_binary_writer, field_csv_writer,
+                               read_field_binary, write_field_binary,
                                write_field_csv, write_manifest,
                                write_spectrum_csv)
+from conftest import traced_peak
 
 
 class TestBinaryFormat:
@@ -143,24 +147,129 @@ class TestCsvFormats:
 
 def test_binary_writer_makes_no_copy_of_the_values(tmp_path, rng):
     values = rng.normal(size=(64, 33 * 33))  # d=2, m0=32, 545 KiB
-    tracemalloc.start()
-    try:
+    with traced_peak() as peak:
         write_field_binary(tmp_path / "f.bin", values, d=2, m0=32)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < values.nbytes // 8
+    assert peak.bytes < values.nbytes // 8
     assert np.array_equal(read_field_binary(tmp_path / "f.bin")[0], values)
 
 
 def test_binary_reader_holds_one_copy_of_the_values(tmp_path, rng):
     values = rng.normal(size=(64, 33 * 33))  # d=2, m0=32, 545 KiB
     write_field_binary(tmp_path / "f.bin", values, d=2, m0=32)
-    tracemalloc.start()
-    try:
+    with traced_peak() as peak:
         back, _ = read_field_binary(tmp_path / "f.bin")
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= values.nbytes + 2**16
+    assert peak.bytes <= values.nbytes + 2**16
     assert np.array_equal(back, values)
+
+
+class TestStreamedBinary:
+    def test_chunks_in_any_order_make_the_whole_file(self, tmp_path, rng):
+        values = rng.normal(size=(7, 9))  # d=2, m0=2
+        write_field_binary(tmp_path / "whole.bin", values, d=2, m0=2)
+        with field_binary_writer(tmp_path / "chunks.bin", 7, 2, 2) as write:
+            for lo, hi in [(4, 7), (0, 1), (1, 4)]:
+                write(lo, values[lo:hi])
+            assert not (tmp_path / "chunks.bin").exists()
+            assert (tmp_path / "chunks.bin.part").exists()
+        assert (tmp_path / "chunks.bin").read_bytes() == \
+            (tmp_path / "whole.bin").read_bytes()
+        assert not (tmp_path / "chunks.bin.part").exists()
+
+    def test_a_failed_block_leaves_no_file(self, tmp_path, rng):
+        (tmp_path / "f.bin").write_bytes(b"earlier run")
+        with pytest.raises(OSError, match="disk went away"):
+            with field_binary_writer(tmp_path / "f.bin", 4, 1, 2,
+                                     sidecar={"seed": 1}) as write:
+                write(0, rng.normal(size=(2, 3)))
+                raise OSError("disk went away")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["f.bin"]
+        assert (tmp_path / "f.bin").read_bytes() == b"earlier run"
+
+    @pytest.mark.parametrize("lo,shape", [(3, (2, 3)), (-1, (1, 3)),
+                                          (0, (1, 4)), (0, (3,))])
+    def test_rows_that_do_not_fit_are_rejected(self, tmp_path, lo, shape):
+        with pytest.raises(ValueError, match="do not fit 4 samples of 3"):
+            with field_binary_writer(tmp_path / "f.bin", 4, 1, 2) as write:
+                write(lo, np.zeros(shape))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_too_little_free_space_is_an_io_error(self, tmp_path,
+                                                  monkeypatch):
+        need = struct.calcsize("<8sIIQ") + 8 * 4 * 3
+        full = types.SimpleNamespace(f_bavail=need - 1, f_frsize=1,
+                                     f_blocks=10**9)
+        monkeypatch.setattr(os, "statvfs", lambda path: full)
+        with pytest.raises(OSError, match=f"needs {need} bytes, and its "
+                           f"file system has {need - 1} bytes free"):
+            write_field_binary(tmp_path / "f.bin", np.zeros((4, 3)), 1, 2)
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestStreamedCsv:
+    GRID = GridSpec(1, 2)  # 3 points; the shortest line is "0,0\r\n"
+
+    @staticmethod
+    def file_system(monkeypatch, **fields):
+        stat = {"f_blocks": 10**9, "f_bavail": 10**9, "f_frsize": 1,
+                "f_files": 10**6, "f_favail": 10**6, **fields}
+        monkeypatch.setattr(os, "statvfs",
+                            lambda path: types.SimpleNamespace(**stat))
+
+    def test_rows_in_any_order_make_one_file_each(self, tmp_path, rng):
+        values = rng.standard_normal((4, 3))
+        out, ref = tmp_path / "out", tmp_path / "ref"
+        out.mkdir()
+        ref.mkdir()
+        with field_csv_writer(out, 4, self.GRID, {"n": 4}) as write:
+            write(2, values[2:])
+            write(0, values[:2])
+        for i in range(4):
+            name = f"sample_{i:06d}.csv"
+            expected = write_field_csv(ref / name, values[i], self.GRID)
+            assert (out / name).read_bytes() == expected.read_bytes()
+        assert json.loads((out / "fields.json").read_text()) == {"n": 4}
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_the_least_size_is_a_lower_bound(self, d, tmp_path):
+        grid = GridSpec(d, 1)
+        path = write_field_csv(tmp_path / "z.csv", np.zeros(grid.n_points),
+                               grid)
+        assert path.stat().st_size >= grid.n_points * (2 * d + 3)
+
+    @pytest.mark.parametrize("fields,error,message", [
+        ({"f_blocks": 59}, ValueError, "need 60 bytes at least, more than "
+         "their file system holds (59 bytes, 1000000 files)"),
+        ({"f_files": 3}, ValueError, "need 60 bytes at least, more than "
+         "their file system holds (1000000000 bytes, 3 files)"),
+        ({"f_bavail": 59}, OSError, "need 60 bytes at least, and their file "
+         "system has 59 bytes and 1000000 files free"),
+        ({"f_favail": 3}, OSError, "need 60 bytes at least, and their file "
+         "system has 1000000000 bytes and 3 files free"),
+        ({"f_favail": 0}, OSError, "need 60 bytes at least, and their file "
+         "system has 1000000000 bytes and 0 files free")],
+        ids=["bytes", "files", "free-bytes", "free-files", "no-free-files"])
+    def test_files_that_do_not_fit_are_rejected_before_any_is_made(
+            self, fields, error, message, tmp_path, monkeypatch):
+        self.file_system(monkeypatch, **fields)
+        with pytest.raises(error, match=re.escape(message)):
+            with field_csv_writer(tmp_path, 4, self.GRID, {"n": 4}):
+                pytest.fail("the block ran")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_file_system_that_counts_no_files_does_not_limit_them(
+            self, tmp_path, monkeypatch):
+        self.file_system(monkeypatch, f_files=0, f_favail=0)
+        with field_csv_writer(tmp_path, 4, self.GRID) as write:
+            write(0, np.zeros((4, 3)))
+        assert len(list(tmp_path.iterdir())) == 4
+
+    def test_a_raising_block_removes_the_files_below_the_highest_index(
+            self, tmp_path):
+        # index 9 is above every row handed to write, so it is not touched
+        (tmp_path / "sample_000009.csv").write_text("kept")
+        with pytest.raises(OSError, match="disk went away"):
+            with field_csv_writer(tmp_path, 10, self.GRID, {"n": 10}) as write:
+                write(3, np.zeros((2, 3)))
+                write(0, np.zeros((1, 3)))
+                raise OSError("disk went away")
+        assert [p.name for p in tmp_path.iterdir()] == ["sample_000009.csv"]

@@ -31,6 +31,14 @@ class TestConstruction:
         with pytest.raises(ValueError, match="nu must be positive"):
             MaternKernel(sigma2=1.0, lam=1.0, nu=0.0, d=1)
 
+    @pytest.mark.parametrize("lam", [math.inf, math.nan, 0.0])
+    def test_lam_must_be_positive_and_finite(self, lam):
+        # at lam = inf the covariance is constant: no grid is then
+        # positive definite
+        with pytest.raises(ValueError, match="lam must be positive and "
+                           f"finite, got lam={lam!r}"):
+            MaternKernel(sigma2=1.0, lam=lam, nu=1.5, d=2)
+
     def test_nu_without_a_correct_digit_is_rejected(self):
         # eval_rel_error is 0.0063 at nu = 1e12 and 83 at nu = 1e16
         assert MaternKernel(1.0, 0.5, 1e12, 2).nu == 1e12

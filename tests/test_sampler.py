@@ -1,5 +1,5 @@
+import contextlib
 import math
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -22,13 +22,26 @@ from circembed import (
     spectrum,
 )
 from conftest import (dense_extended_matrix, dense_grid_matrix,
-                      dense_orthogonal_factor, dense_transform, multi_indices)
+                      dense_orthogonal_factor, dense_transform, multi_indices,
+                      traced_peak)
 
 
 def chunks_of(size):
     """Run the sampler with `size` samples per chunk, whatever the budget
     gives."""
     return mock.patch.object(sampler, "_chunk_size", return_value=size)
+
+
+def workers(count):
+    """Run the sampler with `count` threads, whatever the host has."""
+    return mock.patch.object(sampler, "worker_count", return_value=count)
+
+
+def slabs_of_one():
+    """Run the sampler with one axis-0 index per slab (all of a d = 1
+    sample, whose axis 0 is the rfft's) and one sample per chunk, unless
+    the chunk size is patched too."""
+    return mock.patch.object(sampler, "CHUNK_BYTES", 1)
 
 
 def exponential_spectrum(d=1, m0=2, m=2, lam=1.0):
@@ -286,14 +299,10 @@ class TestBatchSample:
         k = MaternKernel(1.0, 0.5, 0.5, 3)
         emb, spec = minimal_embedding(k, GridSpec(d=3, m0=16), tol=0.0)
         assert emb.m == 61
-        tracemalloc.start()
-        try:
+        with traced_peak() as peak:
             vals = batch_sample_values(spec, 0.0, n=64, seed=9)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
         assert vals.shape == (64, 17**3)
-        assert peak < 4 * SAMPLE_BUDGET_BYTES + vals.nbytes
+        assert peak.bytes < 4 * SAMPLE_BUDGET_BYTES + vals.nbytes
 
     def test_memory_follows_byte_budget_at_any_cpu_count(self):
         # one chunk in flight per CPU would hold 16 of these 29 MB rows
@@ -301,12 +310,64 @@ class TestBatchSample:
         k = MaternKernel(1.0, 0.5, 0.5, 3)
         emb, spec = minimal_embedding(k, GridSpec(d=3, m0=16), tol=0.0)
         assert emb.m == 61
-        tracemalloc.start()
-        try:
-            with mock.patch.object(sampler, "worker_count", return_value=16):
-                vals = batch_sample_values(spec, 0.0, n=64, seed=9)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        with traced_peak() as peak, \
+                mock.patch.object(sampler, "worker_count", return_value=16):
+            vals = batch_sample_values(spec, 0.0, n=64, seed=9)
         assert vals.shape == (64, 17**3)
-        assert peak < 4 * SAMPLE_BUDGET_BYTES + vals.nbytes
+        assert peak.bytes < 4 * SAMPLE_BUDGET_BYTES + vals.nbytes
+
+
+class TestStreamedSlabs:
+    @pytest.mark.parametrize("lognormal", [False, True])
+    @pytest.mark.parametrize("d,m0,m", [(1, 6, 9), (2, 3, 5), (3, 2, 4)])
+    def test_rows_are_byte_equal_at_any_workers_chunks_and_slabs(
+            self, d, m0, m, lognormal):
+        _, emb, spec = exponential_spectrum(d=d, m0=m0, m=m, lam=0.5)
+        mean = np.linspace(-1.0, 1.0, emb.grid.n_points)
+        with workers(1):
+            want = batch_sample_values(spec, mean, 10, 4, lognormal=lognormal)
+        with slabs_of_one():
+            assert sampler._slab_height(emb, 1) == (1 if d > 1 else 2 * m)
+        for count in (1, 2, 3):
+            for size in range(1, 11):
+                for slabs in (slabs_of_one, contextlib.nullcontext):
+                    with workers(count), chunks_of(size), slabs():
+                        got = batch_sample_values(spec, mean, 10, 4,
+                                                  lognormal=lognormal)
+                    assert got.tobytes() == want.tobytes()
+
+    def test_a_sink_gets_every_row_once(self):
+        _, emb, spec = exponential_spectrum(d=2, m0=3, m=5, lam=0.5)
+        want = batch_sample_values(spec, 0.5, 23, 8)
+        got, seen = np.empty_like(want), []
+
+        def sink(lo, rows):
+            seen.extend(range(lo, lo + len(rows)))
+            got[lo:lo + len(rows)] = rows
+
+        with workers(3), chunks_of(4):
+            assert batch_sample_values(spec, 0.5, 23, 8, sink=sink) is None
+        assert sorted(seen) == list(range(23))
+        assert got.tobytes() == want.tobytes()
+
+    def test_d3_peak_is_a_fraction_of_one_sample(self):
+        # d=3, m0=16, m=61: one sample's normals are 14 MiB, and two whole
+        # samples in flight with the whole square root took 78 MiB
+        k = MaternKernel(1.0, 0.5, 0.5, 3)
+        emb, spec = minimal_embedding(k, GridSpec(d=3, m0=16), tol=0.0)
+        assert emb.m == 61
+        with workers(2), traced_peak() as peak:
+            batch_sample_values(spec, 0.0, n=8, seed=9)
+        assert peak.bytes <= 24 * 2**20
+
+    @pytest.mark.parametrize("m", [40, 80])
+    def test_peak_is_below_the_folded_block_and_the_budget_at_any_m(self, m):
+        # at m=80 one sample's normals and rfft output are 63 MiB
+        from circembed.sampler import SAMPLE_BUDGET_BYTES
+        emb = Embedding(GridSpec(d=3, m0=8), m=m)
+        spec = Spectrum(values=np.ones(emb.shape), min_value=1.0,
+                        tolerance=0.0, embedding=emb)
+        with workers(16), traced_peak() as peak:
+            batch_sample_values(spec, 0.0, n=16, seed=1,
+                                sink=lambda lo, rows: None)
+        assert peak.bytes < (m + 1) ** 3 * 8 + SAMPLE_BUDGET_BYTES
