@@ -49,7 +49,7 @@ from .embedding import GridSpec, minimal_embedding
 from .errors import CircembedError
 # write_field_binary is not called here; perfbench/tracing.py looks it up
 # in this module
-from .formats import (field_binary_writer, field_csv_writer,
+from .formats import (SAMPLE_CSV, field_binary_writer, field_csv_writer,
                       read_field_binary, spectrum_sidecar, write_csv,
                       write_field_binary, write_json, write_manifest,
                       write_spectrum_csv)
@@ -301,28 +301,21 @@ def cmd_sample(params: dict) -> int:
     what it wrote."""
     _require_out(params)
     n, seed, lognormal = params["n"], params["seed"], params["lognormal"]
+    mean = _parse_mean(params["mean"])
     kernel, emb, spec = _search(params)
     grid = emb.grid
-    mean = _parse_mean(params["mean"])
     out = _out_dir(params)
     sidecar = {**spectrum_sidecar(spec, kernel), "n_samples": n,
                "seed": seed, "lognormal": lognormal, "mean": params["mean"]}
-
-    def draw(sink):
+    path, binary = out / "fields.bin", params["format"] == "bin"
+    with (field_binary_writer(path, n, grid.d, grid.m0, sidecar) if binary
+          else field_csv_writer(out, n, grid, sidecar)) as write:
         batch_sample_values(spec, mean, n, seed, lognormal=lognormal,
-                            sink=sink)
-
-    if params["format"] == "bin":
-        path = out / "fields.bin"
-        with field_binary_writer(path, n, grid.d, grid.m0, sidecar) as write:
-            draw(write)
-        files = [path]
-    else:
-        with field_csv_writer(out, n, grid, sidecar) as write:
-            draw(write)
-        files = [out / f"sample_{i:06d}.csv" for i in range(n)]
+                            sink=write)
+    files = ([path] if binary
+             else [out / SAMPLE_CSV.format(i) for i in range(n)])
     report = {"n": n, "m": emb.m, "ell": emb.ell, "s": emb.s,
-              "files": [str(f) for f in files][:8]}
+              "files": [str(f) for f in files[:8]]}
     _emit(params, report, files)
     return EXIT_OK
 
@@ -331,13 +324,13 @@ def cmd_sample(params: dict) -> int:
 
 def cmd_validate(params: dict) -> int:
     _require(params, "samples")
+    mean = _parse_mean(params["mean"])
     values, header = read_field_binary(params["samples"])
     grid = GridSpec(d=header["d"], m0=header["m0"])
     kernel = _kernel_from({"d": header["d"], **params})
     if kernel.d != header["d"]:
         raise ValueError(f"--d {kernel.d} does not match file d={header['d']}")
-    report_obj = validate_samples(values, kernel, grid,
-                                  mean=_parse_mean(params["mean"]))
+    report_obj = validate_samples(values, kernel, grid, mean=mean)
     _emit(params, dataclasses.asdict(report_obj))
     return EXIT_OK if report_obj.passed else EXIT_NUMERICAL
 

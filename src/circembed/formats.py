@@ -12,12 +12,14 @@ Binary field layout (all little-endian):
 
 A binary field file is written by one writer, `field_binary_writer`: it
 checks the free space first, streams chunks of samples to their offsets
-in a `.part` file as they are done, and renames that file at the end, so
-its memory does not grow with the file and a failed run leaves no
-half-written file.  `field_csv_writer` streams samples to one CSV file
-each in the same way, after checking that files of their shortest
-possible size fit.  Every binary or CSV artifact gets a JSON sidecar with
-the full metadata needed to reproduce it.
+in a `.part` file as they are done, checking that they fit, and renames
+that file at the end, so its memory does not grow with the file and a
+failed run leaves no half-written file.  `field_csv_writer` streams
+samples to one CSV file each (`SAMPLE_CSV`) in the same way, after
+checking that files of their shortest possible size fit.  A CSV row, of
+a sample or the spectrum export, is made as it is written, from no table.
+Every binary or CSV artifact gets a JSON sidecar with the full metadata
+needed to reproduce it.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import errno
+import itertools
 import json
 import os
 import struct
@@ -35,10 +38,11 @@ import numpy as np
 import scipy
 
 from . import sampler
-from .embedding import GridSpec, Spectrum, grid_points
+from .embedding import GridSpec, Spectrum
 
 MAGIC = b"GRFFLD01"
 _HEADER = struct.Struct("<8sIIQ")
+SAMPLE_CSV = "sample_{:06d}.csv"  # the file name of each CSV sample
 
 __all__ = [
     "MAGIC",
@@ -48,6 +52,7 @@ __all__ = [
     "write_csv",
     "write_field_csv",
     "field_csv_writer",
+    "SAMPLE_CSV",
     "write_spectrum_csv",
     "write_json",
     "write_manifest",
@@ -147,11 +152,7 @@ def write_field_binary(path, values: np.ndarray, d: int, m0: int,
     """Write samples (shape (n, (m0+1)^d)) in the raw binary field format,
     through `field_binary_writer`."""
     values = np.atleast_2d(np.asarray(values, dtype=float))
-    n, npts = values.shape
-    if npts != (m0 + 1) ** d:
-        raise ValueError(f"write_field_binary: expected {(m0 + 1) ** d} "
-                         f"values per sample, got {npts}")
-    with field_binary_writer(path, n, d, m0, sidecar) as write:
+    with field_binary_writer(path, len(values), d, m0, sidecar) as write:
         write(0, values)
     return Path(path)
 
@@ -192,14 +193,22 @@ def write_csv(path, columns, rows) -> Path:
     return path
 
 
+def _grid_rows(values: np.ndarray, per_axis: int, d: int, block=2**16):
+    """Rows [k1..kd, value] over the per_axis^d grid (lexicographic, like
+    `values`), the values turned into Python floats a block at a time."""
+    floats = itertools.chain.from_iterable(
+        values[lo:lo + block].tolist() for lo in range(0, values.size, block))
+    return ([*k, v] for k, v in zip(
+        itertools.product(range(per_axis), repeat=d), floats))
+
+
 def write_field_csv(path, values: np.ndarray, grid: GridSpec) -> Path:
     """Write one sample as CSV with columns k1..kd, value."""
     values = np.asarray(values, dtype=float).reshape(-1)
     if values.size != grid.n_points:
         raise ValueError("write_field_csv: sample size does not match grid")
-    idx = grid_points(np.arange(grid.m0 + 1), grid.d)
     return write_csv(path, [f"k{i + 1}" for i in range(grid.d)] + ["value"],
-                     (k + [v] for k, v in zip(idx.tolist(), values.tolist())))
+                     _grid_rows(values, grid.m0 + 1, grid.d))
 
 
 @contextlib.contextmanager
@@ -241,13 +250,13 @@ def field_csv_writer(out_dir, n: int, grid: GridSpec,
         with lock:
             top = max(top, lo + len(rows))
         for i, row in enumerate(rows, lo):
-            write_field_csv(out_dir / f"sample_{i:06d}.csv", row, grid)
+            write_field_csv(out_dir / SAMPLE_CSV.format(i), row, grid)
 
     try:
         yield write
     except BaseException:
         for i in range(top):
-            (out_dir / f"sample_{i:06d}.csv").unlink(missing_ok=True)
+            (out_dir / SAMPLE_CSV.format(i)).unlink(missing_ok=True)
         raise
     if sidecar is not None:
         write_json(out_dir / "fields.json", sidecar)
@@ -266,11 +275,10 @@ def write_spectrum_csv(path, spec: Spectrum, kernel=None) -> Path:
     """Export a spectrum as CSV (index_lex, k1..kd, lambda_ext) with a JSON
     sidecar recording the embedding and kernel (`spectrum_sidecar`)."""
     d, m = spec.embedding.grid.d, spec.embedding.m
-    idx = grid_points(np.arange(2 * m), d)
     path = write_csv(path, ["index_lex"] + [f"k{i + 1}" for i in range(d)]
                      + ["lambda_ext"],
-                     ([i, *k, v] for i, (k, v) in enumerate(
-                         zip(idx.tolist(), spec.values_flat.tolist()))))
+                     ([i, *row] for i, row in enumerate(
+                         _grid_rows(spec.values_flat, 2 * m, d))))
     write_json(path.with_suffix(path.suffix + ".json"),
                spectrum_sidecar(spec, kernel))
     return path

@@ -174,11 +174,16 @@ class MaternKernel:
                     - 2.0 * np.pi**2 * r * r)
         nu = self.nu
         two_pi_r = 2.0 * np.pi * r
+        with np.errstate(over="ignore"):  # at a tiny nu; not its log1p
+            ratio = two_pi_r * two_pi_r / (2.0 * nu)
+        far = np.where(np.isinf(ratio), two_pi_r, 1.0)
+        log1p_ratio = np.where(np.isinf(ratio), 2.0 * np.log(far) - math.log(
+            2.0 * nu) + np.log1p(2.0 * nu / far / far), np.log1p(ratio))
         return (math.log(self.sigma2) + d * math.log(2.0)
                 + 0.5 * d * math.log(math.pi)
                 + log_gamma_ratio(nu, 0.5 * d)
                 - 0.5 * d * math.log(2.0 * nu)
-                - (nu + 0.5 * d) * np.log1p(two_pi_r * two_pi_r / (2.0 * nu)))
+                - (nu + 0.5 * d) * log1p_ratio)
 
     def spectral_density(self, xi):
         """Spectral density rho_hat(xi) = lam^d kappa_hat_d(lam ||xi||_2) > 0

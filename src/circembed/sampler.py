@@ -10,9 +10,10 @@ axis and complex FFTs on the others, each cut to indices 0..m0 before the
 next axis (output pruning; m0 <= m makes the cut valid).
 
 Samples are computed in chunks of rows sized to one core's cache
-(CHUNK_BYTES), and a chunk is the unit of parallel work: one pool thread
-draws and scales its normals, transforms them and computes the field
-values, mean and `exp` included, then hands the finished rows to a sink.
+(CHUNK_BYTES), and a chunk is the only unit of parallel work: one pool
+thread draws and scales its normals, transforms them (each FFT on that
+thread alone) and computes the field values, mean and `exp` included,
+then hands the finished rows to a sink.
 Within a chunk, axis 0 of each sample is drawn, scaled by the square
 roots of its slab of eigenvalues and rfft'd in slabs of at most
 CHUNK_BYTES into a complex (2m)^(d-1) (m0+1) buffer, so no step holds a
@@ -21,11 +22,9 @@ that.  One thread per CPU the process may run on, at most, works at
 once, never more chunks than SAMPLE_BUDGET_BYTES holds, and at most one
 more chunk per thread waits, queued and holding no memory, so memory
 does not grow with the number of samples, and grows with the extension m
-only through that buffer.  When fewer chunks than CPUs are in flight (a
-small batch, or rows so large that the budget holds few of them), the
-idle CPUs share each chunk's FFTs.  Row i depends only on (seed, i), so
-the output is the same bit for bit at any chunking, slab height or
-worker count.
+only through that buffer.  Row i depends only on (seed, i), so the
+output is the same bit for bit at any chunking, slab height or worker
+count.
 
 A sample is its (m0+1)^d array of grid values: `sample` returns one,
 `batch_sample_values` an (n, (m0+1)^d) array, or hands each chunk of rows
@@ -172,19 +171,15 @@ def _field_values(spec: Spectrum, mean, n: int, normals, lognormal: bool,
     size = _chunk_size(emb)
 
     starts = range(0, n, size)
-    workers = worker_count()
     budget_chunks = SAMPLE_BUDGET_BYTES // (size * _row_bytes(emb))
-    in_flight = min(workers, len(starts), max(1, budget_chunks))
-    # CPUs left without a chunk (a small batch, or a budget that holds few
-    # chunks) share the chunks' FFTs.
-    fft_workers = max(1, workers // in_flight)
+    in_flight = min(worker_count(), len(starts), max(1, budget_chunks))
 
     def rfft_slab(draws, buffer, a: int, b: int) -> None:
         slab = np.empty((len(draws), b - a) + emb.shape[1:])
         for draw, planes in zip(draws, slab):
             draw(planes, a)
         slab *= np.sqrt(spec.values[a:b])
-        w = scipy.fft.rfft(slab, axis=-1, norm="ortho", workers=fft_workers)
+        w = scipy.fft.rfft(slab, axis=-1, norm="ortho")
         # a d = 1 slab is the whole sample, whose axis 0 is the rfft's
         target = buffer if grid.d == 1 else buffer[:, a:b]
         target[...] = w[..., keep]
@@ -197,8 +192,7 @@ def _field_values(spec: Spectrum, mean, n: int, normals, lognormal: bool,
         for a in range(0, 2 * m, height):
             rfft_slab(draws, w, a, min(a + height, 2 * m))
         for axis in range(1, grid.d):
-            w = scipy.fft.fft(w, axis=axis, norm="ortho", workers=fft_workers,
-                              overwrite_x=True)
+            w = scipy.fft.fft(w, axis=axis, norm="ortho", overwrite_x=True)
             w = w[(slice(None),) * axis + (keep,)]
         rows = np.subtract(w.real, w.imag).reshape(hi - lo, -1)
         rows += mean_flat

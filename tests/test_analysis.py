@@ -116,9 +116,11 @@ class TestPdCriterion:
             pd_criterion(MaternKernel(1.0, lam, 0.5, 2), GridSpec(2, m0), 6.0)
 
     def test_an_integrand_that_overflows_is_a_quadrature_error(self):
-        # (2 pi r)^2 / (2 nu) overflows inside log_kappa_hat at nu = 1e-300
+        # (2 pi r)^2 / (2 nu) overflows inside log_kappa_hat at nu = 1e-300;
+        # the integrand stays finite, and quad runs out of subdivisions
         kernel = MaternKernel(1.0, 0.5, 1e-300, 2, allow_small_nu=True)
-        with pytest.raises(QuadratureError, match="integrand is not finite"):
+        with pytest.raises(QuadratureError, match=r"did not converge: .* "
+                           r"maximum number of subdivisions \(400\)"):
             pd_criterion(kernel, GridSpec(2, 8), 6.0)
 
 

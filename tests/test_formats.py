@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 import scipy
 
-from circembed import (Embedding, GridSpec, MaternKernel, first_column,
-                       sampler, spectrum)
+from circembed import (Embedding, GridSpec, MaternKernel, Spectrum,
+                       first_column, formats, sampler, spectrum)
 from circembed.embedding import grid_points
 from circembed.formats import (MAGIC, field_binary_writer, field_csv_writer,
                                read_field_binary, write_field_binary,
@@ -55,6 +55,7 @@ class TestBinaryFormat:
     def test_shape_mismatch(self, tmp_path):
         with pytest.raises(ValueError):
             write_field_binary(tmp_path / "f.bin", np.zeros((1, 5)), d=1, m0=2)
+        assert list(tmp_path.iterdir()) == []
 
     def test_size_errors_count_the_values(self, tmp_path):
         values = np.zeros((2, 3))
@@ -102,7 +103,8 @@ class TestCsvFormats:
         assert sidecar["kernel"]["family"] == "matern"
         assert sidecar["min_eig"] == spec.min_value
 
-    def test_bytes_equal_numpy_scalar_rows(self, tmp_path):
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_bytes_equal_numpy_scalar_rows(self, d, tmp_path):
         # rows of Python numbers must format exactly as the numpy-scalar
         # rows [*map(int, k), repr(float(v))] did, special values included
         def numpy_scalar_rows(path, columns, rows):
@@ -112,22 +114,24 @@ class TestCsvFormats:
                 writer.writerows(rows)
             return path.read_bytes()
 
-        grid = GridSpec(d=2, m0=2)
-        values = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324,
-                           2.2250738585072014e-308, 0.1, -1.0 / 3.0, 1e300])
-        idx = grid_points(np.arange(3), 2)
+        keys = [f"k{i + 1}" for i in range(d)]
+        grid = GridSpec(d=d, m0=8 if d == 1 else 2)
+        values = np.resize([np.nan, np.inf, -np.inf, -0.0, 5e-324,
+                            2.2250738585072014e-308, 0.1, -1.0 / 3.0, 1e300],
+                           grid.n_points)
+        idx = grid_points(np.arange(grid.m0 + 1), d)
         expected = numpy_scalar_rows(
-            tmp_path / "old.csv", ["k1", "k2", "value"],
+            tmp_path / "old.csv", keys + ["value"],
             ([*map(int, k), repr(float(v))] for k, v in zip(idx, values)))
         path = write_field_csv(tmp_path / "new.csv", values, grid)
         assert path.read_bytes() == expected
 
-        kernel = MaternKernel(1.0, 0.3, 1.5, 2)
-        emb = Embedding(GridSpec(d=2, m0=3), m=4)
+        kernel = MaternKernel(1.0, 0.3, 1.5, d)
+        emb = Embedding(GridSpec(d=d, m0=3), m=4)
         spec = spectrum(first_column(kernel, emb), emb)
-        idx = grid_points(np.arange(2 * emb.m), 2)
+        idx = grid_points(np.arange(2 * emb.m), d)
         expected = numpy_scalar_rows(
-            tmp_path / "old_spec.csv", ["index_lex", "k1", "k2", "lambda_ext"],
+            tmp_path / "old_spec.csv", ["index_lex", *keys, "lambda_ext"],
             ([i, *map(int, k), repr(float(v))]
              for i, (k, v) in enumerate(zip(idx, spec.values_flat))))
         path = write_spectrum_csv(tmp_path / "new_spec.csv", spec)
@@ -160,6 +164,27 @@ def test_binary_reader_holds_one_copy_of_the_values(tmp_path, rng):
         back, _ = read_field_binary(tmp_path / "f.bin")
     assert peak.bytes <= values.nbytes + 2**16
     assert np.array_equal(back, values)
+
+
+@pytest.mark.parametrize("m", [128, 256])
+def test_spectrum_export_holds_no_table_of_its_rows(m, tmp_path, rng):
+    # s = 2^16 and 2^18 rows; index and value tables of Python numbers
+    # would take 8 and 40 MiB
+    emb = Embedding(GridSpec(d=2, m0=8), m=m)
+    spec = Spectrum(rng.random((2 * m, 2 * m)), 0.0, 0.0, emb)
+    with traced_peak() as peak:
+        path = write_spectrum_csv(tmp_path / "spec.csv", spec)
+    assert peak.bytes < 4 * 2**20
+    with open(path, "rb") as fh:
+        assert sum(1 for _ in fh) == 1 + emb.s
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_grid_rows_are_lexicographic_across_blocks(d, rng):
+    values = rng.standard_normal(5**d)
+    rows = formats._grid_rows(values, 5, d, block=7)
+    assert list(rows) == [[*k, v] for k, v in zip(
+        grid_points(np.arange(5), d).tolist(), values.tolist())]
 
 
 class TestStreamedBinary:

@@ -277,6 +277,40 @@ class TestSpectralDensity:
         assert k7.spectral_density(xi) == pytest.approx(
             7.3 * k1.spectral_density(xi), rel=1e-13)
 
+    def test_log_density_is_finite_where_its_ratio_overflows(self):
+        # (2 pi r)^2 / (2 nu) overflows from r ~ 1e4 at nu = 1e-300
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        nu, d = 1e-300, 2
+        kernel = MaternKernel(1.0, 0.5, nu, d, allow_small_nu=True)
+        r = np.array([1e3, 1e4, 1e100, 1e300])
+        with np.errstate(over="raise"):
+            got = kernel.log_kappa_hat(r)
+            assert kernel.log_kappa_hat(1e4) == got[1]
+        nu_mp, half_d = mpmath.mpf(nu), mpmath.mpf(d) / 2
+        exact = [float(d * mpmath.log(2) + half_d * mpmath.log(mpmath.pi)
+                       + mpmath.loggamma(nu_mp + half_d)
+                       - mpmath.loggamma(nu_mp)
+                       - half_d * mpmath.log(2 * nu_mp)
+                       - (nu_mp + half_d) * mpmath.log1p(
+                           (2 * mpmath.pi * x) ** 2 / (2 * nu_mp)))
+                 for x in map(mpmath.mpf, r)]
+        assert np.all(np.isfinite(got))
+        assert np.allclose(got, exact, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("nu", [0.5, 1.5, 16.0])
+    def test_log_density_is_unchanged_where_its_ratio_is_finite(self, nu):
+        # the one expression wherever the ratio is finite, bit for bit
+        from circembed.specialfn import log_gamma_ratio
+        kernel = MaternKernel(2.5, 0.5, nu, 3)
+        r = np.concatenate([[0.0], np.geomspace(1e-8, 1e150, 500)])
+        two_pi_r = 2.0 * np.pi * r
+        before = (math.log(2.5) + 3 * math.log(2.0)
+                  + 1.5 * math.log(math.pi) + log_gamma_ratio(nu, 1.5)
+                  - 1.5 * math.log(2.0 * nu)
+                  - (nu + 1.5) * np.log1p(two_pi_r * two_pi_r / (2.0 * nu)))
+        assert np.array_equal(kernel.log_kappa_hat(r), before)
+
 
 class TestTailIntegrals:
     def test_spectral_exponential_full_line(self):
