@@ -47,12 +47,9 @@ from .analysis import (BoundConstants, calibrate_constants,
                        qmc_criterion_sum, sampling_theorem_check)
 from .embedding import GridSpec, minimal_embedding
 from .errors import CircembedError
-# write_field_binary is not called here; perfbench/tracing.py looks it up
-# in this module
 from .formats import (SAMPLE_CSV, field_binary_writer, field_csv_writer,
                       read_field_binary, spectrum_sidecar, write_csv,
-                      write_field_binary, write_json, write_manifest,
-                      write_spectrum_csv)
+                      write_json, write_manifest, write_spectrum_csv)
 from .kernels import MaternKernel
 from .sampler import batch_sample_values
 from .validation import validate_samples

@@ -19,22 +19,22 @@ extensions on such a verdict raises PDUndecidableError.
 
 The search is one loop for both schedules.  It decides each attempt with
 the type-I DCT of the folded (m+1)^d block of the even first column, which
-equals its DFT (Martucci 1994), and takes the full FFT `spectrum` only
-where the DCT-I lies too near -tol to fix the FFT's verdict; no m is
-attempted twice.  The spectrum it returns is the folded block of the
-transform that decided the returned m, DCT-I or FFT, unfolded once, so
-the accepted (2m)^d column is transformed whole only where the FFT had to
-decide it.  In front of the DCT stands a witness screen: every eigenvalue
-is a cosine sum over the folded block, so the 3^d eigenvalues around the
-frequency of the last DCT minimum (and Lambda_0 with them) cost about
-4 (m+1)^d operations, and one of them far enough below -tol (beyond the
-FFT's rounding bound and the witness's own, `_witnesses`) fails the
-attempt with no transform.  The search records how each attempt was
-decided.  The search and `first_column` take their blocks from one
-source, `_FoldedBlocks`.  For an isotropic kernel it keeps a radial
-table, kappa at each distinct integer |j|^2 of the lattice {0..M}^d,
-with M doubled when an attempt goes beyond it; so the kernel is
-evaluated once per table growth, not once per attempt.
+equals its DFT (Martucci 1994) and lies within b of the exact eigenvalues;
+no m is attempted twice.  The spectrum it returns is that DCT-I block at
+the returned m, unfolded once, so the search allocates a (2m)^d array
+only on return, and no complex one.  `spectrum`, the full FFT of a
+column, is the dense reference the search no longer calls.  In front of
+the DCT stands a witness screen: every eigenvalue is a cosine sum over
+the folded block, so the 3^d eigenvalues around the frequency of the
+last DCT minimum (and Lambda_0 with them) cost about 4 (m+1)^d
+operations, and one of them far enough below -tol (beyond the DCT's
+rounding bound and the witness's own, `_witnesses`) fails the attempt
+with no transform.  The search records how each attempt was decided.
+The search and `first_column` take their blocks from one source,
+`_FoldedBlocks`.  For an isotropic kernel it keeps a radial table, kappa
+at each distinct integer |j|^2 of the lattice {0..M}^d, with M doubled
+when an attempt goes beyond it; so the kernel is evaluated once per table
+growth, not once per attempt.
 
 The eigenvalue lower bound and the other theory diagnostics live in
 `analysis`; this module needs only numpy and `scipy.fft`.
@@ -153,15 +153,15 @@ class Spectrum:
     `tolerance` is the clamp threshold that was applied (0 when none).
     `rounding_bound` bounds the float64 error of every eigenvalue (see
     `spectrum`).  From `spectrum` the values are the FFT of the column.
-    From `minimal_embedding` they are the folded block of eigenvalues that
-    decided the returned m, from the DCT-I or the FFT, repeated by the
-    evenness of the spectrum, and `min_value` and `rounding_bound` are
-    that transform's; both transforms lie within `rounding_bound` of the
-    exact eigenvalues.  `certified` is set by `minimal_embedding`: True when every
-    verdict of its search was decided beyond the rounding bound; None on a
-    spectrum no search has judged.  `attempts` is that search's record,
-    one (m, decider) pair per attempt in order, the decider "witness",
-    "dct" or "fft" (see `minimal_embedding`); empty without a search.
+    From `minimal_embedding` they are the DCT-I of the folded block at the
+    returned m, repeated by the evenness of the spectrum, and `min_value`
+    and `rounding_bound` are the DCT-I's; both transforms lie within
+    `rounding_bound` of the exact eigenvalues.  `certified` is set by
+    `minimal_embedding`: True when every verdict of its search was decided
+    beyond the rounding bound; None on a spectrum no search has judged.
+    `attempts` is that search's record, one (m, decider) pair per attempt
+    in order, the decider "witness" or "dct" (see `minimal_embedding`);
+    empty without a search.
     """
 
     values: np.ndarray
@@ -282,9 +282,11 @@ def spectrum(column: np.ndarray, embedding: Embedding,
     """Eigenvalues of the circulant with the given first column.
 
     The values are the unnormalized forward d-dimensional DFT of the
-    column.  They must come out real (the column is even-symmetric); a
-    relative imaginary residue above IMAG_TOL signals a symmetry bug
-    upstream and raises SymmetryError.  The residue is zeroed.
+    column, numpy's complex FFT of all (2m)^d entries: the dense reference
+    for the DCT-I that `minimal_embedding` takes of the folded block.  They
+    must come out real (the column is even-symmetric); a relative
+    imaginary residue above IMAG_TOL signals a symmetry bug upstream and
+    raises SymmetryError.  The residue is zeroed.
 
     `rounding_bound` is (u log2(s) + column_rel_error) * ||column||_1 with
     u the unit roundoff: the FFT error grows like log2(s) (Higham 2002,
@@ -384,9 +386,11 @@ def _witness_fails(block: np.ndarray, embedding: Embedding, at: int,
     """True when an eigenvalue near the last DCT-I minimum, at flat index
     `at` of the (m_low+1)^d spectrum, proves that the attempt fails: the
     `_witnesses` at k_i in round(m k*_i / m_low) + {-1, 0, 1}, within 0..m,
-    reach below -tol - 3b - b_w.  b is the FFT's rounding bound (`spectrum`)
-    and b_w the witness's own (`_witness_bound`); Lambda_0 comes with them,
-    at k = 0."""
+    reach below -tol - 3b - b_w.  b is the DCT-I's rounding bound
+    (`_rounding_bound`) and b_w the witness's own (`_witness_bound`);
+    Lambda_0 comes with them, at k = 0.  The DCT-I lies within b + b_w of
+    the witness, so its minimum is below -tol - 2b: it would fail the
+    attempt too and certify that verdict."""
     m, d = embedding.m, embedding.grid.d
     freqs = []
     for k in np.unravel_index(at, (m_low + 1,) * d):
@@ -445,28 +449,24 @@ def minimal_embedding(kernel, grid: GridSpec, tol: float | None = None,
     cross-schedule tests exercise this on a matrix of instances).  No m
     is attempted twice.
 
-    Each attempt is decided by the first of three deciders that can, and
+    Each attempt is decided by the first of two deciders that can, and
     the search records which: the returned spectrum's `attempts` and the
     raised error's `attempts` hold one (m, decider) pair per attempt.
     - "witness": once a DCT-I minimum was negative, at frequency k* of an
       earlier m*, and the block has at least WITNESS_MIN_POINTS points in
       d >= 2, the eigenvalues at k_i in round(m k*_i / m*) + {-1, 0, 1}
       (`_witnesses`) fail the attempt when the smallest lies below
-      -tol - 3b - b_w, with b the FFT's rounding bound (`spectrum`) and
-      b_w the witness's own.  The FFT value there is within b + b_w of
-      the witness, so the FFT minimum lies below -tol - 2b: the FFT
-      fails the attempt too, and certifies its verdict.
-    - "dct": the DCT-I minimum lies more than 3b from -tol.
-    - "fft": the full FFT `spectrum` decides.
-    The verdicts, the m returned or run out at, the error type and the
-    `certified` flag are those of a search that takes the FFT `spectrum`
-    at every attempt.  The returned spectrum, and the `min_eig` and
-    `rounding_bound` of a search that runs out, come from the transform
-    that decided that m; where the witness failed it, that m is
-    transformed once more without the witness (not recorded).  So
-    `min_value` and the values lie within 2b of the FFT's when the DCT-I
-    decided.  The m returned or run out at is transformed at most once
-    by each of the DCT-I and the FFT.
+      -tol - 3b - b_w, with b the DCT-I's rounding bound and b_w the
+      witness's own.  The DCT-I there is within b + b_w of the witness,
+      so its minimum lies below -tol - 2b: the DCT-I fails the attempt
+      too, and certifies its verdict.
+    - "dct": the DCT-I of the folded block; the attempt passes when its
+      minimum is >= -tol, and its verdict is certified when
+      |min + tol| > b.
+    The returned spectrum, and the `min_eig` and `rounding_bound` of a
+    search that runs out, are the DCT-I's at that m; where the witness
+    failed the m a search runs out at, that m is transformed once more
+    (not recorded).  No m is transformed twice by the DCT-I otherwise.
     """
     tol = (1e-13 if kernel.is_gaussian else 0.0) if tol is None else tol
     m_max = 100 * grid.m0 if m_max is None else m_max
@@ -487,16 +487,11 @@ def minimal_embedding(kernel, grid: GridSpec, tol: float | None = None,
     record = []
     low_at = None  # (flat index, m) of the last negative DCT-I minimum
 
-    def transform(emb: Embedding, block: np.ndarray) -> tuple:
-        """The decider ("dct" or "fft") of the folded block at emb.m and
-        the spectrum it decided from, whose values are the folded block of
-        eigenvalues until the search returns."""
-        nonlocal certified, low_at
-        m = emb.m
-        # the DCT-I of the folded block is the FFT of the even column up to
-        # rounding, and both lie within the rounding bound b of the exact
-        # eigenvalues of this float64 column, so they differ by at most 2b.
-        # Beyond 3b from -tol the FFT verdict is known.
+    def transform(emb: Embedding, block: np.ndarray) -> Spectrum:
+        """The DCT-I of the folded block at emb.m: the spectrum whose
+        values are the folded block of eigenvalues until the search
+        returns."""
+        nonlocal low_at
         values = scipy.fft.dctn(block, type=1)
         bound = _rounding_bound(_norm1(block, values.flat[0]), emb,
                                 column_rel_error)
@@ -505,25 +500,18 @@ def minimal_embedding(kernel, grid: GridSpec, tol: float | None = None,
         # a larger m only adds terms to an overflowed column sum
         if not (math.isfinite(low) and math.isfinite(bound)):
             raise ValueError(
-                f"minimal_embedding: the spectrum at m={m} is not finite "
+                f"minimal_embedding: the spectrum at m={emb.m} is not finite "
                 f"(min eigenvalue {low!r}, rounding bound {bound!r}): the "
                 f"covariance column overflows float64")
         if low < 0.0:
-            low_at = at, m
-        if abs(low + tol) > 3.0 * bound:
-            return "dct", Spectrum(values=values, min_value=low,
-                                   tolerance=0.0, embedding=emb,
-                                   rounding_bound=bound)
-        spec = spectrum(_unfold(block, m), emb,
-                        column_rel_error=column_rel_error)
-        certified = certified and spec.decides(tol)
-        # a copy, so that the complex transform behind `values` is freed
-        return "fft", replace(spec, values=spec.values[
-            (slice(0, m + 1),) * grid.d].copy())
+            low_at = at, emb.m
+        return Spectrum(values=values, min_value=low, tolerance=0.0,
+                        embedding=emb, rounding_bound=bound)
 
     def attempt(m: int):
         """The verdict min >= -tol at m and the spectrum that decided it,
         None when the witness did; the decider is recorded."""
+        nonlocal certified
         emb, block = Embedding(grid, m), blocks.block(m)
         if (low_at is not None and block.ndim > 1
                 and block.size >= WITNESS_MIN_POINTS
@@ -531,8 +519,9 @@ def minimal_embedding(kernel, grid: GridSpec, tol: float | None = None,
                                    column_rel_error)):
             record.append((m, "witness"))
             return False, None
-        decider, spec = transform(emb, block)
-        record.append((m, decider))
+        spec = transform(emb, block)
+        record.append((m, "dct"))
+        certified = certified and spec.decides(tol)
         return spec.min_value >= -tol, spec
 
     # lo is the largest m known to fail: m0 - 1 until one does, and m
@@ -554,7 +543,7 @@ def minimal_embedding(kernel, grid: GridSpec, tol: float | None = None,
         else:
             lo = mid
     if spec is None:  # the witness failed m: its spectrum, unrecorded
-        _, spec = transform(Embedding(grid, m), blocks.block(m))
+        spec = transform(Embedding(grid, m), blocks.block(m))
     if not ok:
         raise _exhausted(spec, tol, m_max, tuple(record))
     # eigenvalues in [-tol, 0) clamped to 0, then unfolded to (2m,)*d

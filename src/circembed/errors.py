@@ -11,8 +11,10 @@ class CircembedError(Exception):
 
 class NotPositiveDefiniteError(CircembedError):
     """Raised when no positive definite extension is found within the search
-    cap.  `attempts` is the search's record, one (m, decider) pair per
-    attempt (see `minimal_embedding`)."""
+    cap.  `min_eig` and `rounding_bound` are the DCT-I minimum and its
+    rounding bound at the last m tried; `attempts` is the search's record,
+    one (m, decider) pair per attempt, the decider "witness" or "dct" (see
+    `minimal_embedding`)."""
 
     def __init__(self, message, m_max=None, min_eig=None, rounding_bound=None,
                  attempts=()):

@@ -16,8 +16,10 @@ in a `.part` file as they are done, checking that they fit, and renames
 that file at the end, so its memory does not grow with the file and a
 failed run leaves no half-written file.  `field_csv_writer` streams
 samples to one CSV file each (`SAMPLE_CSV`) in the same way, after
-checking that files of their shortest possible size fit.  A CSV row, of
-a sample or the spectrum export, is made as it is written, from no table.
+checking that files of their shortest possible size fit.  Every CSV file
+is written as a `.part` file and renamed when complete (`write_csv`).  A
+CSV row, of a sample or the spectrum export, is made as it is written,
+from no table.
 Every binary or CSV artifact gets a JSON sidecar with the full metadata
 needed to reproduce it.
 """
@@ -181,15 +183,23 @@ def read_field_binary(path):
 def write_csv(path, columns, rows) -> Path:
     """A CSV file with header `columns` and one line per row of `rows`.
 
-    Give rows of Python numbers (`ndarray.tolist()`), not numpy scalars:
-    a Python float is written as its shortest round-trip repr, and a row
-    of them formats faster than a row of numpy scalars.
+    The lines go to `<path>.part`, renamed to `path` once all are written
+    and removed when `rows` or a write raises, so a failed write leaves no
+    file.  Give rows of Python numbers (`ndarray.tolist()`), not numpy
+    scalars: a Python float is written as its shortest round-trip repr,
+    and a row of them formats faster than a row of numpy scalars.
     """
     path = Path(path)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        writer.writerows(rows)
+    part = path.with_name(path.name + ".part")
+    try:
+        with open(part, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(columns)
+            writer.writerows(rows)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
+    os.replace(part, path)
     return path
 
 

@@ -4,13 +4,13 @@ These deliberately avoid the package's FFT path: the extended matrix is
 assembled entry by entry from the reflected covariance and handed to a
 dense symmetric eigensolver, so agreement is a genuine two-route check.
 The long-double spectrum oracle evaluates the Gaussian column and its
-transform with 64-bit mantissas instead of 53.  The FFT-only search runs
-the minimal-extension search with a full FFT spectrum at every attempt,
-the reference for the package's screened search.  `phi` and `rho_ext`
-are the paper's reflection, applied pointwise: the definition that the
-package's folded first column is checked against.  `bessel_k` is the
-linear K_nu of the package's one implementation, `log_bessel_k`.
-`traced_peak` measures the peak bytes allocated inside a block.
+transform with 64-bit mantissas instead of 53.  The FFT-only and DCT-only
+searches run the minimal-extension search with one full transform at
+every attempt and no screen, the references for the package's search.
+`phi` and `rho_ext` are the paper's reflection, applied pointwise: the
+definition that the package's folded first column is checked against.
+`bessel_k` is the linear K_nu of the package's one implementation,
+`log_bessel_k`.  `traced_peak` measures the peak bytes allocated inside a block.
 """
 
 import contextlib
@@ -22,7 +22,8 @@ import pytest
 import scipy.fft
 
 from circembed import (Embedding, GridSpec, NotPositiveDefiniteError,
-                       PDUndecidableError, first_column, spectrum)
+                       PDUndecidableError, Spectrum, embedding, first_column,
+                       spectrum)
 from circembed.specialfn import log_bessel_k
 
 
@@ -136,23 +137,54 @@ def gaussian_spectrum_oracle(kernel, embedding: Embedding) -> np.ndarray:
 
 
 def fft_only_search(kernel, grid: GridSpec, tol: float, m_max: int,
-                    schedule: str = "increment"):
-    """Outcome of the minimal-extension search with no screen: every
-    attempt takes the FFT spectrum of `first_column`, and the doubling
-    schedule transforms the final m once more after the bisection.
+                    schedule: str = "increment", decided=None):
+    """Outcome of the minimal-extension search with no screen and numpy's
+    complex FFT: every attempt takes the `spectrum` of `first_column`.
+    See `_unscreened_search`."""
+    def fft(emb):
+        return spectrum(first_column(kernel, emb), emb,
+                        column_rel_error=kernel.eval_rel_error)
+
+    return _unscreened_search(fft, grid, tol, m_max, schedule, decided)
+
+
+def dct_only_search(kernel, grid: GridSpec, tol: float, m_max: int,
+                    schedule: str = "increment", decided=None):
+    """Outcome of the minimal-extension search with no screen and the
+    DCT-I: every attempt takes the DCT-I of the folded block of
+    `first_column`, with the search's rounding bound.  See
+    `_unscreened_search`."""
+    def dct(emb):
+        block = first_column(kernel, emb)[(slice(0, emb.m + 1),) * grid.d]
+        values = scipy.fft.dctn(block, type=1)
+        bound = embedding._rounding_bound(
+            embedding._norm1(block, values.flat[0]), emb,
+            kernel.eval_rel_error)
+        return Spectrum(values=values, min_value=float(values.min()),
+                        tolerance=0.0, embedding=emb, rounding_bound=bound)
+
+    return _unscreened_search(dct, grid, tol, m_max, schedule, decided)
+
+
+def _unscreened_search(transform, grid: GridSpec, tol: float, m_max: int,
+                       schedule: str, decided):
+    """The minimal-extension search with transform(embedding) -> Spectrum
+    at every attempt; the doubling schedule transforms the final m once
+    more after the bisection.  When `decided` is a list, each attempt
+    appends whether its verdict was certified.
 
     Returns ("ok", m, min_value, certified) or (error type name, m_max,
     min_eig) for a search that runs out at m_max.
     """
-    certified = True
+    decided = [] if decided is None else decided
 
     def attempt(m):
-        nonlocal certified
-        emb = Embedding(grid, m)
-        spec = spectrum(first_column(kernel, emb), emb,
-                        column_rel_error=kernel.eval_rel_error)
-        certified = certified and spec.decides(tol)
+        spec = transform(Embedding(grid, m))
+        decided.append(spec.decides(tol))
         return spec, spec.min_value >= -tol
+
+    def accept(m, spec):
+        return ("ok", m, spec.min_value, all(decided))
 
     def exhausted(spec):
         kind = NotPositiveDefiniteError if spec.decides(tol) \
@@ -162,13 +194,13 @@ def fft_only_search(kernel, grid: GridSpec, tol: float, m_max: int,
     m = grid.m0
     spec, ok = attempt(m)
     if ok:
-        return ("ok", m, spec.min_value, certified)
+        return accept(m, spec)
     if schedule == "increment":
         while m < m_max:
             m += 1
             spec, ok = attempt(m)
             if ok:
-                return ("ok", m, spec.min_value, certified)
+                return accept(m, spec)
         return exhausted(spec)
     lo = m
     while True:
@@ -188,7 +220,7 @@ def fft_only_search(kernel, grid: GridSpec, tol: float, m_max: int,
         else:
             lo = mid
     spec, _ = attempt(hi)
-    return ("ok", hi, spec.min_value, certified)
+    return accept(hi, spec)
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,7 @@
 import csv
+import errno
+import importlib
+import itertools
 import json
 import math
 import os
@@ -6,6 +9,7 @@ import sys
 import time
 import types
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -15,7 +19,7 @@ import scipy
 from circembed import (GridSpec, MaternKernel, continuous_eigenvalue,
                        minimal_embedding)
 from circembed.analysis import decay_sequence
-from circembed import Embedding, cli, formats, sampler
+from circembed import Embedding, cli, embedding, formats, sampler
 from circembed.cli import main
 from circembed.formats import (read_field_binary, write_field_binary,
                                write_field_csv)
@@ -205,7 +209,7 @@ class TestMinEll:
         assert code == 0
         report = payload["report"]
         counts = report["attempts"]
-        assert set(counts) <= {"witness", "dct", "fft"}
+        assert set(counts) <= {"witness", "dct"}
         assert sum(counts.values()) == report["m"] - 64 + 1
         assert counts["witness"] > counts.get("dct", 0)
 
@@ -238,6 +242,25 @@ class TestMinEll:
         assert code == 2 and captured.out == ""
         assert "min-ell --export-spectrum requires --out" in captured.err
         assert list(tmp_path.iterdir()) == []
+
+    def test_failed_spectrum_export_leaves_no_file(self, tmp_path,
+                                                   monkeypatch, capsys):
+        # the table's rows run out of disk part way through
+        grid_rows = formats._grid_rows
+
+        def full_disk(*args, **kwargs):
+            yield from itertools.islice(grid_rows(*args, **kwargs), 100)
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(formats, "_grid_rows", full_disk)
+        out = tmp_path / "r"
+        code = main(["min-ell", "--d", "2", "--nu", "1.5", "--lambda", "0.5",
+                     "--m0", "8", "--tol", "0", "--out", str(out),
+                     "--export-spectrum"])
+        assert code == 4
+        assert "No space left on device" in capsys.readouterr().err
+        assert not (out / "spectrum.csv").exists()
+        assert not (out / "spectrum.csv.part").exists()
 
     def test_gaussian_reference_value_coarse_schedule(self, capsys):
         # reference minimal extension for the Gaussian kernel at lam*m0=8,
@@ -339,6 +362,27 @@ class TestMinEll:
         assert code == 0
         assert payload["parameters"]["m0"] == 8  # flag overrides config
         assert payload["report"]["m"] == 8
+
+
+def test_benchmark_searches_take_no_fft(tmp_path, monkeypatch, capsys):
+    # every min-ell, sweep and eig-decay run of the benchmark's search
+    # workload, checked as the benchmark checks it, with numpy's FFT and
+    # `embedding.spectrum` made to raise
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+
+    def no_fft(*args, **kwargs):
+        raise AssertionError("the search took an FFT")
+
+    monkeypatch.setattr(np.fft, "fftn", no_fft)
+    monkeypatch.setattr(embedding, "spectrum", no_fft)
+    for op in workloads.search(0, tmp_path).ops:
+        out_dir = workloads.clear_outputs(op)
+        rc = main(list(op.argv))
+        captured = capsys.readouterr()
+        result = workloads.Result(rc, captured.out, captured.err, None,
+                                  out_dir)
+        assert op.check(result) == [], op.name
 
 
 class TestSweep:

@@ -224,11 +224,12 @@ class TestMinimalEmbedding:
                                     tol=0.0)
         assert spec.certified is True
         assert spec.min_value > spec.rounding_bound > 0
-        # nu = 8: the float64 minimum 3.7e-15 lies inside the bound
-        _, spec = minimal_embedding(MaternKernel(1.0, 0.5, 8.0, 2),
-                                    GridSpec(d=2, m0=16), tol=0.0,
-                                    schedule="doubling", m_max=1024)
-        assert 0 < spec.min_value < spec.rounding_bound
+        # a Gaussian at tol = 1e-13: the accepted minimum lies inside the
+        # bound of -tol
+        emb, spec = minimal_embedding(gaussian_kernel(1.0, 0.25, 2),
+                                      GridSpec(d=2, m0=32), tol=1e-13)
+        assert emb.m == 66
+        assert abs(spec.min_value + 1e-13) <= spec.rounding_bound
         assert spec.certified is False
 
     def test_gaussian_default_tol(self):
@@ -267,8 +268,8 @@ class TestMinimalEmbedding:
 
     @pytest.mark.parametrize("schedule", ["increment", "doubling"])
     @pytest.mark.parametrize("d,m0,nu,m_max", [
-        (3, 16, 1.5, 1600),  # the final m was decided by the DCT screen
-        (2, 16, 8.0, 1024),  # ... and here by the FFT (uncertified)
+        (3, 16, 1.5, 1600),  # accepts, the witness failing most m
+        (2, 16, 8.0, 1024),  # runs out undecided
         (2, 16, 1.5, 16),    # m_max == m0: runs out at its only m
     ])
     def test_search_attempts_no_m_twice(self, monkeypatch, schedule, d, m0,
@@ -284,15 +285,10 @@ class TestMinimalEmbedding:
             final, attempts = exc.m_max, exc.attempts
         screened = [m for m, _ in attempts]
         assert len(screened) == len(set(screened)), screened
-        # every m is transformed at most once by each, and the FFT runs
-        # only where the DCT-I ran first and could not decide
+        # every m is transformed at most once, by the DCT-I alone
         assert len(dct) == len(set(dct)), dct
-        assert len(fft) == len(set(fft)), fft
-        assert {m for m, decider in attempts if decider == "fft"} \
-            <= set(fft) <= set(dct)
-        # the final m is transformed by the FFT only where it decided there
+        assert fft == []
         assert final in dct
-        assert (final in fft) == ((final, "fft") in attempts)
 
     def test_search_memory_is_its_values_and_a_few_blocks(self):
         # unit steps to m = 66 in d = 3, every attempt decided by the
@@ -371,7 +367,7 @@ class TestMinimalEmbedding:
         emb, spec = minimal_embedding(kernel, GridSpec(d=2, m0=64), tol=0.0)
         assert [m for m, _ in spec.attempts] == list(range(64, emb.m + 1))
         deciders = [decider for _, decider in spec.attempts]
-        assert set(deciders) <= {"witness", "dct", "fft"}
+        assert set(deciders) <= {"witness", "dct"}
         assert deciders[0] == "dct" and deciders[-1] != "witness"
         assert deciders.count("witness") >= 0.9 * (len(deciders) - 1)
 
@@ -535,13 +531,13 @@ class TestRoundingBound:
 
     @pytest.mark.parametrize("d,m0,lam,tol,decider", [
         (1, 64, 0.25, 1e-10, "dct"), (2, 32, 0.25, 1e-10, "dct"),
-        (3, 8, 0.5, 1e-10, "dct"), (2, 32, 0.25, 1e-13, "fft"),
-        (3, 8, 0.5, 1e-13, "fft"),
+        (3, 8, 0.5, 1e-10, "dct"), (2, 32, 0.25, 1e-13, "dct"),
+        (3, 8, 0.5, 1e-13, "dct"),
     ])
     def test_search_spectrum_within_its_bound_of_long_double_oracle(
             self, d, m0, lam, tol, decider):
-        # the returned values come from the transform that decided the
-        # final m; clamping both sides at 0 moves no gap up
+        # the returned values are the DCT-I's at the final m; clamping
+        # both sides at 0 moves no gap up
         kernel = gaussian_kernel(1.0, lam, d)
         emb, spec = minimal_embedding(kernel, GridSpec(d=d, m0=m0), tol=tol,
                                       m_max=100 * m0)
