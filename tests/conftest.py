@@ -22,8 +22,7 @@ import pytest
 import scipy.fft
 
 from circembed import (Embedding, GridSpec, NotPositiveDefiniteError,
-                       PDUndecidableError, Spectrum, embedding, first_column,
-                       spectrum)
+                       PDUndecidableError, Spectrum, embedding, spectrum)
 from circembed.specialfn import log_bessel_k
 
 
@@ -139,11 +138,13 @@ def gaussian_spectrum_oracle(kernel, embedding: Embedding) -> np.ndarray:
 def fft_only_search(kernel, grid: GridSpec, tol: float, m_max: int,
                     schedule: str = "increment", decided=None):
     """Outcome of the minimal-extension search with no screen and numpy's
-    complex FFT: every attempt takes the `spectrum` of `first_column`.
-    See `_unscreened_search`."""
+    complex FFT: every attempt takes the `spectrum` of the even column
+    unfolded from the search's folded block.  See `_unscreened_search`."""
+    blocks = embedding._FoldedBlocks(kernel, grid, m_max)
+
     def fft(emb):
-        return spectrum(first_column(kernel, emb), emb,
-                        column_rel_error=kernel.eval_rel_error)
+        column = embedding._unfold(blocks.block(emb.m), emb.m)
+        return spectrum(column, emb, column_rel_error=kernel.eval_rel_error)
 
     return _unscreened_search(fft, grid, tol, m_max, schedule, decided)
 
@@ -151,11 +152,12 @@ def fft_only_search(kernel, grid: GridSpec, tol: float, m_max: int,
 def dct_only_search(kernel, grid: GridSpec, tol: float, m_max: int,
                     schedule: str = "increment", decided=None):
     """Outcome of the minimal-extension search with no screen and the
-    DCT-I: every attempt takes the DCT-I of the folded block of
-    `first_column`, with the search's rounding bound.  See
-    `_unscreened_search`."""
+    DCT-I: every attempt takes the DCT-I of the search's folded block,
+    with the search's rounding bound.  See `_unscreened_search`."""
+    blocks = embedding._FoldedBlocks(kernel, grid, m_max)
+
     def dct(emb):
-        block = first_column(kernel, emb)[(slice(0, emb.m + 1),) * grid.d]
+        block = blocks.block(emb.m)
         values = scipy.fft.dctn(block, type=1)
         bound = embedding._rounding_bound(
             embedding._norm1(block, values.flat[0]), emb,

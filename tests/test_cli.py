@@ -385,6 +385,37 @@ def test_benchmark_searches_take_no_fft(tmp_path, monkeypatch, capsys):
         assert op.check(result) == [], op.name
 
 
+def test_benchmark_validate_ops_pass_their_checks(tmp_path, monkeypatch,
+                                                  capsys):
+    # every timed op of the benchmark's validate workload (pass, pass,
+    # reject), on inputs written by its own input module and checked as the
+    # benchmark checks them; the over-cap input, which validate refuses, is
+    # not written
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    inputs = importlib.import_module("inputs")
+    seed = 0
+    (tmp_path / "inputs").mkdir()
+    for index, (name, (d, m0, nu, lam, n, scale)) in enumerate(
+            inputs.VALIDATE_INPUTS.items()):
+        if name == "d2_m64":
+            continue
+        kernel = MaternKernel(sigma2=1.0, lam=lam, nu=nu, d=d,
+                              allow_small_nu=True)
+        draws = inputs.field_draws(kernel, d, m0, n,
+                                   np.random.SeedSequence([seed, index]))
+        inputs.write_grffld(tmp_path / "inputs" / f"{name}.bin",
+                            scale * draws, d, m0)
+    ops = workloads.validate(seed, tmp_path).ops
+    assert [op.name for op in ops] == [
+        "validate_d3_m15", "validate_d2_m32", "validate_d2_m32_scaled"]
+    for op in ops:
+        rc = main(list(op.argv))
+        captured = capsys.readouterr()
+        result = workloads.Result(rc, captured.out, captured.err, None, None)
+        assert op.check(result) == [], op.name
+
+
 class TestSweep:
     def test_csv_schema_and_content(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

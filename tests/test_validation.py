@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from circembed import (CustomStationaryKernel, GridSpec, MaternKernel,
                        ValidationReport, batch_sample_values,
-                       dense_covariance, minimal_embedding, validate_samples)
-from conftest import dense_grid_matrix
+                       dense_covariance, minimal_embedding, validate_samples,
+                       validation)
+from conftest import dense_grid_matrix, traced_peak
 
 # derandomized and without an example database, so every run checks the
 # same examples
@@ -105,6 +106,14 @@ def _tilted_kernel(d):
     # stationary, not even per axis: rho(x) = exp(-(w . x)^2)
     w = np.array([1.0, 0.5, 0.25][:d])
     return CustomStationaryKernel(rho_fn=lambda x: np.exp(-(x @ w) ** 2), d=d)
+
+
+def _shifted_kernel(d):
+    # rho(x) = exp(-(w . x - 0.3)^2): rho(-x) != rho(x), so its lag table
+    # is not even and R is not symmetric
+    w = np.array([1.0, 0.5, 0.25][:d])
+    return CustomStationaryKernel(
+        rho_fn=lambda x: np.exp(-(x @ w - 0.3) ** 2), d=d)
 
 
 @pytest.fixture(scope="module")
@@ -204,6 +213,56 @@ class TestValidateSamples:
         assert _bits(got) == _bits(want)
         if kind != "genuine":  # a scale of 3 is far outside the tolerance
             assert not got.passed
+
+    def test_peak_memory_is_centred_samples_and_two_blocks(self, rng):
+        # at the benchmark's 4096-point shape the M x M empirical covariance
+        # (128 MiB) is never held: a block row of one axis-0 plane, and at
+        # most one temporary of its size
+        grid = GridSpec(d=3, m0=15)
+        values = rng.normal(size=(1000, grid.n_points))
+        plane_bytes = 8 * grid.n_points * (grid.m0 + 1) ** (grid.d - 1)
+        assert plane_bytes <= validation.BLOCK_BYTES
+        with traced_peak() as peak:
+            validate_samples(values, MaternKernel(1.0, 0.1, 0.5, 3), grid)
+        table_bytes = 8 * (2 * grid.m0 + 1) ** grid.d
+        assert peak.bytes <= (values.nbytes + 2 * validation.BLOCK_BYTES
+                              + table_bytes + 2**17)
+
+    @pytest.mark.parametrize("planes", [1, 2, 3, "all"])
+    @pytest.mark.parametrize("nu", [0.5, 1.5, math.inf, "tilted", "shifted"])
+    @pytest.mark.parametrize("d,m0", [(1, 63), (2, 7), (3, 4)])
+    def test_blocks_agree_with_dense_reference(self, monkeypatch, d, m0, nu,
+                                               planes):
+        grid = GridSpec(d=d, m0=m0)
+        M = grid.n_points
+        plane = M // (m0 + 1)
+        planes = m0 + 1 if planes == "all" else planes
+        monkeypatch.setattr(validation, "BLOCK_BYTES", 8 * planes * plane * M)
+        kernel = {"tilted": _tilted_kernel, "shifted": _shifted_kernel}.get(
+            nu, lambda d: MaternKernel(1.0, 0.3, nu, d))(d)
+        values = np.random.default_rng([d, m0]).standard_normal((1000, M))
+        if nu == "shifted":  # the largest error lies below the diagonal
+            centered = values - values.mean(axis=0)
+            err = np.abs(centered.T @ centered / (len(values) - 1)
+                         - dense_covariance(kernel, grid))
+            assert np.tril(err, -1).max() > np.triu(err).max()
+        got = validate_samples(values, kernel, grid)
+        want = dense_reference(values, kernel, grid)
+        got_bits, want_bits = _bits(got), _bits(want)
+        del got_bits["max_cov_error"], want_bits["max_cov_error"]
+        assert got_bits == want_bits
+        if planes == m0 + 1:  # one block: numpy's C^T C, as in the reference
+            assert got.max_cov_error == want.max_cov_error
+        else:
+            assert math.isclose(got.max_cov_error, want.max_cov_error,
+                                rel_tol=1e-14, abs_tol=0.0)
+            # a NaN in point 0 shows in the first block only, one in point
+            # M - 1 in every block: both survive the fold over blocks
+            for point in (0, M - 1):
+                bad = values.copy()
+                bad[500, point] = math.nan
+                assert math.isnan(
+                    validate_samples(bad, kernel, grid).max_cov_error)
 
     def test_cap_is_checked_before_sample_count(self):
         # one sample on 4225 points: the cap, not the sample count, refuses
