@@ -51,7 +51,7 @@ from .formats import (SAMPLE_CSV, field_binary_writer, field_csv_writer,
                       read_field_binary, spectrum_sidecar, write_csv,
                       write_json, write_manifest, write_spectrum_csv)
 from .kernels import MaternKernel
-from .sampler import batch_sample_values
+from .sampler import batch_sample_values, worker_count
 from .validation import validate_samples
 
 EXIT_OK = 0
@@ -231,7 +231,10 @@ def cmd_sweep(params: dict) -> int:
     lists = [v if isinstance(v, list) else [v] for v in map(params.get, keys)]
     points = [{**params, **dict(zip(keys, point))}
               for point in itertools.product(*lists)]
-    with ThreadPoolExecutor(max_workers=params["threads"]) as pool:
+    # no more threads than points or CPUs, whatever --threads asks for
+    # (one for an empty grid, which still writes its files)
+    workers = min(params["threads"], len(points), worker_count())
+    with ThreadPoolExecutor(max_workers=max(workers, 1)) as pool:
         rows = list(pool.map(_sweep_point, points))
 
     out = _out_dir(params)
@@ -459,7 +462,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = command(sub, "sweep", cmd_sweep, [kernel, common, m0, search],
                 "minimal-extension parameter sweep")
     p.add_argument("--threads", type=int, default=1,
-                   help="sweep points searched in parallel")
+                   help="sweep points searched in parallel (at most one "
+                   "thread per point and CPU)")
 
     p = command(sub, "eig-decay", cmd_eig_decay, [kernel, common, m0, search],
                 "eigenvalue decay CSV + slope fit")

@@ -31,10 +31,11 @@ operations, and one of them far enough below -tol (beyond the DCT's
 rounding bound and the witness's own, `_witnesses`) fails the attempt
 with no transform.  The search records how each attempt was decided.
 The search and `first_column` take their blocks from one source,
-`_FoldedBlocks`.  For an isotropic kernel it keeps a radial table, kappa
-at each distinct integer |j|^2 of the lattice {0..M}^d, with M doubled
-when an attempt goes beyond it; so the kernel is evaluated once per table
-growth, not once per attempt.
+`_FoldedBlocks`: one lattice array rho(h0 j), j in {0..L}^d, whose corner
+views are the blocks.  It grows to L = max(m, ceil(5L/4)) when an attempt
+goes beyond it, so the kernel is evaluated once per growth, not once per
+attempt, and a search holds at most its returned values, the lattice and
+a few blocks.
 
 The eigenvalue lower bound and the other theory diagnostics live in
 `analysis`; this module needs only numpy and `scipy.fft`.
@@ -199,76 +200,69 @@ class _FoldedBlocks:
     on one grid, for m up to `limit`; the even column repeats a block by
     reflection (`_unfold`).
 
-    An isotropic kernel's blocks are looked up in one `_RadialTable`,
-    made at the first m asked for and doubled (capped at `limit`) whenever
-    a later m goes beyond it.  Other kernels evaluate rho on the lattice.
+    rho(h0 j) does not depend on m, so every block is the leading corner
+    view `lattice[:m+1, ..., :m+1]` of one lattice array of side L+1
+    (`_lattice`).  The lattice is made at the first m asked for, L = m,
+    and rebuilt only when an m goes beyond it, at L = min(max(m,
+    ceil(5L/4)), limit): a unit-step search rebuilds it about once per
+    quarter growth of m, and a doubling search at each m it jumps to.
+    Between rebuilds a block costs no kernel evaluation and no copy.
+
+    Memory: the lattice holds (L+1)^d floats, at most about (5/4)^d
+    blocks of the largest m asked for (1.95 in d = 3).  A rebuild holds
+    the old lattice beside the new one and, for an isotropic kernel, the
+    new side's int64 keys and narrower ranks.  (Freeing the old lattice
+    first lowers the traced peak but raised the process's peak RSS, by
+    how the heap reuses freed blocks.)  A search's peak is then at most
+    its returned values plus the lattice plus four blocks
+    (`test_search_peak_is_values_lattice_and_blocks`).
     """
 
     def __init__(self, kernel, grid: GridSpec, limit: int):
         if kernel.d != grid.d:
             raise ValueError(f"kernel has d={kernel.d}, grid has d={grid.d}")
         self.kernel, self.grid, self.limit = kernel, grid, limit
-        self.table = None
+        self.lattice = None
 
     def block(self, m: int) -> np.ndarray:
-        kernel, grid = self.kernel, self.grid
-        if not kernel.is_isotropic:
-            pts = grid_points(grid.h0 * np.arange(m + 1), grid.d)
-            return kernel.rho(pts).reshape((m + 1,) * grid.d)
-        if self.table is None or m > self.table.size:
-            size = m if self.table is None else self.table.size
-            while size < m:
-                size = min(2 * size, self.limit)
-            self.table = _RadialTable(kernel, grid, size)
-        return self.table.block(m)
+        if self.lattice is None or m >= len(self.lattice):
+            side = m if self.lattice is None else min(
+                max(m, -(-5 * (len(self.lattice) - 1) // 4)), self.limit)
+            self.lattice = _lattice(self.kernel, self.grid, side)
+        return self.lattice[(slice(0, m + 1),) * self.grid.d]
 
 
-def _key_grid(squares: np.ndarray, d: int) -> np.ndarray:
-    """|j|^2 over j in {0..n-1}^d, from squares[i] = i^2, i = 0..n-1."""
-    keys = squares
-    for _ in range(1, d):
-        keys = keys[..., None] + squares
-    return keys
+def _lattice(kernel, grid: GridSpec, side: int) -> np.ndarray:
+    """rho(h0 j) over the lattice j in {0..side}^d, shape (side+1,)*d.
 
-
-class _RadialTable:
-    """An isotropic kernel at the lattice points h0 j, j in {0..size}^d,
-    with one `kappa` value per distinct integer key |j|^2 at the radius
-    sqrt(|j|^2) / m0 / lam.
-
-    In d = 1 the keys j^2 are distinct and ascending, so j indexes the
-    values.  For d >= 2 a presence table over 0..d*size^2 marks the keys
-    that occur and its cumulative sum ranks them, with no sort; it has
-    fewer entries than the lattice in d = 3 and about twice as many in
-    d = 2.  A block of any m <= size is a lookup, so a search evaluates
-    the kernel once per table, not once per attempt.
+    A kernel that is not isotropic evaluates rho at every point.  An
+    isotropic one evaluates `kappa` once per distinct integer key |j|^2,
+    at the radius sqrt(|j|^2) / m0 / lam.  In d = 1 the keys j^2 are
+    distinct and ascending, so j indexes the values.  For d >= 2 a
+    presence table over 0..d*side^2 marks the keys that occur and its
+    cumulative sum ranks them, with no sort; it has fewer entries than
+    the lattice in d = 3 and about twice as many in d = 2.
     """
-
-    def __init__(self, kernel, grid: GridSpec, size: int):
-        self.d, self.size = grid.d, size
-        squares = np.arange(size + 1) ** 2
-        if self.d == 1:
-            self.rank = None
-            keys = squares
-        else:
-            present = np.zeros(self.d * size * size + 1, dtype=bool)
-            present[_key_grid(squares, self.d)] = True
-            # key 0 is present, so every count is >= 1
-            self.rank = np.cumsum(present,
-                                  dtype=np.min_scalar_type(present.size))
-            self.rank -= 1
-            keys = np.flatnonzero(present)
-        # a radius past the float64 range is inf, where kappa is 0
-        with np.errstate(over="ignore"):
-            radii = np.sqrt(keys) / grid.m0 / kernel.lam
-        self.values = kernel.kappa(radii)
-
-    def block(self, m: int) -> np.ndarray:
-        """The folded (m+1)^d block rho(h0 j), j in {0..m}^d, m <= size."""
-        if self.rank is None:
-            return self.values[:m + 1]
-        keys = _key_grid(np.arange(m + 1) ** 2, self.d)
-        return self.values[self.rank[keys]]
+    d = grid.d
+    if not kernel.is_isotropic:
+        pts = grid_points(grid.h0 * np.arange(side + 1), d)
+        return kernel.rho(pts).reshape((side + 1,) * d)
+    keys = squares = np.arange(side + 1) ** 2
+    if d > 1:
+        lattice_keys = squares  # |j|^2 over the lattice
+        for _ in range(1, d):
+            lattice_keys = lattice_keys[..., None] + squares
+        present = np.zeros(d * side * side + 1, dtype=bool)
+        present[lattice_keys] = True
+        # key 0 is present, so every count is >= 1
+        rank = np.cumsum(present, dtype=np.min_scalar_type(present.size))
+        rank -= 1
+        keys = np.flatnonzero(present)
+    # a radius past the float64 range is inf, where kappa is 0
+    with np.errstate(over="ignore"):
+        radii = np.sqrt(keys) / grid.m0 / kernel.lam
+    values = kernel.kappa(radii)
+    return values if d == 1 else values[rank[lattice_keys]]
 
 
 def _unfold(block: np.ndarray, m: int) -> np.ndarray:
@@ -546,6 +540,7 @@ def minimal_embedding(kernel, grid: GridSpec, tol: float | None = None,
         spec = transform(Embedding(grid, m), blocks.block(m))
     if not ok:
         raise _exhausted(spec, tol, m_max, tuple(record))
+    blocks.lattice = None
     # eigenvalues in [-tol, 0) clamped to 0, then unfolded to (2m,)*d
     return Embedding(grid, m), replace(
         spec, values=_unfold(np.maximum(spec.values, 0.0), m), tolerance=tol,

@@ -11,9 +11,11 @@ every attempt and no screen, the references for the package's search.
 definition that the package's folded first column is checked against.
 `bessel_k` is the linear K_nu of the package's one implementation,
 `log_bessel_k`.  `traced_peak` measures the peak bytes allocated inside a block.
+`anisotropic_matern` is a stationary kernel that is not isotropic.
 """
 
 import contextlib
+import math
 import tracemalloc
 import types
 
@@ -21,8 +23,9 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from circembed import (Embedding, GridSpec, NotPositiveDefiniteError,
-                       PDUndecidableError, Spectrum, embedding, spectrum)
+from circembed import (CustomStationaryKernel, Embedding, GridSpec,
+                       NotPositiveDefiniteError, PDUndecidableError, Spectrum,
+                       embedding, spectrum)
 from circembed.specialfn import log_bessel_k
 
 
@@ -30,6 +33,19 @@ def multi_indices(n_per_axis, d):
     axis = np.arange(n_per_axis)
     grids = np.meshgrid(*([axis] * d), indexing="ij")
     return np.stack([g.reshape(-1) for g in grids], axis=-1)
+
+
+def anisotropic_matern(d: int) -> CustomStationaryKernel:
+    """The Matern-3/2 profile (1 + r) e^-r of r = sqrt(3) |x / scale| with
+    a scale per axis: a stationary kernel, even in each coordinate, that
+    is not isotropic."""
+    scale = np.array([0.5, 0.25, 0.4][:d])
+
+    def rho(x):
+        r = math.sqrt(3.0) * np.sqrt(((x / scale) ** 2).sum(axis=-1))
+        return (1.0 + r) * np.exp(-r)
+
+    return CustomStationaryKernel(rho_fn=rho, d=d)
 
 
 @contextlib.contextmanager

@@ -502,9 +502,11 @@ class TestSweep:
                 super().__init__(max_workers=max_workers)
 
         monkeypatch.setattr(cli, "ThreadPoolExecutor", Recording)
+        # more points and CPUs than threads, so neither caps the pool
+        monkeypatch.setattr(cli, "worker_count", lambda: 8)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(dict(config, d=[1], nu=[0.5], lam=[1.0],
-                                       m0=[4, 8])))
+                                       m0=[4, 8, 16])))
         out = tmp_path / "sweep"
         argv = ["--threads", *flags] if flags else []
         code, payload = run(capsys, "sweep", "--config", str(cfg),
@@ -514,6 +516,39 @@ class TestSweep:
         assert payload["parameters"]["threads"] == threads
         report = json.loads((out / "report.json").read_text())
         assert report["parameters"]["threads"] == threads
+
+    @pytest.mark.parametrize("threads,cpus,pool", [
+        (10**6, 64, 3), (10**6, 2, 2), (2, 64, 2), (1, 64, 1)])
+    def test_pool_takes_no_more_threads_than_points_or_cpus(
+            self, threads, cpus, pool, tmp_path, capsys, monkeypatch):
+        import circembed.cli as cli
+        pools = []
+
+        class Serial:
+            # records the pool size and starts no thread
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", Serial)
+        monkeypatch.setattr(cli, "worker_count", lambda: cpus)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"d": [1], "nu": [0.5], "lam": [1.0],
+                                   "m0": [4, 8, 16], "tol": 0}))
+        code, payload = run(capsys, "sweep", "--config", str(cfg),
+                            "--out", str(tmp_path / "sweep"),
+                            "--threads", str(threads))
+        assert code == 0 and payload["report"]["points"] == 3
+        assert pools == [pool]
+        assert payload["parameters"]["threads"] == threads
 
     @pytest.mark.parametrize("command", [
         ["min-ell", "--m0", "8"], ["eig-decay", "--m0", "8"],

@@ -20,8 +20,9 @@ from circembed import (
     minimal_embedding,
     spectrum,
 )
-from conftest import (dense_extended_matrix, dense_grid_matrix,
-                      gaussian_spectrum_oracle, phi, rho_ext)
+from conftest import (anisotropic_matern, dense_extended_matrix,
+                      dense_grid_matrix, gaussian_spectrum_oracle, phi,
+                      rho_ext)
 
 
 def exponential(d=1, lam=1.0, sigma2=1.0):
@@ -440,37 +441,83 @@ class TestRadialTable:
         assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("schedule", ["increment", "doubling"])
-    @pytest.mark.parametrize("d,m0", [(2, 12), (3, 6)])
+    @pytest.mark.parametrize("d,m0,isotropic", [
+        (2, 12, True), (3, 6, True), (2, 12, False)])
     def test_search_blocks_equal_first_column_across_growths(
-            self, monkeypatch, schedule, d, m0):
-        import circembed.embedding as embedding
-        kernel = MaternKernel(1.0, 0.5, 1.5, d)
+            self, monkeypatch, schedule, d, m0, isotropic):
+        kernel = (MaternKernel(1.0, 0.5, 1.5, d) if isotropic
+                  else anisotropic_matern(d))
         grid = GridSpec(d=d, m0=m0)
-        taken, kappa_calls = [], []
-        table_block = embedding._RadialTable.block
-        kappa = MaternKernel.kappa
+        taken, evaluations = [], []
+        folded_block = embedding._FoldedBlocks.block
+        # kappa for an isotropic kernel, rho on the lattice otherwise
+        cls, name = ((MaternKernel, "kappa") if isotropic
+                     else (CustomStationaryKernel, "rho"))
+        evaluate = getattr(cls, name)
 
-        def recording_block(table, m):
-            block = table_block(table, m)
-            taken.append((table.size, m, block.copy()))
+        def recording_block(blocks, m):
+            block = folded_block(blocks, m)
+            taken.append((len(blocks.lattice) - 1, m, block.copy()))
             return block
 
-        def counting_kappa(self, r):
-            kappa_calls.append(np.size(r))
-            return kappa(self, r)
+        def counting_evaluate(self, r):
+            evaluations.append(np.size(r))
+            return evaluate(self, r)
 
-        monkeypatch.setattr(embedding._RadialTable, "block", recording_block)
-        monkeypatch.setattr(MaternKernel, "kappa", counting_kappa)
+        monkeypatch.setattr(embedding._FoldedBlocks, "block", recording_block)
+        monkeypatch.setattr(cls, name, counting_evaluate)
         emb, _ = minimal_embedding(kernel, grid, tol=0.0, m_max=100 * m0,
                                    schedule=schedule)
         monkeypatch.undo()
-        sizes = sorted({size for size, _, _ in taken})
-        # one table per size, and one kappa call per table
-        assert len(sizes) >= 3 and len(kappa_calls) == len(sizes)
-        assert sizes[-1] >= emb.m > sizes[-2]
-        for size, m, block in taken:
+        sides = sorted({side for side, _, _ in taken})
+        # one lattice per side, and one kernel evaluation per lattice
+        assert len(sides) >= 3 and len(evaluations) == len(sides)
+        assert sides[-1] >= emb.m > sides[-2]
+        for side, m, block in taken:
             want = corner(first_column(kernel, Embedding(grid, m)), m)
-            assert block.tobytes() == want.tobytes(), (size, m)
+            assert block.tobytes() == want.tobytes(), (side, m)
+
+    @pytest.mark.parametrize("schedule,d,m0,nu", [
+        ("increment", 3, 16, 0.5), ("doubling", 3, 16, 1.5),
+        ("increment", 2, 64, 1.5)])
+    def test_search_peak_is_values_lattice_and_blocks(
+            self, monkeypatch, schedule, d, m0, nu):
+        kernel = MaternKernel(1.0, 0.5, nu, d)
+        grid = GridSpec(d=d, m0=m0)
+        m_max = 100 * m0
+        builds = []  # (m, side) at each lattice build
+        folded_block = embedding._FoldedBlocks.block
+
+        def recording_block(blocks, m):
+            side = None if blocks.lattice is None else len(blocks.lattice)
+            block = folded_block(blocks, m)
+            if len(blocks.lattice) != side:
+                builds.append((m, len(blocks.lattice) - 1))
+            return block
+
+        monkeypatch.setattr(embedding._FoldedBlocks, "block", recording_block)
+        (emb, spec), peak = traced_peak(lambda: minimal_embedding(
+            kernel, grid, tol=0.0, m_max=m_max, schedule=schedule))
+        monkeypatch.undo()
+        assert builds[0] == (m0, m0)
+        for (_, before), (m, side) in zip(builds, builds[1:]):
+            assert m > before
+            if schedule == "increment":
+                assert side == min(max(m, -(-5 * before // 4)), m_max)
+            else:
+                assert side == m
+        if schedule == "doubling":
+            # the m the search jumps to are the records of its attempts
+            tried = [m for m, _ in spec.attempts]
+            jumps = [m for i, m in enumerate(tried)
+                     if m > max(tried[:i], default=0)]
+            assert [m for m, _ in builds] == jumps
+        # the _FoldedBlocks docstring's bound, with the lattice and block
+        # of the returned search
+        block_bytes = (emb.m + 1) ** d * 8
+        lattice_bytes = (builds[-1][1] + 1) ** d * 8
+        assert peak <= spec.values.nbytes + lattice_bytes + 4 * block_bytes, (
+            peak, spec.values.nbytes, lattice_bytes, block_bytes)
 
     # tracemalloc peaks of the parent search (one table evaluation per
     # attempt, no table kept): 0.2 MiB at d=1 and 12.6 MiB at d=2.  A rank

@@ -19,7 +19,8 @@ from circembed import (CustomStationaryKernel, Embedding, GridSpec,
                        batch_sample_values, draw_normal, embedding,
                        first_column, minimal_embedding, sample, sampler,
                        spectrum)
-from conftest import dct_only_search, dense_transform, fft_only_search
+from conftest import (anisotropic_matern, dct_only_search, dense_transform,
+                      fft_only_search)
 
 import test_sampler
 from test_sampler import chunks_of
@@ -127,19 +128,6 @@ def test_screened_search_equals_dct_only_search(case):
                          column_rel_error=kernel.eval_rel_error)
         gap = np.abs(spec.values - np.maximum(dense.values, 0.0)).max()
         assert gap <= 2 * b
-
-
-def anisotropic_matern(d: int) -> CustomStationaryKernel:
-    """The Matern-3/2 profile (1 + r) e^-r of r = sqrt(3) |x / scale| with
-    a scale per axis: a stationary kernel, even in each coordinate, that
-    is not isotropic."""
-    scale = np.array([0.5, 0.25, 0.4][:d])
-
-    def rho(x):
-        r = math.sqrt(3.0) * np.sqrt(((x / scale) ** 2).sum(axis=-1))
-        return (1.0 + r) * np.exp(-r)
-
-    return CustomStationaryKernel(rho_fn=rho, d=d)
 
 
 @pytest.mark.parametrize("schedule", ["increment", "doubling"])
