@@ -11,8 +11,9 @@ Subcommands:
                qmc-sum, each with only the flags it reads
 
 Each flag is declared once, with the CLI's default if it has one, in a
-parent parser shared by the commands that read it, and every search runs
-through `_search`.  A JSON config (--config) may set any flag by its
+parent parser shared by the commands that read it; every search runs
+through `_search`, and a searching command's report starts from its
+`_summary`.  A JSON config (--config) may set any flag by its
 destination (`lam`, `m_max`, `out`); explicit flags override it, and a
 value (each element of a list) is read as the flag's own text would be
 (`_value`).  No call changes the parser, which is built once.  A library
@@ -138,13 +139,24 @@ def _search(params: dict, needs: tuple = (), settings: tuple = SEARCH):
     """The search of every searching command: kernel and grid from `params`,
     then `minimal_embedding` with the `settings` that params hold, others
     left to its defaults.  `needs` names more required parameters, checked
-    with m0.  Returns (kernel, embedding, spectrum); its tolerance is tol."""
+    with m0.  Returns (kernel, spectrum); its tolerance is tol."""
     kernel = _kernel_from(params)
     _require(params, "m0", *needs)
     grid = GridSpec(d=kernel.d, m0=params["m0"])
-    emb, spec = minimal_embedding(
+    _, spec = minimal_embedding(
         kernel, grid, **{k: params[k] for k in settings if k in params})
-    return kernel, emb, spec
+    return kernel, spec
+
+
+def _summary(spec) -> dict:
+    """The report fields of every searching command: the extension found,
+    its minimum eigenvalue and whether float64 could certify it, the
+    tolerance, and how many attempts each decider decided."""
+    emb = spec.embedding
+    return {"m": emb.m, "ell": emb.ell, "s": emb.s,
+            "min_eig": spec.min_value, "rounding_bound": spec.rounding_bound,
+            "certified": spec.certified, "tol": spec.tolerance,
+            "attempts": dict(Counter(by for _, by in spec.attempts))}
 
 
 def _require_out(params: dict):
@@ -190,13 +202,8 @@ def cmd_min_ell(params: dict) -> int:
     if params["export_spectrum"] and params.get("out") is None:
         raise ValueError("min-ell --export-spectrum requires --out")
     t0 = time.perf_counter()
-    kernel, emb, spec = _search(params, settings=(*SEARCH, "m_step"))
-    wall = time.perf_counter() - t0
-    report = {"m": emb.m, "ell": emb.ell, "s": emb.s,
-              "min_eig": spec.min_value, "rounding_bound": spec.rounding_bound,
-              "certified": spec.certified, "wall_time": wall,
-              "tol": spec.tolerance,
-              "attempts": dict(Counter(by for _, by in spec.attempts))}
+    kernel, spec = _search(params, settings=(*SEARCH, "m_step"))
+    report = {**_summary(spec), "wall_time": time.perf_counter() - t0}
     files = ([write_spectrum_csv(_out_dir(params) / "spectrum.csv", spec,
                                  kernel)] if params["export_spectrum"] else [])
     _emit(params, report, files)
@@ -211,7 +218,7 @@ def _sweep_point(params: dict) -> dict:
            "m0": params["m0"]}
     t0 = time.perf_counter()
     try:
-        _, emb, _ = _search(params)
+        emb = _search(params)[1].embedding
         row.update(ell_min=emb.ell, m=emb.m, s=emb.s, error="")
     except CircembedError as exc:  # per-point failure recorded in-row
         row.update(ell_min="", m="", s="", error=str(exc))
@@ -226,15 +233,14 @@ def cmd_sweep(params: dict) -> int:
         raise ValueError("sweep: threads must be >= 1")
     keys = LIST_KEYS["sweep"]
     for key in keys:
-        if params.get(key) is None:
+        if params.get(key) in (None, []):
             raise ValueError(f"sweep config must list values for '{key}'")
     lists = [v if isinstance(v, list) else [v] for v in map(params.get, keys)]
     points = [{**params, **dict(zip(keys, point))}
               for point in itertools.product(*lists)]
     # no more threads than points or CPUs, whatever --threads asks for
-    # (one for an empty grid, which still writes its files)
     workers = min(params["threads"], len(points), worker_count())
-    with ThreadPoolExecutor(max_workers=max(workers, 1)) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         rows = list(pool.map(_sweep_point, points))
 
     out = _out_dir(params)
@@ -264,16 +270,15 @@ def cmd_eig_decay(params: dict) -> int:
                          f"{'--fit-lo' if lo is None else '--fit-hi'} is missing")
     if lo is not None:
         params["fit_range"] = [lo, hi]
-    kernel, emb, spec = _search(params)
+    kernel, spec = _search(params)
     rep = decay_report(spec, kernel.nu, fit_range=params.get("fit_range"))
     decay_path = write_csv(
         _out_dir(params) / "decay.csv", DECAY_COLUMNS,
         ([j, v] for j, v in enumerate(decay_sequence(spec).tolist(), 1)))
-    report = {"m": emb.m, "ell": emb.ell, "s": emb.s,
-              "fit_j_lo": rep.j_lo, "fit_j_hi": rep.j_hi, "slope": rep.slope,
-              "expected_slope": -rep.expected_beta, "rel_dev": rep.rel_dev,
-              "pass": rep.passed, "degenerate": rep.degenerate,
-              "decay_csv": str(decay_path)}
+    report = {**_summary(spec), "fit_j_lo": rep.j_lo, "fit_j_hi": rep.j_hi,
+              "slope": rep.slope, "expected_slope": -rep.expected_beta,
+              "rel_dev": rep.rel_dev, "pass": rep.passed,
+              "degenerate": rep.degenerate, "decay_csv": str(decay_path)}
     _emit(params, report, [decay_path])
     return EXIT_OK
 
@@ -297,13 +302,14 @@ def _parse_mean(text: str):
 
 def cmd_sample(params: dict) -> int:
     """Stream the samples to their files chunk by chunk as they are done,
-    so memory follows the sampler's budget, not n; a failed run removes
-    what it wrote."""
+    so memory follows the sampler's budget, not n.  A failed sampling
+    block leaves no field file; `report.json` and `manifest.json` are
+    written after it."""
     _require_out(params)
     n, seed, lognormal = params["n"], params["seed"], params["lognormal"]
     mean = _parse_mean(params["mean"])
-    kernel, emb, spec = _search(params)
-    grid = emb.grid
+    kernel, spec = _search(params)
+    grid = spec.embedding.grid
     out = _out_dir(params)
     sidecar = {**spectrum_sidecar(spec, kernel), "n_samples": n,
                "seed": seed, "lognormal": lognormal, "mean": params["mean"]}
@@ -314,7 +320,7 @@ def cmd_sample(params: dict) -> int:
                             sink=write)
     files = ([path] if binary
              else [out / SAMPLE_CSV.format(i) for i in range(n)])
-    report = {"n": n, "m": emb.m, "ell": emb.ell, "s": emb.s,
+    report = {**_summary(spec), "n": n,
               "files": [str(f) for f in files[:8]]}
     _emit(params, report, files)
     return EXIT_OK
@@ -405,8 +411,8 @@ def cmd_sampling_theorem(params: dict) -> int:
 
 
 def cmd_qmc_sum(params: dict) -> int:
-    _, emb, spec = _search(params, needs=("p",))
-    _emit(params, {"m": emb.m, "ell": emb.ell, "s": emb.s, "p": params["p"],
+    spec = _search(params, needs=("p",))[1]
+    _emit(params, {**_summary(spec), "p": params["p"],
                    "sum": qmc_criterion_sum(spec, params["p"])})
     return EXIT_OK
 

@@ -32,10 +32,10 @@ rounding bound and the witness's own, `_witnesses`) fails the attempt
 with no transform.  The search records how each attempt was decided.
 The search and `first_column` take their blocks from one source,
 `_FoldedBlocks`: one lattice array rho(h0 j), j in {0..L}^d, whose corner
-views are the blocks.  It grows to L = max(m, ceil(5L/4)) when an attempt
-goes beyond it, so the kernel is evaluated once per growth, not once per
-attempt, and a search holds at most its returned values, the lattice and
-a few blocks.
+views are the blocks.  It grows to L = min(max(m, ceil(5L/4)), m_max)
+when an attempt goes beyond it, so the kernel is evaluated once per
+growth, not once per attempt, and a search holds at most its returned
+values, the lattice and a few blocks.
 
 The eigenvalue lower bound and the other theory diagnostics live in
 `analysis`; this module needs only numpy and `scipy.fft`.

@@ -10,16 +10,17 @@ Binary field layout (all little-endian):
     then n_samples * (m0+1)^d float64 field values, each sample in
     lexicographic grid order.
 
-A binary field file is written by one writer, `field_binary_writer`: it
-checks the free space first, streams chunks of samples to their offsets
-in a `.part` file as they are done, checking that they fit, and renames
-that file at the end, so its memory does not grow with the file and a
-failed run leaves no half-written file.  `field_csv_writer` streams
-samples to one CSV file each (`SAMPLE_CSV`) in the same way, after
-checking that files of their shortest possible size fit.  Every CSV file
-is written as a `.part` file and renamed when complete (`write_csv`).  A
-CSV row, of a sample or the spectrum export, is made as it is written,
-from no table.
+Every file, binary, CSV or JSON, is written one way (`_replacing`): to
+`<path>.part`, which replaces `path` when it is complete and is removed
+when its writing fails, so a failed run leaves no half-written file and
+an older file at `path` stays as it was.  A binary field file has one
+writer, `field_binary_writer`: it checks the free space first and streams
+chunks of samples to their offsets as they are done, checking that they
+fit, so its memory does not grow with the file.  `field_csv_writer`
+streams samples to one CSV file each (`SAMPLE_CSV`) in the same way,
+after checking that files of their shortest possible size fit.  A CSV
+row, of a sample or the spectrum export, is made as it is written, from
+no table.
 Every binary or CSV artifact gets a JSON sidecar with the full metadata
 needed to reproduce it.
 """
@@ -49,7 +50,6 @@ SAMPLE_CSV = "sample_{:06d}.csv"  # the file name of each CSV sample
 __all__ = [
     "MAGIC",
     "field_binary_writer",
-    "write_field_binary",
     "read_field_binary",
     "write_csv",
     "write_field_csv",
@@ -61,8 +61,23 @@ __all__ = [
 ]
 
 
+@contextlib.contextmanager
+def _replacing(path):
+    """Yields `<path>.part`, which replaces `path` when the block ends and
+    is removed when the block or the replacement raises."""
+    path = Path(path)
+    part = path.with_name(path.name + ".part")
+    try:
+        yield part
+        os.replace(part, path)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
+
+
 def write_json(path, obj) -> None:
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    with _replacing(path) as part:
+        part.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def write_manifest(out_dir, command: str, params: dict, outputs=()) -> Path:
@@ -103,9 +118,8 @@ def field_binary_writer(path, n: int, d: int, m0: int,
     their place in the file, in any order and from several threads at
     once.
 
-    The header and rows go to `<path>.part`, which replaces `path` when the
-    block ends and is removed when it raises, so a failed run leaves no
-    half-written file; the sidecar, if given, is written after the rename.
+    The header and rows go to `<path>.part` (`_replacing`); the sidecar,
+    if given, is written after it has replaced `path`.
     Before creating anything, raises ValueError when the file is larger
     than its whole file system, and OSError (ENOSPC) when the file system
     has fewer free bytes than the file needs.
@@ -124,8 +138,6 @@ def field_binary_writer(path, n: int, d: int, m0: int,
     if size > free:
         raise OSError(errno.ENOSPC, f"{path} needs {size} bytes, and its "
                       f"file system has {free} bytes free")
-    part = path.with_name(path.name + ".part")
-    fd = os.open(part, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
 
     def write(lo: int, rows) -> None:
         rows = np.ascontiguousarray(rows, dtype="<f8")
@@ -136,27 +148,15 @@ def field_binary_writer(path, n: int, d: int, m0: int,
                              f"samples of {npts} values")
         _pwrite_all(fd, rows, _HEADER.size + 8 * npts * lo)
 
-    try:
-        _pwrite_all(fd, _HEADER.pack(MAGIC, d, m0, n), 0)
-        yield write
-    except BaseException:
-        os.close(fd)
-        part.unlink(missing_ok=True)
-        raise
-    os.close(fd)
-    os.replace(part, path)
+    with _replacing(path) as part:
+        fd = os.open(part, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+        try:
+            _pwrite_all(fd, _HEADER.pack(MAGIC, d, m0, n), 0)
+            yield write
+        finally:
+            os.close(fd)
     if sidecar is not None:
         write_json(path.with_suffix(path.suffix + ".json"), sidecar)
-
-
-def write_field_binary(path, values: np.ndarray, d: int, m0: int,
-                       sidecar: dict | None = None) -> Path:
-    """Write samples (shape (n, (m0+1)^d)) in the raw binary field format,
-    through `field_binary_writer`."""
-    values = np.atleast_2d(np.asarray(values, dtype=float))
-    with field_binary_writer(path, len(values), d, m0, sidecar) as write:
-        write(0, values)
-    return Path(path)
 
 
 def read_field_binary(path):
@@ -181,26 +181,17 @@ def read_field_binary(path):
 
 
 def write_csv(path, columns, rows) -> Path:
-    """A CSV file with header `columns` and one line per row of `rows`.
-
-    The lines go to `<path>.part`, renamed to `path` once all are written
-    and removed when `rows` or a write raises, so a failed write leaves no
-    file.  Give rows of Python numbers (`ndarray.tolist()`), not numpy
+    """A CSV file with header `columns` and one line per row of `rows`,
+    written through `<path>.part` (`_replacing`), so a failed write leaves
+    no file.  Give rows of Python numbers (`ndarray.tolist()`), not numpy
     scalars: a Python float is written as its shortest round-trip repr,
     and a row of them formats faster than a row of numpy scalars.
     """
-    path = Path(path)
-    part = path.with_name(path.name + ".part")
-    try:
-        with open(part, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(columns)
-            writer.writerows(rows)
-    except BaseException:
-        part.unlink(missing_ok=True)
-        raise
-    os.replace(part, path)
-    return path
+    with _replacing(path) as part, open(part, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows(rows)
+    return Path(path)
 
 
 def _grid_rows(values: np.ndarray, per_axis: int, d: int, block=2**16):

@@ -134,6 +134,13 @@ class TestTailIntegrals:
                            match="tail quadrature did not converge"):
             analysis.covariance_tail_integral(kernel, 0.0)
 
+    def test_an_integrand_that_is_not_finite_raises_quadrature_error(self):
+        # sigma2 = 1e308 overflows the spectral density near r = 0
+        with pytest.raises(QuadratureError, match=r"from 0\.0: the integrand "
+                           r"is not finite \(overflow encountered in exp\)"):
+            analysis.spectral_tail_integral(MaternKernel(1e308, 1.0, 0.5, 3),
+                                            0.0)
+
 
 class TestTailTruncationRadius:
     def test_stops_where_the_kernel_underflows(self):

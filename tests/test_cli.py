@@ -21,7 +21,7 @@ from circembed import (GridSpec, MaternKernel, continuous_eigenvalue,
 from circembed.analysis import decay_sequence
 from circembed import Embedding, cli, embedding, formats, sampler
 from circembed.cli import main
-from circembed.formats import (read_field_binary, write_field_binary,
+from circembed.formats import (field_binary_writer, read_field_binary,
                                write_field_csv)
 from circembed.sampler import worker_count
 from conftest import traced_peak
@@ -464,12 +464,18 @@ class TestSweep:
         assert [(r["d"], r["nu"], r["lambda"], r["m0"]) for r in rows] == [
             ("1", "0.5", "1.0", "4"), ("1", "0.5", "1.0", "8")]
 
-    def test_missing_grid_key_is_usage_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("config,key", [
+        ({"d": [1], "nu": [0.5], "m0": [4]}, "lam"),
+        ({"d": [1], "nu": [], "lam": [1.0], "m0": [4]}, "nu"),
+    ], ids=["missing", "empty"])
+    def test_missing_grid_key_is_usage_error(self, config, key, tmp_path,
+                                             capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"d": [1], "nu": [0.5], "m0": [4]}))
+        cfg.write_text(json.dumps(config))
         err = usage_error(capsys, "sweep", "--config", str(cfg),
                           "--out", str(tmp_path / "sweep"))
-        assert "sweep config must list values for 'lam'" in err
+        assert f"sweep config must list values for '{key}'" in err
+        assert not (tmp_path / "sweep").exists()
 
     def test_thread_count_does_not_change_output(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -934,8 +940,9 @@ class TestValidateCommand:
 
     def test_over_dense_cap_is_usage_error(self, tmp_path, capsys):
         # d=2, m0=64: 4225 grid points, above the dense cap of 4096
-        path = write_field_binary(tmp_path / "fields.bin",
-                                  np.zeros((1, 65**2)), d=2, m0=64)
+        path = tmp_path / "fields.bin"
+        with field_binary_writer(path, 1, d=2, m0=64) as write:
+            write(0, np.zeros((1, 65**2)))
         code = main(["validate", "--samples", str(path), "--d", "2",
                      "--nu", "1.5", "--lambda", "0.2"])
         err = capsys.readouterr().err
@@ -960,8 +967,9 @@ class TestValidateCommand:
 
     def test_d_that_disagrees_with_the_file_is_usage_error(self, tmp_path,
                                                            capsys):
-        path = write_field_binary(tmp_path / "fields.bin", np.zeros((2, 5)),
-                                  d=1, m0=4)
+        path = tmp_path / "fields.bin"
+        with field_binary_writer(path, 2, d=1, m0=4) as write:
+            write(0, np.zeros((2, 5)))
         err = usage_error(capsys, "validate", "--samples", str(path),
                           "--d", "2", "--nu", "0.5", "--lambda", "0.5")
         assert "--d 2 does not match file d=1" in err
@@ -974,7 +982,9 @@ class TestValidateCommand:
     def test_report_with_a_nan_is_strict_json(self, tmp_path, capsys):
         values = np.random.default_rng(3).standard_normal((1000, 5))
         values[17, 2] = np.nan
-        path = write_field_binary(tmp_path / "fields.bin", values, d=1, m0=4)
+        path = tmp_path / "fields.bin"
+        with field_binary_writer(path, 1000, d=1, m0=4) as write:
+            write(0, values)
         out = tmp_path / "out"
         code = main(["validate", "--samples", str(path), "--d", "1",
                      "--nu", "0.5", "--lambda", "0.5", "--out", str(out)])

@@ -253,6 +253,13 @@ class TestMinimalEmbedding:
         assert info.value.m_max == 800
         assert info.value.attempts[-1][0] == 800
 
+    def test_custom_kernel_default_tol(self):
+        # a custom kernel is not Gaussian: its default tol is 0
+        kernel, grid = anisotropic_matern(2), GridSpec(d=2, m0=8)
+        emb, spec = minimal_embedding(kernel, grid)
+        assert spec.tolerance == 0.0
+        assert emb == minimal_embedding(kernel, grid, tol=0.0)[0]
+
     @pytest.mark.parametrize("d,nu,lam,m0", [
         (1, 0.5, 1.0, 8), (1, 1.5, 0.5, 8), (2, 1.0, 0.5, 8),
         (2, 2.0, 0.25, 16), (1, math.inf, 0.5, 8),

@@ -13,17 +13,18 @@ from circembed import (Embedding, GridSpec, MaternKernel, Spectrum,
                        first_column, formats, sampler, spectrum)
 from circembed.embedding import grid_points
 from circembed.formats import (MAGIC, field_binary_writer, field_csv_writer,
-                               read_field_binary, write_field_binary,
-                               write_field_csv, write_manifest,
-                               write_spectrum_csv)
+                               read_field_binary, write_field_csv,
+                               write_manifest, write_spectrum_csv)
 from conftest import traced_peak
 
 
 class TestBinaryFormat:
     def test_round_trip(self, tmp_path, rng):
         values = rng.normal(size=(5, 27))  # d=3, m0=2
-        path = write_field_binary(tmp_path / "f.bin", values, d=3, m0=2,
-                                  sidecar={"seed": 1})
+        path = tmp_path / "f.bin"
+        with field_binary_writer(path, 5, d=3, m0=2,
+                                 sidecar={"seed": 1}) as write:
+            write(0, values)
         back, header = read_field_binary(path)
         assert np.array_equal(back, values)
         assert header == {"d": 3, "m0": 2, "n_samples": 5}
@@ -32,7 +33,9 @@ class TestBinaryFormat:
 
     def test_header_layout(self, tmp_path):
         values = np.arange(3.0)[None, :]  # d=1, m0=2
-        path = write_field_binary(tmp_path / "f.bin", values, d=1, m0=2)
+        path = tmp_path / "f.bin"
+        with field_binary_writer(path, 1, d=1, m0=2) as write:
+            write(0, values)
         raw = path.read_bytes()
         assert raw[:8] == MAGIC
         d, m0, n = struct.unpack_from("<IIQ", raw, 8)
@@ -46,20 +49,23 @@ class TestBinaryFormat:
             read_field_binary(p)
 
     def test_truncated(self, tmp_path):
-        values = np.zeros((2, 3))
-        path = write_field_binary(tmp_path / "f.bin", values, d=1, m0=2)
+        path = tmp_path / "f.bin"
+        with field_binary_writer(path, 2, d=1, m0=2) as write:
+            write(0, np.zeros((2, 3)))
         (tmp_path / "cut.bin").write_bytes(path.read_bytes()[:-8])
         with pytest.raises(ValueError):
             read_field_binary(tmp_path / "cut.bin")
 
     def test_shape_mismatch(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_field_binary(tmp_path / "f.bin", np.zeros((1, 5)), d=1, m0=2)
+        with pytest.raises(ValueError), \
+                field_binary_writer(tmp_path / "f.bin", 1, d=1, m0=2) as write:
+            write(0, np.zeros((1, 5)))
         assert list(tmp_path.iterdir()) == []
 
     def test_size_errors_count_the_values(self, tmp_path):
-        values = np.zeros((2, 3))
-        path = write_field_binary(tmp_path / "f.bin", values, d=1, m0=2)
+        path = tmp_path / "f.bin"
+        with field_binary_writer(path, 2, d=1, m0=2) as write:
+            write(0, np.zeros((2, 3)))
         raw = path.read_bytes()
         (tmp_path / "cut.bin").write_bytes(raw[:-8])
         with pytest.raises(ValueError, match="expected 6 values, found 5"):
@@ -149,17 +155,34 @@ class TestCsvFormats:
         assert data["scipy_version"] == scipy.__version__
 
 
+def test_a_json_file_is_replaced_whole_or_not_at_all(tmp_path, monkeypatch):
+    path = tmp_path / "report.json"
+    formats.write_json(path, {"run": 1})
+    old = path.read_bytes()
+
+    def failing_replace(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="rename failed"):
+        formats.write_json(path, {"run": 2})
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
 def test_binary_writer_makes_no_copy_of_the_values(tmp_path, rng):
     values = rng.normal(size=(64, 33 * 33))  # d=2, m0=32, 545 KiB
-    with traced_peak() as peak:
-        write_field_binary(tmp_path / "f.bin", values, d=2, m0=32)
+    with traced_peak() as peak, \
+            field_binary_writer(tmp_path / "f.bin", 64, d=2, m0=32) as write:
+        write(0, values)
     assert peak.bytes < values.nbytes // 8
     assert np.array_equal(read_field_binary(tmp_path / "f.bin")[0], values)
 
 
 def test_binary_reader_holds_one_copy_of_the_values(tmp_path, rng):
     values = rng.normal(size=(64, 33 * 33))  # d=2, m0=32, 545 KiB
-    write_field_binary(tmp_path / "f.bin", values, d=2, m0=32)
+    with field_binary_writer(tmp_path / "f.bin", 64, d=2, m0=32) as write:
+        write(0, values)
     with traced_peak() as peak:
         back, _ = read_field_binary(tmp_path / "f.bin")
     assert peak.bytes <= values.nbytes + 2**16
@@ -190,7 +213,8 @@ def test_grid_rows_are_lexicographic_across_blocks(d, rng):
 class TestStreamedBinary:
     def test_chunks_in_any_order_make_the_whole_file(self, tmp_path, rng):
         values = rng.normal(size=(7, 9))  # d=2, m0=2
-        write_field_binary(tmp_path / "whole.bin", values, d=2, m0=2)
+        with field_binary_writer(tmp_path / "whole.bin", 7, 2, 2) as write:
+            write(0, values)
         with field_binary_writer(tmp_path / "chunks.bin", 7, 2, 2) as write:
             for lo, hi in [(4, 7), (0, 1), (1, 4)]:
                 write(lo, values[lo:hi])
@@ -226,7 +250,8 @@ class TestStreamedBinary:
         monkeypatch.setattr(os, "statvfs", lambda path: full)
         with pytest.raises(OSError, match=f"needs {need} bytes, and its "
                            f"file system has {need - 1} bytes free"):
-            write_field_binary(tmp_path / "f.bin", np.zeros((4, 3)), 1, 2)
+            with field_binary_writer(tmp_path / "f.bin", 4, 1, 2) as write:
+                write(0, np.zeros((4, 3)))
         assert list(tmp_path.iterdir()) == []
 
 
