@@ -126,6 +126,16 @@ def _checked_quad(f, lower):
     return val
 
 
+def _radial_tail(kernel, lower: float, profile, what: str) -> float:
+    """integral_lower^inf r^(d-1) profile(r) dr for an isotropic kernel
+    (`_checked_quad`); `what` names the caller in its errors."""
+    _require_isotropic(kernel, what)
+    if lower < 0:
+        raise ValueError(f"{what}: requires lower >= 0")
+    d = kernel.d
+    return _checked_quad(lambda r: r**(d - 1) * profile(r), lower)
+
+
 def spectral_tail_integral(kernel, lower: float) -> float:
     """integral_lower^inf r^(d-1) kappa_hat_d(r) dr for an isotropic kernel.
 
@@ -133,15 +143,9 @@ def spectral_tail_integral(kernel, lower: float) -> float:
     relative accuracy 1e-8; raises QuadratureError when the estimate does
     not reach that.
     """
-    _require_isotropic(kernel, "spectral_tail_integral")
-    if lower < 0:
-        raise ValueError("spectral_tail_integral: requires lower >= 0")
-    d = kernel.d
-
-    def f(r):
-        return r**(d - 1) * float(np.exp(kernel.log_kappa_hat(r)))
-
-    return _checked_quad(f, lower)
+    return _radial_tail(
+        kernel, lower, lambda r: float(np.exp(kernel.log_kappa_hat(r))),
+        "spectral_tail_integral")
 
 
 def covariance_tail_integral(kernel, lower: float) -> float:
@@ -149,15 +153,8 @@ def covariance_tail_integral(kernel, lower: float) -> float:
 
     kappa >= 0 for the Matern family, so the absolute value is free.
     """
-    _require_isotropic(kernel, "covariance_tail_integral")
-    if lower < 0:
-        raise ValueError("covariance_tail_integral: requires lower >= 0")
-    d = kernel.d
-
-    def f(r):
-        return r**(d - 1) * abs(float(kernel.kappa(r)))
-
-    return _checked_quad(f, lower)
+    return _radial_tail(kernel, lower, lambda r: abs(float(kernel.kappa(r))),
+                        "covariance_tail_integral")
 
 
 def pd_criterion(kernel: MaternKernel, grid: GridSpec,

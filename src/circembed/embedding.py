@@ -23,13 +23,15 @@ equals its DFT (Martucci 1994) and lies within b of the exact eigenvalues;
 no m is attempted twice.  The spectrum it returns is that DCT-I block at
 the returned m, unfolded once, so the search allocates a (2m)^d array
 only on return, and no complex one.  `spectrum`, the full FFT of a
-column, is the dense reference the search no longer calls.  In front of
-the DCT stands a witness screen: every eigenvalue is a cosine sum over
-the folded block, so the 3^d eigenvalues around the frequency of the
-last DCT minimum (and Lambda_0 with them) cost about 4 (m+1)^d
+column, is the dense reference the search no longer calls.  In d >= 2,
+in front of the DCT stands a witness screen: every eigenvalue is a cosine
+sum over the folded block, so the 3^d eigenvalues around the frequency of
+the last DCT minimum (and Lambda_0 with them) cost about 4 (m+1)^d
 operations, and one of them far enough below -tol (beyond the DCT's
 rounding bound and the witness's own, `_witnesses`) fails the attempt
-with no transform.  The search records how each attempt was decided.
+with no transform.  In d = 1 the witness's 4(m+1) cosines cost 4 to 6
+times the DCT-I of m+1 points (m = 1024..16384), so the DCT-I decides
+every attempt there.  The search records how each attempt was decided.
 The search and `first_column` take their blocks from one source,
 `_FoldedBlocks`: one lattice array rho(h0 j), j in {0..L}^d, whose corner
 views are the blocks.  It grows to L = min(max(m, ceil(5L/4)), m_max)
@@ -64,17 +66,6 @@ __all__ = [
 # Imaginary residue of a spectrum, relative to its largest value, above
 # which its column cannot be even-symmetric: rounding leaves far less.
 IMAG_TOL = 1e-9
-
-# Smallest folded block (points) the search screens with the witness
-# before the DCT-I.  Below it the witness's fixed cost (one cosine table,
-# d einsum calls) is not clearly below the DCT-I it would save.  On 2 CPUs
-# at d = 2 the DCT-I (with its bound and argmin) and the witness take
-# 25 and 31 us at m = 16, 33 and 32 us at m = 32, and 77 and 38 us at
-# m = 63, the first block of 4096 points.  In d = 1 the witness's 4(m+1)
-# cosines cost 4 to 6 times the DCT-I of m+1 points (m = 1024..16384), so
-# only d >= 2 uses it.
-WITNESS_MIN_POINTS = 4096
-
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -446,12 +437,11 @@ def minimal_embedding(kernel, grid: GridSpec, tol: float | None = None,
     Each attempt is decided by the first of two deciders that can, and
     the search records which: the returned spectrum's `attempts` and the
     raised error's `attempts` hold one (m, decider) pair per attempt.
-    - "witness": once a DCT-I minimum was negative, at frequency k* of an
-      earlier m*, and the block has at least WITNESS_MIN_POINTS points in
-      d >= 2, the eigenvalues at k_i in round(m k*_i / m*) + {-1, 0, 1}
-      (`_witnesses`) fail the attempt when the smallest lies below
-      -tol - 3b - b_w, with b the DCT-I's rounding bound and b_w the
-      witness's own.  The DCT-I there is within b + b_w of the witness,
+    - "witness": in d >= 2, once a DCT-I minimum was negative, at
+      frequency k* of an earlier m*, the eigenvalues at k_i in
+      round(m k*_i / m*) + {-1, 0, 1} (`_witnesses`) fail the attempt
+      when the smallest lies below -tol - 3b - b_w, with b the DCT-I's
+      rounding bound and b_w the witness's own.  The DCT-I there is within b + b_w of the witness,
       so its minimum lies below -tol - 2b: the DCT-I fails the attempt
       too, and certifies its verdict.
     - "dct": the DCT-I of the folded block; the attempt passes when its
@@ -508,7 +498,6 @@ def minimal_embedding(kernel, grid: GridSpec, tol: float | None = None,
         nonlocal certified
         emb, block = Embedding(grid, m), blocks.block(m)
         if (low_at is not None and block.ndim > 1
-                and block.size >= WITNESS_MIN_POINTS
                 and _witness_fails(block, emb, *low_at, tol,
                                    column_rel_error)):
             record.append((m, "witness"))

@@ -119,7 +119,9 @@ def field_binary_writer(path, n: int, d: int, m0: int,
     once.
 
     The header and rows go to `<path>.part` (`_replacing`); the sidecar,
-    if given, is written after it has replaced `path`.
+    if given, is written after the rows and before the `.part` file
+    replaces `path`, so a sidecar that cannot be written leaves no field
+    file.
     Before creating anything, raises ValueError when the file is larger
     than its whole file system, and OSError (ENOSPC) when the file system
     has fewer free bytes than the file needs.
@@ -155,8 +157,8 @@ def field_binary_writer(path, n: int, d: int, m0: int,
             yield write
         finally:
             os.close(fd)
-    if sidecar is not None:
-        write_json(path.with_suffix(path.suffix + ".json"), sidecar)
+        if sidecar is not None:
+            write_json(path.with_suffix(path.suffix + ".json"), sidecar)
 
 
 def read_field_binary(path):
@@ -220,9 +222,10 @@ def field_csv_writer(out_dir, n: int, grid: GridSpec,
     `rows` as samples lo..lo+len(rows)-1, in any order and from several
     threads at once.
 
-    When the block raises, the sample files below the highest index
-    handed to write are removed, so a failed run leaves none; the sidecar,
-    if given, is written to out_dir/fields.json when the block ends.
+    The sidecar, if given, is written to out_dir/fields.json when the
+    block ends.  When the block or the sidecar raises, the sample files
+    below the highest index handed to write are removed, so a failed run
+    leaves none.
     Before creating anything, raises ValueError when n files of the
     shortest possible size (d one-digit indices and a one-digit value per
     line) would not fit the whole file system, in bytes or in files, and
@@ -255,12 +258,12 @@ def field_csv_writer(out_dir, n: int, grid: GridSpec,
 
     try:
         yield write
+        if sidecar is not None:
+            write_json(out_dir / "fields.json", sidecar)
     except BaseException:
         for i in range(top):
             (out_dir / SAMPLE_CSV.format(i)).unlink(missing_ok=True)
         raise
-    if sidecar is not None:
-        write_json(out_dir / "fields.json", sidecar)
 
 
 def spectrum_sidecar(spec: Spectrum, kernel) -> dict:

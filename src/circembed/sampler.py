@@ -14,17 +14,17 @@ Samples are computed in chunks of rows sized to one core's cache
 thread draws and scales its normals, transforms them (each FFT on that
 thread alone) and computes the field values, mean and `exp` included,
 then hands the finished rows to a sink.
-Within a chunk, axis 0 of each sample is drawn, scaled by the square
-roots of its slab of eigenvalues and rfft'd in slabs of at most
-CHUNK_BYTES into a complex (2m)^(d-1) (m0+1) buffer, so no step holds a
-whole (2m)^d sample, or all its square roots, when it is larger than
-that.  One thread per CPU the process may run on, at most, works at
-once, never more chunks than SAMPLE_BUDGET_BYTES holds, and at most one
-more chunk per thread waits, queued and holding no memory, so memory
-does not grow with the number of samples, and grows with the extension m
-only through that buffer.  Row i depends only on (seed, i), so the
-output is the same bit for bit at any chunking, slab height or worker
-count.
+Within a chunk, each sample is s/(2m) lines of 2m values along the
+rfft's axis, in any d.  Its lines are drawn, scaled by the square roots
+of their eigenvalues and rfft'd in slabs of at most CHUNK_BYTES (one line
+at least) into a complex (s/(2m), m0+1) buffer, so no step holds a whole
+(2m)^d sample, or all its square roots, when it is larger than that.
+One thread per CPU the process may run on, at most, works at once, never
+more chunks than SAMPLE_BUDGET_BYTES holds, and at most one more chunk
+per thread waits, queued and holding no memory, so memory does not grow
+with the number of samples, and grows with the extension m only through
+that buffer.  Row i depends only on (seed, i), so the output is the same
+bit for bit at any chunking, slab size or worker count.
 
 A sample is its (m0+1)^d array of grid values: `sample` returns one,
 `batch_sample_values` an (n, (m0+1)^d) array, or hands each chunk of rows
@@ -110,30 +110,27 @@ def importance_ordering(spec: Spectrum) -> np.ndarray:
     return np.argsort(-flat, kind="stable")
 
 
-def _transform_bytes(embedding) -> int:
-    """Bytes of a whole sample's normals and their complex rfft output."""
-    s, m = embedding.s, embedding.m
-    return 8 * s + 16 * (s // (2 * m)) * (m + 1)
+def _line_bytes(embedding) -> int:
+    """Bytes of one line, 2m values along the rfft's axis: its normals and
+    their complex rfft output."""
+    m = embedding.m
+    return 8 * 2 * m + 16 * (m + 1)
 
 
-def _slab_height(embedding, rows: int) -> int:
-    """Axis-0 indices per slab of a chunk of `rows` samples: as many as
-    fit CHUNK_BYTES, at least one; all 2m for d = 1, whose axis 0 is the
-    rfft's."""
-    two_m = 2 * embedding.m
-    if embedding.grid.d == 1:
-        return two_m
-    plane = _transform_bytes(embedding) // two_m
-    return min(two_m, max(1, CHUNK_BYTES // (rows * plane)))
+def _slab_lines(embedding, rows: int) -> int:
+    """Lines per slab of a chunk of `rows` samples: as many as fit
+    CHUNK_BYTES, at least one, at most a sample's s/(2m)."""
+    lines = embedding.s // (2 * embedding.m)
+    return min(lines, max(1, CHUNK_BYTES // (rows * _line_bytes(embedding))))
 
 
 def _row_bytes(embedding) -> int:
     """Bytes one sample holds while it is transformed: its slab of normals
     and their rfft output, its buffer of rfft output cut to m0+1 and its
     output row."""
-    grid, two_m = embedding.grid, 2 * embedding.m
-    slab = _transform_bytes(embedding) * _slab_height(embedding, 1) // two_m
-    buffer = 16 * (embedding.s // two_m) * (grid.m0 + 1)
+    grid = embedding.grid
+    slab = _line_bytes(embedding) * _slab_lines(embedding, 1)
+    buffer = 16 * (embedding.s // (2 * embedding.m)) * (grid.m0 + 1)
     return slab + buffer + 8 * grid.n_points
 
 
@@ -146,27 +143,30 @@ def _field_values(spec: Spectrum, mean, n: int, normals, lognormal: bool,
                   sink) -> None:
     """Field values of samples 0..n-1, handed to sink(lo, rows) one
     finished chunk at a time: rows is the (hi - lo, (m0+1)^d) array of
-    samples lo..hi-1.  normals(i) returns draw(planes, a), which writes
-    the normals that drive axis-0 indices a..a+len(planes)-1 of sample i
-    into the float64 array `planes`; it is called for a = 0 first and then
-    for each following slab in order.  The one transform path of `sample`,
-    `batch_sample_values` and the CLI, and the one place that rejects a
-    spectrum with negative entries.
+    samples lo..hi-1.  A sample is s/(2m) lines of 2m values along the
+    rfft's axis, the last, in C order.  normals(i) returns draw(lines, a),
+    which writes the normals of lines a..a+len(lines)-1 of sample i into
+    the float64 (len(lines), 2m) array `lines`; it is called for a = 0
+    first and then for each following slab in order.  The one transform
+    path of `sample`, `batch_sample_values` and the CLI, and the one place
+    that rejects a spectrum with negative entries.
 
     Each chunk is drawn, scaled and transformed by one pool thread,
     several chunks at once, so `normals` and `sink` must be safe to run in
-    several threads at once.  Axis 0 of each sample goes through the
-    draws, the scaling and the rfft in slabs (`_slab_height`) into a
-    complex (2m)^(d-1) (m0+1) buffer; the other axes' FFTs then run on the
-    chunk's buffer in axis order, as on whole samples, so the values do
-    not depend on the slab height.
+    several threads at once.  The lines of each sample go through the
+    draws, the scaling and the rfft in slabs (`_slab_lines`) into a
+    complex (s/(2m), m0+1) buffer; the other axes' FFTs then run on the
+    chunk's buffer, shaped (2m)^(d-1) (m0+1) per sample, in axis order, as
+    on whole samples, so the values do not depend on the slab size.
     """
     if spec.values.min() < 0.0:
         raise ValueError("spectrum has negative entries beyond the clamp; "
                          "not a valid factorization")
     emb = spec.embedding
-    grid, m = emb.grid, emb.m
+    grid, two_m = emb.grid, 2 * emb.m
+    lines = emb.s // two_m
     keep = slice(0, grid.m0 + 1)
+    eigs = spec.values.reshape(lines, two_m)  # a view of the search's values
     mean_flat = resolve_mean(mean, grid.n_points)
     size = _chunk_size(emb)
 
@@ -175,22 +175,20 @@ def _field_values(spec: Spectrum, mean, n: int, normals, lognormal: bool,
     in_flight = min(worker_count(), len(starts), max(1, budget_chunks))
 
     def rfft_slab(draws, buffer, a: int, b: int) -> None:
-        slab = np.empty((len(draws), b - a) + emb.shape[1:])
-        for draw, planes in zip(draws, slab):
-            draw(planes, a)
-        slab *= np.sqrt(spec.values[a:b])
-        w = scipy.fft.rfft(slab, axis=-1, norm="ortho")
-        # a d = 1 slab is the whole sample, whose axis 0 is the rfft's
-        target = buffer if grid.d == 1 else buffer[:, a:b]
-        target[...] = w[..., keep]
+        slab = np.empty((len(draws), b - a, two_m))
+        for draw, part in zip(draws, slab):
+            draw(part, a)
+        slab *= np.sqrt(eigs[a:b])
+        buffer[:, a:b] = scipy.fft.rfft(slab, norm="ortho")[..., keep]
 
     def run_chunk(lo: int) -> None:
         hi = min(lo + size, n)
         draws = [normals(i) for i in range(lo, hi)]
-        w = np.empty((hi - lo,) + emb.shape[:-1] + (grid.m0 + 1,), complex)
-        height = _slab_height(emb, hi - lo)
-        for a in range(0, 2 * m, height):
-            rfft_slab(draws, w, a, min(a + height, 2 * m))
+        w = np.empty((hi - lo, lines, grid.m0 + 1), complex)
+        step = _slab_lines(emb, hi - lo)
+        for a in range(0, lines, step):
+            rfft_slab(draws, w, a, min(a + step, lines))
+        w = w.reshape((hi - lo,) + emb.shape[:-1] + (grid.m0 + 1,))
         for axis in range(1, grid.d):
             w = scipy.fft.fft(w, axis=axis, norm="ortho", overwrite_x=True)
             w = w[(slice(None),) * axis + (keep,)]
@@ -229,11 +227,11 @@ def sample(spec: Spectrum, mean, y: np.ndarray,
     y = np.asarray(y, dtype=float).reshape(-1)
     if y.size != emb.s:
         raise ValueError(f"sample: expected {emb.s} normal inputs, got {y.size}")
-    y = y.reshape(emb.shape)
+    y = y.reshape(-1, 2 * emb.m)
     out = np.empty(emb.grid.n_points)
 
-    def draw(planes, a):
-        np.copyto(planes, y[a:a + len(planes)])
+    def draw(lines, a):
+        np.copyto(lines, y[a:a + len(lines)])
 
     _field_values(spec, mean, 1, lambda i: draw, lognormal,
                   lambda lo, rows: np.copyto(out, rows[0]))
@@ -264,7 +262,7 @@ def batch_sample_values(spec: Spectrum, mean, n: int, seed: int,
 
     def normals(i):
         gen = _generator(seed, i)
-        return lambda planes, a: gen.standard_normal(out=planes)
+        return lambda lines, a: gen.standard_normal(out=lines)
 
     _field_values(spec, mean, n, normals, lognormal, sink)
     return out

@@ -769,6 +769,17 @@ class TestSample:
         assert "disk went away" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("fmt,sidecar", [("bin", "fields.bin.json"),
+                                             ("csv", "fields.json")])
+    def test_a_sidecar_that_cannot_be_written_leaves_no_field_file(
+            self, fmt, sidecar, tmp_path, capsys):
+        (tmp_path / sidecar).mkdir()
+        got = main([*self.SMALL, "--n", "3", "--format", fmt,
+                    "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert got == 4 and err.startswith("i/o error: "), err
+        assert [p.name for p in tmp_path.iterdir()] == [sidecar]
+
     @pytest.mark.parametrize("fmt", ["bin", "csv"])
     @pytest.mark.parametrize("where", ["a_file", "under_a_file"])
     def test_an_unwritable_out_exits_4_before_a_normal_is_drawn(

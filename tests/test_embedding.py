@@ -380,16 +380,21 @@ class TestMinimalEmbedding:
         assert deciders.count("witness") >= 0.9 * (len(deciders) - 1)
 
     @pytest.mark.parametrize("d,m0,m_max,lam", [
-        (1, 4096, 4160, 1.0),  # every block above WITNESS_MIN_POINTS
-        (2, 16, 40, 0.5),      # every block below it
+        (1, 4096, 4160, 1.0),  # d = 1: the DCT-I decides every attempt
+        (2, 16, 40, 0.5),      # blocks of 289 to 1681 points
     ])
     def test_dct_alone_decides_where_it_is_cheaper(self, d, m0, m_max, lam):
+        # in d = 1 the witness costs more than the DCT-I it would save; in
+        # d >= 2 it screens blocks of any size, and the DCT-I decides the
+        # first attempt and those the witness does not fail
         kernel = MaternKernel(1.0, lam, 1.5, d)
         with pytest.raises(NotPositiveDefiniteError) as info:
             minimal_embedding(kernel, GridSpec(d=d, m0=m0), tol=0.0,
                               m_max=m_max)
-        assert info.value.attempts \
-            == tuple((m, "dct") for m in range(m0, m_max + 1))
+        dct = range(m0, m_max + 1) if d == 1 else (16, 25, 34)
+        assert info.value.attempts == tuple(
+            (m, "dct" if m in dct else "witness")
+            for m in range(m0, m_max + 1))
 
 
 def counted_transforms(monkeypatch):

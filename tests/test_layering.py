@@ -94,3 +94,42 @@ def test_only_formats_writes_files_and_only_replacing_replaces_them():
             if stem != "formats" and found} == {}
     assert [found for found in writes["formats"]
             if found[1] != "write"] == [("_replacing", "replace")]
+
+
+def _constants(tree) -> set:
+    """The UPPER_CASE names a module assigns at its top level."""
+    names = set()
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else \
+            [node.target] if isinstance(node, ast.AnnAssign) else []
+        for target in targets:
+            for name in ast.walk(target):
+                if isinstance(name, ast.Name) and name.id.isupper():
+                    names.add(name.id)
+    return names
+
+
+def _reads(tree) -> set:
+    """The names `tree` reads, bare (`NAME`) or as attributes (`x.NAME`)."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))
+            and isinstance(node.ctx, ast.Load)}
+
+
+def test_the_constant_finder_sees_assignments_and_reads():
+    tree = ast.parse("A = 1\nB: int = 2\nC, D = 3, 4\nlow = 5\n"
+                     "def f():\n    E = 6\n    m.C = 7\n    return A + m.B\n")
+    assert _constants(tree) == {"A", "B", "C", "D"}
+    assert {"A", "B"} <= _reads(tree) and not {"C", "D", "E"} & _reads(tree)
+
+
+def test_every_module_constant_is_read_in_the_package():
+    # a tuning constant whose use was deleted is left behind as a knob
+    # that does nothing
+    trees = [ast.parse(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py"))]
+    constants = set().union(*map(_constants, trees))
+    reads = set().union(*map(_reads, trees))
+    assert len(constants) >= 20
+    assert sorted(constants - reads) == []

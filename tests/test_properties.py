@@ -95,11 +95,11 @@ def floor_cases(draw):
 @example((3, 24, 1.5, 0.25, 0.0, "doubling", 96))
 @example((3, 48, 1.5, 0.05, 0.0, "increment", 96))
 @example((3, 48, 0.5, 0.25, 0.0, "increment", 48))
-# the witness screen, which needs blocks of WITNESS_MIN_POINTS points: under
-# doubling the minimum's frequency jumps between attempts, from (1/3, 0, 0)
-# at m = 12 to (1, 1, 1) at 48 and (1, 0, 0) at 36, and from (0, 1/4, 0)
-# at m = 16 to (0, 1, 0) at 64 and (0, 0, 0.71) at 48, where the witness
-# misses a failing attempt and the DCT-I decides it ...
+# the witness screen, which runs in d >= 2: under doubling the minimum's
+# frequency jumps between attempts, from (1/3, 0, 0) at m = 12 to
+# (1, 1, 1) at 48 and (1, 0, 0) at 36, and from (0, 1/4, 0) at m = 16 to
+# (0, 1, 0) at 64 and (0, 0, 0.71) at 48, where the witness misses a
+# failing attempt and the DCT-I decides it ...
 @example((3, 12, 1.5, 0.5, 0.0, "doubling", 96))
 @example((3, 16, 0.5, 0.5, 0.0, "doubling", 64))
 # ... as it does under unit steps at m = 78, 94, 106, ..., 176

@@ -38,10 +38,16 @@ def workers(count):
 
 
 def slabs_of_one():
-    """Run the sampler with one axis-0 index per slab (all of a d = 1
-    sample, whose axis 0 is the rfft's) and one sample per chunk, unless
-    the chunk size is patched too."""
+    """Run the sampler with one line (2m values along the rfft's axis) per
+    slab and one sample per chunk, unless the chunk size is patched too."""
     return mock.patch.object(sampler, "CHUNK_BYTES", 1)
+
+
+def slabs_of(lines, emb, rows):
+    """Run the sampler with slabs of `lines` lines in chunks of `rows`
+    samples (more in a shorter last chunk), at most a sample's lines."""
+    return mock.patch.object(sampler, "CHUNK_BYTES",
+                             lines * rows * sampler._line_bytes(emb))
 
 
 def exponential_spectrum(d=1, m0=2, m=2, lam=1.0):
@@ -327,10 +333,15 @@ class TestStreamedSlabs:
         with workers(1):
             want = batch_sample_values(spec, mean, 10, 4, lognormal=lognormal)
         with slabs_of_one():
-            assert sampler._slab_height(emb, 1) == (1 if d > 1 else 2 * m)
+            assert sampler._slab_lines(emb, 1) == 1
+        # slabs of 3 lines cross axis-0 planes in d = 3
+        lines = emb.s // (2 * m)
+        with slabs_of(3, emb, 4):
+            assert sampler._slab_lines(emb, 4) == min(3, lines)
         for count in (1, 2, 3):
             for size in range(1, 11):
-                for slabs in (slabs_of_one, contextlib.nullcontext):
+                for slabs in (slabs_of_one, contextlib.nullcontext,
+                              lambda: slabs_of(3, emb, size)):
                     with workers(count), chunks_of(size), slabs():
                         got = batch_sample_values(spec, mean, 10, 4,
                                                   lognormal=lognormal)
