@@ -12,8 +12,8 @@ Subcommands:
 
 Each flag is declared once, with the CLI's default if it has one, in a
 parent parser shared by the commands that read it; every search runs
-through `_search`, and a searching command's report starts from its
-`_summary`.  A JSON config (--config) may set any flag by its
+through `_search`, and a searching command's report starts from
+`formats.search_summary`.  A JSON config (--config) may set any flag by its
 destination (`lam`, `m_max`, `out`); explicit flags override it, and a
 value (each element of a list) is read as the flag's own text would be
 (`_value`).  No call changes the parser, which is built once.  A library
@@ -35,7 +35,7 @@ import json
 import math
 import sys
 import time
-from collections import Counter
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -49,8 +49,9 @@ from .analysis import (BoundConstants, calibrate_constants,
 from .embedding import GridSpec, minimal_embedding
 from .errors import CircembedError
 from .formats import (SAMPLE_CSV, field_binary_writer, field_csv_writer,
-                      read_field_binary, spectrum_sidecar, write_csv,
-                      write_json, write_manifest, write_spectrum_csv)
+                      read_field_binary, search_summary, sidecar_path,
+                      spectrum_sidecar, write_csv, write_json,
+                      write_manifest, write_spectrum_csv)
 from .kernels import MaternKernel
 from .sampler import batch_sample_values, worker_count
 from .validation import validate_samples
@@ -148,17 +149,6 @@ def _search(params: dict, needs: tuple = (), settings: tuple = SEARCH):
     return kernel, spec
 
 
-def _summary(spec) -> dict:
-    """The report fields of every searching command: the extension found,
-    its minimum eigenvalue and whether float64 could certify it, the
-    tolerance, and how many attempts each decider decided."""
-    emb = spec.embedding
-    return {"m": emb.m, "ell": emb.ell, "s": emb.s,
-            "min_eig": spec.min_value, "rounding_bound": spec.rounding_bound,
-            "certified": spec.certified, "tol": spec.tolerance,
-            "attempts": dict(Counter(by for _, by in spec.attempts))}
-
-
 def _require_out(params: dict):
     if params.get("out") is None:
         raise ValueError(f"{params['command']} requires --out")
@@ -171,15 +161,17 @@ def _out_dir(params: dict) -> Path:
 
 
 def _emit(params: dict, report: dict, files=()):
-    """Print the report; with an output directory, write it and a manifest."""
+    """Print the report; with an output directory, write it and a manifest
+    listing `files` (every other file the run wrote there, sidecars
+    included) and `report.json`, each named relative to the directory."""
     payload = _sanitize({"report": report, "parameters": params,
                          "version": __version__})
     print(json.dumps(payload, indent=2, sort_keys=True))
     if params.get("out") is not None:
         out = _out_dir(params)
         write_json(out / "report.json", payload)
-        write_manifest(out, params["command"], _sanitize(params),
-                       outputs=[str(f) for f in files] + ["report.json"])
+        write_manifest(out, params["command"], _sanitize(params), outputs=[
+            str(f.relative_to(out)) for f in files] + ["report.json"])
 
 
 def _sanitize(obj):
@@ -203,9 +195,12 @@ def cmd_min_ell(params: dict) -> int:
         raise ValueError("min-ell --export-spectrum requires --out")
     t0 = time.perf_counter()
     kernel, spec = _search(params, settings=(*SEARCH, "m_step"))
-    report = {**_summary(spec), "wall_time": time.perf_counter() - t0}
-    files = ([write_spectrum_csv(_out_dir(params) / "spectrum.csv", spec,
-                                 kernel)] if params["export_spectrum"] else [])
+    report = {**search_summary(spec), "wall_time": time.perf_counter() - t0}
+    files = []
+    if params["export_spectrum"]:
+        path = write_spectrum_csv(_out_dir(params) / "spectrum.csv", spec,
+                                  kernel)
+        files = [path, sidecar_path(path)]
     _emit(params, report, files)
     return EXIT_OK
 
@@ -275,9 +270,9 @@ def cmd_eig_decay(params: dict) -> int:
     decay_path = write_csv(
         _out_dir(params) / "decay.csv", DECAY_COLUMNS,
         ([j, v] for j, v in enumerate(decay_sequence(spec).tolist(), 1)))
-    report = {**_summary(spec), "fit_j_lo": rep.j_lo, "fit_j_hi": rep.j_hi,
-              "slope": rep.slope, "expected_slope": -rep.expected_beta,
-              "rel_dev": rep.rel_dev, "pass": rep.passed,
+    report = {**search_summary(spec), "fit_j_lo": rep.j_lo,
+              "fit_j_hi": rep.j_hi, "slope": rep.slope, "rel_dev": rep.rel_dev,
+              "expected_slope": -rep.expected_beta, "pass": rep.passed,
               "degenerate": rep.degenerate, "decay_csv": str(decay_path)}
     _emit(params, report, [decay_path])
     return EXIT_OK
@@ -293,7 +288,11 @@ def _parse_mean(text: str):
         return value
     if text.startswith("file:"):
         path = Path(text[len("file:"):])
-        data = np.loadtxt(path).reshape(-1)
+        with warnings.catch_warnings():  # an empty file, rejected below
+            warnings.simplefilter("ignore", UserWarning)
+            data = np.loadtxt(path).reshape(-1)
+        if data.size == 0:
+            raise ValueError(f"mean file {path} holds no values")
         if not np.isfinite(data).all():
             raise ValueError(f"mean file {path} has a value that is not finite")
         return data
@@ -320,9 +319,10 @@ def cmd_sample(params: dict) -> int:
                             sink=write)
     files = ([path] if binary
              else [out / SAMPLE_CSV.format(i) for i in range(n)])
-    report = {**_summary(spec), "n": n,
+    report = {**search_summary(spec), "n": n,
               "files": [str(f) for f in files[:8]]}
-    _emit(params, report, files)
+    _emit(params, report,
+          [*files, sidecar_path(path if binary else out / "fields")])
     return EXIT_OK
 
 
@@ -412,7 +412,7 @@ def cmd_sampling_theorem(params: dict) -> int:
 
 def cmd_qmc_sum(params: dict) -> int:
     spec = _search(params, needs=("p",))[1]
-    _emit(params, {**_summary(spec), "p": params["p"],
+    _emit(params, {**search_summary(spec), "p": params["p"],
                    "sum": qmc_criterion_sum(spec, params["p"])})
     return EXIT_OK
 

@@ -21,8 +21,8 @@ streams samples to one CSV file each (`SAMPLE_CSV`) in the same way,
 after checking that files of their shortest possible size fit.  A CSV
 row, of a sample or the spectrum export, is made as it is written, from
 no table.
-Every binary or CSV artifact gets a JSON sidecar with the full metadata
-needed to reproduce it.
+Each field file and spectrum export gets a JSON sidecar, which its
+writer requires (`spectrum_sidecar`, built on `search_summary`).
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ import json
 import os
 import struct
 import threading
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +56,8 @@ __all__ = [
     "write_field_csv",
     "field_csv_writer",
     "SAMPLE_CSV",
+    "sidecar_path",
+    "search_summary",
     "write_spectrum_csv",
     "write_json",
     "write_manifest",
@@ -80,10 +83,10 @@ def write_json(path, obj) -> None:
         part.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def write_manifest(out_dir, command: str, params: dict, outputs=()) -> Path:
+def write_manifest(out_dir, command: str, params: dict, outputs) -> Path:
     """One manifest per run: command, library version, effective parameters
-    and produced files, plus the sampler's thread count, its FFT backend
-    and the numpy and scipy versions."""
+    and produced files (`outputs`), plus the sampler's thread count, its
+    FFT backend and the numpy and scipy versions."""
     from . import __version__
 
     out_dir = Path(out_dir)
@@ -102,6 +105,13 @@ def write_manifest(out_dir, command: str, params: dict, outputs=()) -> Path:
     return path
 
 
+def sidecar_path(path) -> Path:
+    """`<path>.json`, the JSON sidecar of the field or spectrum file at
+    `path`; the CSV samples in a directory share that of `<dir>/fields`."""
+    path = Path(path)
+    return path.with_name(path.name + ".json")
+
+
 def _pwrite_all(fd: int, data, offset: int) -> None:
     """Write all of `data` (bytes or a contiguous array) at `offset`."""
     view = memoryview(data).cast("B")
@@ -111,15 +121,14 @@ def _pwrite_all(fd: int, data, offset: int) -> None:
 
 
 @contextlib.contextmanager
-def field_binary_writer(path, n: int, d: int, m0: int,
-                        sidecar: dict | None = None):
+def field_binary_writer(path, n: int, d: int, m0: int, sidecar: dict):
     """Stream n samples into a binary field file: yields write(lo, rows),
     which writes `rows` (shape (k, (m0+1)^d)) as samples lo..lo+k-1 at
     their place in the file, in any order and from several threads at
     once.
 
-    The header and rows go to `<path>.part` (`_replacing`); the sidecar,
-    if given, is written after the rows and before the `.part` file
+    The header and rows go to `<path>.part` (`_replacing`); the sidecar
+    goes to `<path>.json` after the rows and before the `.part` file
     replaces `path`, so a sidecar that cannot be written leaves no field
     file.
     Before creating anything, raises ValueError when the file is larger
@@ -157,8 +166,7 @@ def field_binary_writer(path, n: int, d: int, m0: int,
             yield write
         finally:
             os.close(fd)
-        if sidecar is not None:
-            write_json(path.with_suffix(path.suffix + ".json"), sidecar)
+        write_json(sidecar_path(path), sidecar)
 
 
 def read_field_binary(path):
@@ -215,15 +223,14 @@ def write_field_csv(path, values: np.ndarray, grid: GridSpec) -> Path:
 
 
 @contextlib.contextmanager
-def field_csv_writer(out_dir, n: int, grid: GridSpec,
-                     sidecar: dict | None = None):
+def field_csv_writer(out_dir, n: int, grid: GridSpec, sidecar: dict):
     """Stream n samples into CSV files out_dir/sample_000000.csv, ... (one
     per sample, `write_field_csv`): yields write(lo, rows), which writes
     `rows` as samples lo..lo+len(rows)-1, in any order and from several
     threads at once.
 
-    The sidecar, if given, is written to out_dir/fields.json when the
-    block ends.  When the block or the sidecar raises, the sample files
+    The sidecar is written to out_dir/fields.json (`sidecar_path`) when
+    the block ends.  When the block or the sidecar raises, the sample files
     below the highest index handed to write are removed, so a failed run
     leaves none.
     Before creating anything, raises ValueError when n files of the
@@ -258,24 +265,33 @@ def field_csv_writer(out_dir, n: int, grid: GridSpec,
 
     try:
         yield write
-        if sidecar is not None:
-            write_json(out_dir / "fields.json", sidecar)
+        write_json(sidecar_path(out_dir / "fields"), sidecar)
     except BaseException:
         for i in range(top):
             (out_dir / SAMPLE_CSV.format(i)).unlink(missing_ok=True)
         raise
 
 
+def search_summary(spec: Spectrum) -> dict:
+    """The one description of a searched spectrum, in every report and
+    sidecar: the extension found, its minimum eigenvalue and whether
+    float64 could certify it, the tolerance and each decider's attempts."""
+    emb = spec.embedding
+    return {"m": emb.m, "ell": emb.ell, "s": emb.s,
+            "min_eig": spec.min_value, "rounding_bound": spec.rounding_bound,
+            "certified": spec.certified, "tol": spec.tolerance,
+            "attempts": dict(Counter(by for _, by in spec.attempts))}
+
+
 def spectrum_sidecar(spec: Spectrum, kernel) -> dict:
     """The sidecar keys of every file made from a searched spectrum: its
-    grid, extension, tol and minimum eigenvalue, and the kernel."""
-    emb = spec.embedding
-    return {"d": emb.grid.d, "m0": emb.grid.m0, "m": emb.m, "ell": emb.ell,
-            "s": emb.s, "tol": spec.tolerance, "min_eig": spec.min_value,
-            "kernel": kernel.to_json() if kernel is not None else None}
+    grid, `search_summary` and the kernel."""
+    grid = spec.embedding.grid
+    return {"d": grid.d, "m0": grid.m0, **search_summary(spec),
+            "kernel": kernel.to_json()}
 
 
-def write_spectrum_csv(path, spec: Spectrum, kernel=None) -> Path:
+def write_spectrum_csv(path, spec: Spectrum, kernel) -> Path:
     """Export a spectrum as CSV (index_lex, k1..kd, lambda_ext) with a JSON
     sidecar recording the embedding and kernel (`spectrum_sidecar`)."""
     d, m = spec.embedding.grid.d, spec.embedding.m
@@ -283,6 +299,5 @@ def write_spectrum_csv(path, spec: Spectrum, kernel=None) -> Path:
                      + ["lambda_ext"],
                      ([i, *row] for i, row in enumerate(
                          _grid_rows(spec.values_flat, 2 * m, d))))
-    write_json(path.with_suffix(path.suffix + ".json"),
-               spectrum_sidecar(spec, kernel))
+    write_json(sidecar_path(path), spectrum_sidecar(spec, kernel))
     return path

@@ -34,6 +34,7 @@ to a sink as it is done, such as a writer of the rows' file.
 from __future__ import annotations
 
 import os
+import threading
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 
 import numpy as np
@@ -158,6 +159,9 @@ def _field_values(spec: Spectrum, mean, n: int, normals, lognormal: bool,
     complex (s/(2m), m0+1) buffer; the other axes' FFTs then run on the
     chunk's buffer, shaped (2m)^(d-1) (m0+1) per sample, in axis order, as
     on whole samples, so the values do not depend on the slab size.
+    A lognormal value that overflows float64 raises ValueError, and the
+    first error of a chunk or its sink stops the run: no other chunk
+    starts after it.
     """
     if spec.values.min() < 0.0:
         raise ValueError("spectrum has negative entries beyond the clamp; "
@@ -173,6 +177,7 @@ def _field_values(spec: Spectrum, mean, n: int, normals, lognormal: bool,
     starts = range(0, n, size)
     budget_chunks = SAMPLE_BUDGET_BYTES // (size * _row_bytes(emb))
     in_flight = min(worker_count(), len(starts), max(1, budget_chunks))
+    failed = threading.Event()  # set by the first chunk that raises
 
     def rfft_slab(draws, buffer, a: int, b: int) -> None:
         slab = np.empty((len(draws), b - a, two_m))
@@ -182,6 +187,15 @@ def _field_values(spec: Spectrum, mean, n: int, normals, lognormal: bool,
         buffer[:, a:b] = scipy.fft.rfft(slab, norm="ortho")[..., keep]
 
     def run_chunk(lo: int) -> None:
+        if failed.is_set():  # a chunk raised: start no other
+            return
+        try:
+            sink(lo, chunk_rows(lo))
+        except BaseException:
+            failed.set()
+            raise
+
+    def chunk_rows(lo: int) -> np.ndarray:
         hi = min(lo + size, n)
         draws = [normals(i) for i in range(lo, hi)]
         w = np.empty((hi - lo, lines, grid.m0 + 1), complex)
@@ -195,24 +209,35 @@ def _field_values(spec: Spectrum, mean, n: int, normals, lognormal: bool,
         rows = np.subtract(w.real, w.imag).reshape(hi - lo, -1)
         rows += mean_flat
         if lognormal:
-            np.exp(rows, out=rows)
-        sink(lo, rows)
+            try:
+                with np.errstate(over="raise"):
+                    np.exp(rows, out=rows)
+            except FloatingPointError:
+                raise ValueError(
+                    f"lognormal samples {lo}..{hi - 1} overflow float64: "
+                    f"exp(x) is inf above x = 709.78; lower the mean (--mean)"
+                ) from None
+        return rows
 
     # chunks are submitted as others finish, so no more than 2 in_flight
     # exist at once, whatever n is; the second one per thread is queued, so
     # a thread that finishes a chunk starts the next without waiting for
     # this loop, and holds no memory until it runs.  The first error stops
-    # the run.
+    # the run: no chunk starts after it, and the queued ones are cancelled.
     with ThreadPoolExecutor(max_workers=in_flight) as pool:
-        running = set()
-        for lo in starts:
-            if len(running) == 2 * in_flight:
-                done, running = wait(running, return_when=FIRST_COMPLETED)
-                for future in done:
-                    future.result()
-            running.add(pool.submit(run_chunk, lo))
-        for future in running:
-            future.result()
+        try:
+            running = set()
+            for lo in starts:
+                if len(running) == 2 * in_flight:
+                    done, running = wait(running, return_when=FIRST_COMPLETED)
+                    for future in done:
+                        future.result()
+                running.add(pool.submit(run_chunk, lo))
+            for future in running:
+                future.result()
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
 
 
 def sample(spec: Spectrum, mean, y: np.ndarray,

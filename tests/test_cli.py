@@ -707,21 +707,48 @@ class TestSample:
 
     def test_sidecars_share_the_spectrum_keys(self, tmp_path, capsys):
         # min-ell's spectrum export and both sample formats describe the
-        # same search with the same keys and values
+        # same search with the same keys and values, the report's own
         shape = ["--d", "2", "--nu", "1.5", "--lambda", "0.5", "--m0", "4"]
-        run(capsys, "min-ell", *shape, "--export-spectrum",
-            "--out", str(tmp_path / "a"))
+        _, payload = run(capsys, "min-ell", *shape, "--export-spectrum",
+                         "--out", str(tmp_path / "a"))
         run(capsys, "sample", *shape, "--format", "bin",
             "--out", str(tmp_path / "b"))
         run(capsys, "sample", *shape, "--format", "csv",
             "--out", str(tmp_path / "c"))
         meta = json.loads((tmp_path / "a" / "spectrum.csv.json").read_text())
         assert set(meta) == {"d", "m0", "m", "ell", "s", "tol", "min_eig",
-                             "kernel"}
+                             "kernel", "rounding_bound", "certified",
+                             "attempts"}
+        for key in ("rounding_bound", "certified", "attempts"):
+            assert meta[key] == payload["report"][key]
         for path in (tmp_path / "b" / "fields.bin.json",
                      tmp_path / "c" / "fields.json"):
             sidecar = json.loads(path.read_text())
             assert {key: sidecar[key] for key in meta} == meta
+
+    @pytest.mark.parametrize("fmt", ["bin", "csv"])
+    @pytest.mark.parametrize("mean", ["const:712", "const:1e300"])
+    def test_a_lognormal_sample_that_overflows_is_usage_error(
+            self, fmt, mean, tmp_path, capsys):
+        # exp(712 + a unit normal) overflows float64 for most of the values
+        err = usage_error(capsys, "sample", "--d", "1", "--m0", "8",
+                          "--nu", "0.5", "--lambda", "0.5", "--n", "2",
+                          "--lognormal", "--mean", mean, "--format", fmt,
+                          "--out", str(tmp_path))
+        assert "overflow float64" in err and "--mean" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_an_empty_mean_file_is_usage_error_and_warns_nothing(
+            self, tmp_path, capsys):
+        (tmp_path / "mean.txt").write_text("")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            err = usage_error(capsys, "sample", "--d", "2", "--m0", "2",
+                              "--nu", "0.5", "--lambda", "0.5",
+                              "--mean", f"file:{tmp_path / 'mean.txt'}",
+                              "--out", str(tmp_path / "out"))
+        assert err == f"error: mean file {tmp_path / 'mean.txt'} holds no " \
+            "values\n"
 
     SMALL = ["sample", "--d", "1", "--nu", "0.5", "--lambda", "0.5",
              "--m0", "8", "--tol", "0"]
@@ -925,6 +952,22 @@ def test_mean_is_read_before_the_costly_work(
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["min-ell", "--export-spectrum"],
+    ["sample", "--n", "3"],
+    ["sample", "--n", "3", "--format", "csv"],
+    ["sweep"],
+    ["eig-decay"]], ids=["min-ell", "sample-bin", "sample-csv", "sweep",
+                         "eig-decay"])
+def test_the_manifest_lists_every_file_the_run_wrote(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    run(capsys, *argv, "--d", "1", "--nu", "1.5", "--lambda", "0.5",
+        "--m0", "8", "--out", str(out))
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert sorted(manifest["outputs"]) == sorted(
+        p.name for p in out.iterdir() if p.name != "manifest.json")
+
+
 class TestValidateCommand:
     def test_validate_passes_on_real_samples(self, tmp_path, capsys):
         code, _ = run(capsys, "sample", "--d", "1", "--nu", "0.5",
@@ -952,7 +995,7 @@ class TestValidateCommand:
     def test_over_dense_cap_is_usage_error(self, tmp_path, capsys):
         # d=2, m0=64: 4225 grid points, above the dense cap of 4096
         path = tmp_path / "fields.bin"
-        with field_binary_writer(path, 1, d=2, m0=64) as write:
+        with field_binary_writer(path, 1, d=2, m0=64, sidecar={}) as write:
             write(0, np.zeros((1, 65**2)))
         code = main(["validate", "--samples", str(path), "--d", "2",
                      "--nu", "1.5", "--lambda", "0.2"])
@@ -979,7 +1022,7 @@ class TestValidateCommand:
     def test_d_that_disagrees_with_the_file_is_usage_error(self, tmp_path,
                                                            capsys):
         path = tmp_path / "fields.bin"
-        with field_binary_writer(path, 2, d=1, m0=4) as write:
+        with field_binary_writer(path, 2, d=1, m0=4, sidecar={}) as write:
             write(0, np.zeros((2, 5)))
         err = usage_error(capsys, "validate", "--samples", str(path),
                           "--d", "2", "--nu", "0.5", "--lambda", "0.5")
@@ -994,7 +1037,7 @@ class TestValidateCommand:
         values = np.random.default_rng(3).standard_normal((1000, 5))
         values[17, 2] = np.nan
         path = tmp_path / "fields.bin"
-        with field_binary_writer(path, 1000, d=1, m0=4) as write:
+        with field_binary_writer(path, 1000, d=1, m0=4, sidecar={}) as write:
             write(0, values)
         out = tmp_path / "out"
         code = main(["validate", "--samples", str(path), "--d", "1",

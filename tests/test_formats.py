@@ -34,7 +34,7 @@ class TestBinaryFormat:
     def test_header_layout(self, tmp_path):
         values = np.arange(3.0)[None, :]  # d=1, m0=2
         path = tmp_path / "f.bin"
-        with field_binary_writer(path, 1, d=1, m0=2) as write:
+        with field_binary_writer(path, 1, d=1, m0=2, sidecar={}) as write:
             write(0, values)
         raw = path.read_bytes()
         assert raw[:8] == MAGIC
@@ -50,7 +50,7 @@ class TestBinaryFormat:
 
     def test_truncated(self, tmp_path):
         path = tmp_path / "f.bin"
-        with field_binary_writer(path, 2, d=1, m0=2) as write:
+        with field_binary_writer(path, 2, d=1, m0=2, sidecar={}) as write:
             write(0, np.zeros((2, 3)))
         (tmp_path / "cut.bin").write_bytes(path.read_bytes()[:-8])
         with pytest.raises(ValueError):
@@ -58,13 +58,14 @@ class TestBinaryFormat:
 
     def test_shape_mismatch(self, tmp_path):
         with pytest.raises(ValueError), \
-                field_binary_writer(tmp_path / "f.bin", 1, d=1, m0=2) as write:
+                field_binary_writer(tmp_path / "f.bin", 1, d=1, m0=2,
+                                    sidecar={}) as write:
             write(0, np.zeros((1, 5)))
         assert list(tmp_path.iterdir()) == []
 
     def test_size_errors_count_the_values(self, tmp_path):
         path = tmp_path / "f.bin"
-        with field_binary_writer(path, 2, d=1, m0=2) as write:
+        with field_binary_writer(path, 2, d=1, m0=2, sidecar={}) as write:
             write(0, np.zeros((2, 3)))
         raw = path.read_bytes()
         (tmp_path / "cut.bin").write_bytes(raw[:-8])
@@ -140,7 +141,7 @@ class TestCsvFormats:
             tmp_path / "old_spec.csv", ["index_lex", *keys, "lambda_ext"],
             ([i, *map(int, k), repr(float(v))]
              for i, (k, v) in enumerate(zip(idx, spec.values_flat))))
-        path = write_spectrum_csv(tmp_path / "new_spec.csv", spec)
+        path = write_spectrum_csv(tmp_path / "new_spec.csv", spec, kernel)
         assert path.read_bytes() == expected
 
     def test_manifest(self, tmp_path):
@@ -173,7 +174,8 @@ def test_a_json_file_is_replaced_whole_or_not_at_all(tmp_path, monkeypatch):
 def test_binary_writer_makes_no_copy_of_the_values(tmp_path, rng):
     values = rng.normal(size=(64, 33 * 33))  # d=2, m0=32, 545 KiB
     with traced_peak() as peak, \
-            field_binary_writer(tmp_path / "f.bin", 64, d=2, m0=32) as write:
+            field_binary_writer(tmp_path / "f.bin", 64, d=2, m0=32,
+                                sidecar={}) as write:
         write(0, values)
     assert peak.bytes < values.nbytes // 8
     assert np.array_equal(read_field_binary(tmp_path / "f.bin")[0], values)
@@ -181,7 +183,8 @@ def test_binary_writer_makes_no_copy_of_the_values(tmp_path, rng):
 
 def test_binary_reader_holds_one_copy_of_the_values(tmp_path, rng):
     values = rng.normal(size=(64, 33 * 33))  # d=2, m0=32, 545 KiB
-    with field_binary_writer(tmp_path / "f.bin", 64, d=2, m0=32) as write:
+    with field_binary_writer(tmp_path / "f.bin", 64, d=2, m0=32,
+                             sidecar={}) as write:
         write(0, values)
     with traced_peak() as peak:
         back, _ = read_field_binary(tmp_path / "f.bin")
@@ -196,7 +199,8 @@ def test_spectrum_export_holds_no_table_of_its_rows(m, tmp_path, rng):
     emb = Embedding(GridSpec(d=2, m0=8), m=m)
     spec = Spectrum(rng.random((2 * m, 2 * m)), 0.0, 0.0, emb)
     with traced_peak() as peak:
-        path = write_spectrum_csv(tmp_path / "spec.csv", spec)
+        path = write_spectrum_csv(tmp_path / "spec.csv", spec,
+                                  MaternKernel(1.0, 0.5, 1.5, 2))
     assert peak.bytes < 4 * 2**20
     with open(path, "rb") as fh:
         assert sum(1 for _ in fh) == 1 + emb.s
@@ -213,9 +217,10 @@ def test_grid_rows_are_lexicographic_across_blocks(d, rng):
 class TestStreamedBinary:
     def test_chunks_in_any_order_make_the_whole_file(self, tmp_path, rng):
         values = rng.normal(size=(7, 9))  # d=2, m0=2
-        with field_binary_writer(tmp_path / "whole.bin", 7, 2, 2) as write:
+        with field_binary_writer(tmp_path / "whole.bin", 7, 2, 2, {}) as write:
             write(0, values)
-        with field_binary_writer(tmp_path / "chunks.bin", 7, 2, 2) as write:
+        with field_binary_writer(tmp_path / "chunks.bin", 7, 2, 2,
+                                 {}) as write:
             for lo, hi in [(4, 7), (0, 1), (1, 4)]:
                 write(lo, values[lo:hi])
             assert not (tmp_path / "chunks.bin").exists()
@@ -238,7 +243,8 @@ class TestStreamedBinary:
                                           (0, (1, 4)), (0, (3,))])
     def test_rows_that_do_not_fit_are_rejected(self, tmp_path, lo, shape):
         with pytest.raises(ValueError, match="do not fit 4 samples of 3"):
-            with field_binary_writer(tmp_path / "f.bin", 4, 1, 2) as write:
+            with field_binary_writer(tmp_path / "f.bin", 4, 1, 2,
+                                     {}) as write:
                 write(lo, np.zeros(shape))
         assert list(tmp_path.iterdir()) == []
 
@@ -250,7 +256,8 @@ class TestStreamedBinary:
         monkeypatch.setattr(os, "statvfs", lambda path: full)
         with pytest.raises(OSError, match=f"needs {need} bytes, and its "
                            f"file system has {need - 1} bytes free"):
-            with field_binary_writer(tmp_path / "f.bin", 4, 1, 2) as write:
+            with field_binary_writer(tmp_path / "f.bin", 4, 1, 2,
+                                     {}) as write:
                 write(0, np.zeros((4, 3)))
         assert list(tmp_path.iterdir()) == []
 
@@ -309,9 +316,9 @@ class TestStreamedCsv:
     def test_a_file_system_that_counts_no_files_does_not_limit_them(
             self, tmp_path, monkeypatch):
         self.file_system(monkeypatch, f_files=0, f_favail=0)
-        with field_csv_writer(tmp_path, 4, self.GRID) as write:
+        with field_csv_writer(tmp_path, 4, self.GRID, {"n": 4}) as write:
             write(0, np.zeros((4, 3)))
-        assert len(list(tmp_path.iterdir())) == 4
+        assert len(list(tmp_path.iterdir())) == 5  # and fields.json
 
     def test_a_raising_block_removes_the_files_below_the_highest_index(
             self, tmp_path):

@@ -1,5 +1,7 @@
 import contextlib
 import math
+import threading
+import time
 from unittest import mock
 
 import numpy as np
@@ -360,6 +362,27 @@ class TestStreamedSlabs:
             assert batch_sample_values(spec, 0.5, 23, 8, sink=sink) is None
         assert sorted(seen) == list(range(23))
         assert got.tobytes() == want.tobytes()
+
+    def test_the_first_error_stops_the_run(self):
+        # two threads and chunks of one sample: chunk 0's sink raises while
+        # chunk 1 is in flight, and the chunks queued behind them must not
+        # reach the sink
+        k = MaternKernel(1.0, 0.5, 0.5, 1)
+        _, spec = minimal_embedding(k, GridSpec(d=1, m0=64), tol=0.0)
+        raised, calls = threading.Event(), []
+
+        def sink(lo, rows):
+            calls.append(lo)
+            if lo == 0:
+                raised.set()
+                raise OSError("disk went away")
+            raised.wait(5)
+            time.sleep(0.1)  # chunk 0's error reaches the sampler first
+
+        with workers(2), chunks_of(1), \
+                pytest.raises(OSError, match="disk went away"):
+            batch_sample_values(spec, 0.0, 100, 1, sink=sink)
+        assert 0 in calls and len(calls) <= 2  # the chunks in flight
 
     def test_d3_peak_is_a_fraction_of_one_sample(self):
         # d=3, m0=16, m=61: one sample's normals are 14 MiB, and two whole
