@@ -15,7 +15,6 @@ from .analysis import (
     decay_report,
     eigen_lower_bound_diagnostic,
     gaussian_ell_bound,
-    lattice_ordering,
     matern_ell_bound,
     pd_criterion,
     plateau_end,
@@ -48,8 +47,6 @@ from .kernels import (
 from .sampler import (
     batch_sample_values,
     draw_normal,
-    importance_ordering,
-    qmc_map,
     sample,
 )
 from .specialfn import inv_normal_cdf, log_gamma
@@ -60,7 +57,7 @@ __all__ = [
     "BoundConstants", "DecayReport", "PdCriterionResult",
     "calibrate_constants", "continuous_eigenvalue",
     "covariance_tail_integral", "decay_report",
-    "eigen_lower_bound_diagnostic", "gaussian_ell_bound", "lattice_ordering",
+    "eigen_lower_bound_diagnostic", "gaussian_ell_bound",
     "matern_ell_bound", "pd_criterion", "plateau_end", "qmc_criterion_sum",
     "sampling_theorem_check", "spectral_tail_integral",
     "Embedding", "GridSpec", "Spectrum", "first_column",
@@ -69,8 +66,7 @@ __all__ = [
     "NotPositiveDefiniteError", "PDUndecidableError", "QuadratureError",
     "SymmetryError",
     "CustomStationaryKernel", "MaternKernel", "gaussian_kernel",
-    "batch_sample_values", "draw_normal",
-    "importance_ordering", "qmc_map", "sample",
+    "batch_sample_values", "draw_normal", "sample",
     "inv_normal_cdf", "log_gamma",
     "ValidationReport", "dense_covariance", "validate_samples",
 ]

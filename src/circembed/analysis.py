@@ -6,8 +6,7 @@ kernels, a computable lower bound on the circulant eigenvalues, the
 extension-length bound evaluators for the Matern family and its Gaussian
 limit (with empirically calibrated constants; the theory proves their
 existence, not their values), the eigenvalues of the continuous
-periodized covariance operator, the norm-ordered integer lattice (a
-(J, d) integer array), eigenvalue-decay reports, the
+periodized covariance operator, eigenvalue-decay reports, the
 dimension-independence sum used by QMC convergence theory, and an
 aliasing (sampling-theorem) identity check.
 """
@@ -34,7 +33,6 @@ __all__ = [
     "matern_ell_bound",
     "gaussian_ell_bound",
     "continuous_eigenvalue",
-    "lattice_ordering",
     "plateau_end",
     "decay_sequence",
     "decay_report",
@@ -340,32 +338,6 @@ def continuous_eigenvalue(kernel, ell: float, k, quad_n: int = 64) -> float:
     raise ConvergenceError(
         f"continuous_eigenvalue: rectangle rule did not converge to "
         f"rel_tol={_RECT_REL_TOL} within {_MAX_DOUBLINGS} doublings")
-
-
-def lattice_ordering(d: int, J: int) -> np.ndarray:
-    """First J integer lattice points k(1)=0, k(2), ... ordered by
-    Euclidean norm, ties broken lexicographically on the coordinates, as a
-    (J, d) integer array; the ordering for smaller J is a prefix of the
-    ordering for larger J."""
-    if J < 1:
-        raise ValueError("lattice_ordering: J must be >= 1")
-    if d not in (1, 2, 3):
-        raise ValueError("lattice_ordering: d must be 1, 2 or 3")
-    # a ball of radius R holding at least J points.  It contains the cube
-    # of half-side a = R/sqrt(d) and its (2 floor(a) + 1)^d > (2a - 1)^d
-    # points, which exceed J whenever (2a + 1)^d >= 2J + 2d and
-    # (2a + 1) / (2a - 1) <= 2^(1/d), i.e. from R = 8 on; the tests count
-    # the balls of every smaller R
-    R = 1
-    while (2 * (R / math.sqrt(d)) + 1) ** d < 2 * J + 2 * d:
-        R += 1
-    pts = _capped_grid(np.arange(-R, R + 1), d, "lattice box")
-    norm2 = np.sum(pts * pts, axis=1)
-    keep = norm2 <= R * R  # only full shells are safely ordered
-    pts, norm2 = pts[keep], norm2[keep]
-    keys = tuple(pts[:, i] for i in reversed(range(d))) + (norm2,)
-    order = np.lexsort(keys)
-    return pts[order[:J]]
 
 
 def plateau_end(spec: Spectrum, nu: float) -> int:

@@ -248,7 +248,7 @@ def cmd_sweep(params: dict) -> int:
          math.log(row["ell_min"])] for row in rows if not row["error"]))
     report = {"points": len(rows),
               "failures": sum(1 for r in rows if r["error"]),
-              "sweep_csv": str(sweep_path), "derived_csv": str(derived_path)}
+              "sweep_csv": sweep_path.name, "derived_csv": derived_path.name}
     _emit(params, report, [sweep_path, derived_path])
     return EXIT_OK
 
@@ -273,7 +273,7 @@ def cmd_eig_decay(params: dict) -> int:
     report = {**search_summary(spec), "fit_j_lo": rep.j_lo,
               "fit_j_hi": rep.j_hi, "slope": rep.slope, "rel_dev": rep.rel_dev,
               "expected_slope": -rep.expected_beta, "pass": rep.passed,
-              "degenerate": rep.degenerate, "decay_csv": str(decay_path)}
+              "degenerate": rep.degenerate, "decay_csv": decay_path.name}
     _emit(params, report, [decay_path])
     return EXIT_OK
 
@@ -320,7 +320,7 @@ def cmd_sample(params: dict) -> int:
     files = ([path] if binary
              else [out / SAMPLE_CSV.format(i) for i in range(n)])
     report = {**search_summary(spec), "n": n,
-              "files": [str(f) for f in files[:8]]}
+              "files": [f.name for f in files[:8]]}
     _emit(params, report,
           [*files, sidecar_path(path if binary else out / "fields")])
     return EXIT_OK

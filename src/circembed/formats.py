@@ -33,6 +33,7 @@ import errno
 import itertools
 import json
 import os
+import re
 import struct
 import threading
 from collections import Counter
@@ -230,9 +231,10 @@ def field_csv_writer(out_dir, n: int, grid: GridSpec, sidecar: dict):
     threads at once.
 
     The sidecar is written to out_dir/fields.json (`sidecar_path`) when
-    the block ends.  When the block or the sidecar raises, the sample files
-    below the highest index handed to write are removed, so a failed run
-    leaves none.
+    the block ends, and then the sample files of index n or more, which an
+    earlier run left there, are removed.  When the block or the sidecar
+    raises, the sample files below the highest index handed to write are
+    removed, so a failed run leaves none.
     Before creating anything, raises ValueError when n files of the
     shortest possible size (d one-digit indices and a one-digit value per
     line) would not fit the whole file system, in bytes or in files, and
@@ -270,6 +272,10 @@ def field_csv_writer(out_dir, n: int, grid: GridSpec, sidecar: dict):
         for i in range(top):
             (out_dir / SAMPLE_CSV.format(i)).unlink(missing_ok=True)
         raise
+    for path in out_dir.iterdir():  # the SAMPLE_CSV files of other runs
+        stale = re.fullmatch(r"sample_(\d{6,})\.csv", path.name)
+        if stale and int(stale[1]) >= n:
+            path.unlink(missing_ok=True)
 
 
 def search_summary(spec: Spectrum) -> dict:

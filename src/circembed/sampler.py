@@ -27,8 +27,10 @@ that buffer.  Row i depends only on (seed, i), so the output is the same
 bit for bit at any chunking, slab size or worker count.
 
 A sample is its (m0+1)^d array of grid values: `sample` returns one,
-`batch_sample_values` an (n, (m0+1)^d) array, or hands each chunk of rows
-to a sink as it is done, such as a writer of the rows' file.
+driven by the caller's s normal inputs (such as QMC points mapped through
+`specialfn.inv_normal_cdf`), `batch_sample_values` an (n, (m0+1)^d)
+array, or hands each chunk of rows to a sink as it is done, such as a
+writer of the rows' file.
 """
 
 from __future__ import annotations
@@ -41,12 +43,9 @@ import numpy as np
 import scipy.fft
 
 from .embedding import Spectrum, resolve_mean
-from .specialfn import inv_normal_cdf
 
 __all__ = [
     "draw_normal",
-    "qmc_map",
-    "importance_ordering",
     "sample",
     "batch_sample_values",
 ]
@@ -89,26 +88,6 @@ def _generator(seed: int, stream: int) -> np.random.Generator:
     """The Philox generator of stream `stream` of `seed`."""
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream,))
     return np.random.Generator(np.random.Philox(ss))
-
-
-def qmc_map(point: np.ndarray, ordering: np.ndarray) -> np.ndarray:
-    """Map one QMC point in (0,1)^s to normal inputs by the inverse CDF,
-    routing coordinate j to position ordering[j] (most carefully
-    stratified coordinate first -> largest-eigenvalue direction)."""
-    point = np.asarray(point, dtype=float)
-    ordering = np.asarray(ordering)
-    if point.shape != ordering.shape:
-        raise ValueError("qmc_map: point and ordering must have equal length")
-    y = np.empty_like(point)
-    y[ordering] = inv_normal_cdf(point)
-    return y
-
-
-def importance_ordering(spec: Spectrum) -> np.ndarray:
-    """Flat (lexicographic) indices sorted by eigenvalue, nonincreasing;
-    ties broken by lexicographic multi-index."""
-    flat = spec.values_flat
-    return np.argsort(-flat, kind="stable")
 
 
 def _line_bytes(embedding) -> int:

@@ -11,6 +11,7 @@ every attempt and no screen, the references for the package's search.
 definition that the package's folded first column is checked against.
 `bessel_k` is the linear K_nu of the package's one implementation,
 `log_bessel_k`.  `traced_peak` measures the peak bytes allocated inside a block.
+`norm_ordered_lattice` ranks integer lattice points by norm.
 `anisotropic_matern` is a stationary kernel that is not isotropic.
 """
 
@@ -33,6 +34,20 @@ def multi_indices(n_per_axis, d):
     axis = np.arange(n_per_axis)
     grids = np.meshgrid(*([axis] * d), indexing="ij")
     return np.stack([g.reshape(-1) for g in grids], axis=-1)
+
+
+def norm_ordered_lattice(d: int, J: int) -> np.ndarray:
+    """The first J points of Z^d by Euclidean norm, ties broken
+    lexicographically on the coordinates, as a (J, d) integer array.  They
+    come from the box {-R..R}^d, R = ceil(J^(1/d)), which holds them all
+    when the J-th lies in the ball of radius R (asserted)."""
+    R = math.ceil(J ** (1.0 / d))
+    pts = multi_indices(2 * R + 1, d) - R
+    norm2 = np.sum(pts * pts, axis=1)
+    keys = tuple(pts[:, i] for i in reversed(range(d))) + (norm2,)
+    order = np.lexsort(keys)[:J]
+    assert order.size == J and norm2[order[-1]] <= R * R
+    return pts[order]
 
 
 def anisotropic_matern(d: int) -> CustomStationaryKernel:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 import tracemalloc
@@ -24,7 +25,6 @@ from circembed import (
     first_column,
     gaussian_ell_bound,
     gaussian_kernel,
-    lattice_ordering,
     matern_ell_bound,
     minimal_embedding,
     pd_criterion,
@@ -33,6 +33,7 @@ from circembed import (
     sampling_theorem_check,
     spectrum,
 )
+from conftest import norm_ordered_lattice
 
 
 class TestPdCriterion:
@@ -377,60 +378,6 @@ class TestContinuousEigenvalue:
         assert val == pytest.approx(k.spectral_density(xi), rel=1e-6)
 
 
-class TestLatticeOrdering:
-    @pytest.mark.parametrize("d,J,message", [
-        (2, 0, "J must be >= 1"), (4, 5, "d must be 1, 2 or 3")])
-    def test_domain(self, d, J, message):
-        with pytest.raises(ValueError, match=message):
-            lattice_ordering(d, J)
-
-    def test_d1_first_five(self):
-        lat = lattice_ordering(1, 5)
-        assert lat.reshape(-1).tolist() == [0, -1, 1, -2, 2]
-
-    def test_d2_first_five(self):
-        lat = lattice_ordering(2, 5)
-        assert lat.tolist() == [[0, 0], [-1, 0], [0, -1], [0, 1], [1, 0]]
-
-    def test_norms_nondecreasing(self):
-        for d in (1, 2, 3):
-            lat = lattice_ordering(d, 500)
-            norms = np.linalg.norm(lat, axis=1)
-            assert np.all(np.diff(norms) >= -1e-12)
-            assert np.all(lat[0] == 0)
-
-    @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_first_ball_holds_j_points(self, d):
-        # every J whose ball radius R is below 8, where the count of the
-        # inscribed cube alone does not show that the ball holds J points
-        j_max = int(((14 / math.sqrt(d) + 1) ** d - 2 * d) // 2)
-        for J in range(1, j_max + 1):
-            assert lattice_ordering(d, J).shape == (J, d), J
-
-    def test_lattice_box_is_capped(self, monkeypatch):
-        # J = 50 in d = 2 starts from the box {-7..7}^2: 225 points
-        monkeypatch.setattr(analysis, "LATTICE_BOX_CAP", 100)
-        with pytest.raises(MemoryError, match=r"lattice box too large: "
-                           r"15\^2 = 225 points, above the cap of 100"):
-            lattice_ordering(2, 50)
-
-    def test_prefix_stability(self):
-        for d in (1, 2, 3):
-            small = lattice_ordering(d, 100)
-            large = lattice_ordering(d, 1000)
-            assert np.array_equal(small, large[:100])
-
-    def test_norm_growth_rate(self):
-        # ||k(j)||_2 ~ j^(1/d): the ratio stays within [0.3, 3]
-        for d in (1, 2, 3):
-            J = 10**4
-            lat = lattice_ordering(d, J)
-            j = np.arange(10, J + 1)
-            norms = np.linalg.norm(lat[9:], axis=1)
-            ratio = norms / j ** (1.0 / d)
-            assert ratio.min() >= 0.3 and ratio.max() <= 3.0
-
-
 class TestDecayReport:
     def test_decay_sequence(self):
         emb = Embedding(GridSpec(d=1, m0=1), m=2)
@@ -648,13 +595,45 @@ class TestCalibrateConstants:
             calibrate_constants([(1, 1.0, 0.5, 0.125, 2.0)])
 
 
+class TestNormOrderedLattice:
+    """The lattice ranking the envelope checks below rely on."""
+
+    def test_d1_first_five(self):
+        lat = norm_ordered_lattice(1, 5)
+        assert lat.reshape(-1).tolist() == [0, -1, 1, -2, 2]
+
+    def test_d2_first_five(self):
+        lat = norm_ordered_lattice(2, 5)
+        assert lat.tolist() == [[0, 0], [-1, 0], [0, -1], [0, 1], [1, 0]]
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_every_j_is_a_prefix_of_a_sort_of_a_larger_box(self, d):
+        # every J whose box radius R is at most 7, against a plain sort of
+        # {-10..10}^d by (squared norm, coordinates)
+        box = itertools.product(range(-10, 11), repeat=d)
+        oracle = sorted(box, key=lambda p: (sum(c * c for c in p), p))
+        for J in range(1, 7**d + 1):
+            assert norm_ordered_lattice(d, J).tolist() == \
+                [list(p) for p in oracle[:J]], J
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_norm_growth_rate(self, d):
+        # ||k(j)||_2 ~ j^(1/d): the ratio stays within [0.3, 3]
+        J = 10**4
+        lat = norm_ordered_lattice(d, J)
+        j = np.arange(10, J + 1)
+        norms = np.linalg.norm(lat[9:], axis=1)
+        ratio = norms / j ** (1.0 / d)
+        assert ratio.min() >= 0.3 and ratio.max() <= 3.0
+
+
 class TestStructuralEnvelopes:
     def test_spectral_envelope_boundedness(self):
         # rho_hat(xi_k(j)) j^(1 + 2 nu/d) is flat up to a modest constant
         for (d, nu, lam, ell) in [(1, 1.0, 0.5, 2.0), (2, 2.0, 0.5, 3.0)]:
             k = MaternKernel(1.0, lam, nu, d)
             J = 10**4
-            lat = lattice_ordering(d, J)
+            lat = norm_ordered_lattice(d, J)
             xi = lat / (2.0 * ell)
             dens = k.spectral_density(xi if d > 1 else xi[:, 0])
             j = np.arange(1, J + 1)
@@ -671,7 +650,7 @@ class TestStructuralEnvelopes:
         emb, _ = minimal_embedding(k, GridSpec(d=d, m0=m0), tol=0.0)
         ell = emb.ell
         J = 60
-        lat = lattice_ordering(d, J)
+        lat = norm_ordered_lattice(d, J)
         vals = np.array([continuous_eigenvalue(k, ell, kk, quad_n=128)
                          for kk in lat])
         j = np.arange(1, J + 1)

@@ -952,20 +952,44 @@ def test_mean_is_read_before_the_costly_work(
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("argv", [
-    ["min-ell", "--export-spectrum"],
-    ["sample", "--n", "3"],
-    ["sample", "--n", "3", "--format", "csv"],
-    ["sweep"],
-    ["eig-decay"]], ids=["min-ell", "sample-bin", "sample-csv", "sweep",
-                         "eig-decay"])
-def test_the_manifest_lists_every_file_the_run_wrote(argv, tmp_path, capsys):
+@pytest.mark.parametrize("runs", [
+    [["min-ell", "--export-spectrum"]],
+    [["sample", "--n", "3"]],
+    [["sample", "--n", "3", "--format", "csv"]],
+    [["sweep"]],
+    [["eig-decay"]],
+    # a second run in the same directory, with fewer samples
+    [["sample", "--n", "5", "--format", "csv"],
+     ["sample", "--n", "3", "--seed", "1", "--format", "csv"]]],
+    ids=["min-ell", "sample-bin", "sample-csv", "sweep", "eig-decay",
+         "sample-csv-reused"])
+def test_the_manifest_lists_every_file_the_run_wrote(runs, tmp_path, capsys):
     out = tmp_path / "out"
-    run(capsys, *argv, "--d", "1", "--nu", "1.5", "--lambda", "0.5",
-        "--m0", "8", "--out", str(out))
+    for argv in runs:
+        run(capsys, *argv, "--d", "1", "--nu", "1.5", "--lambda", "0.5",
+            "--m0", "8", "--out", str(out))
     manifest = json.loads((out / "manifest.json").read_text())
     assert sorted(manifest["outputs"]) == sorted(
         p.name for p in out.iterdir() if p.name != "manifest.json")
+
+
+@pytest.mark.parametrize("argv,keys", [
+    (["sample", "--n", "3"], ["files"]),
+    (["sample", "--n", "9", "--format", "csv"], ["files"]),
+    (["sweep"], ["sweep_csv", "derived_csv"]),
+    (["eig-decay"], ["decay_csv"])],
+    ids=["sample-bin", "sample-csv", "sweep", "eig-decay"])
+def test_the_report_names_its_files_as_the_manifest_does(
+        argv, keys, tmp_path, capsys):
+    out = tmp_path / "out"
+    _, payload = run(capsys, *argv, "--d", "1", "--nu", "1.5", "--lambda",
+                     "0.5", "--m0", "8", "--out", str(out))
+    named = []
+    for key in keys:
+        value = payload["report"][key]
+        named += value if isinstance(value, list) else [value]
+    outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+    assert named and set(named) <= set(outputs)
 
 
 class TestValidateCommand:

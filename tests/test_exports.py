@@ -72,3 +72,25 @@ def test_every_long_option_is_named_in_the_readmes_command_line():
     assert "--threads" in options
     assert sorted(o for o in options
                   if not re.search(rf"{re.escape(o)}(?![\w-])", section)) == []
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _perfbench_imports() -> list:
+    """(module, name) for every `from circembed... import name` in the
+    benchmark's scripts, top level or inside a function."""
+    return sorted({(node.module, alias.name)
+                   for path in PERFBENCH.glob("*.py")
+                   for node in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(node, ast.ImportFrom) and node.level == 0
+                   and node.module.split(".")[0] == "circembed"
+                   for alias in node.names})
+
+
+def test_the_benchmark_imports_only_names_that_exist():
+    imports = _perfbench_imports()
+    assert ("circembed.sampler", "draw_normal") in imports
+    missing = [f"{module}.{name}" for module, name in imports
+               if not hasattr(importlib.import_module(module), name)]
+    assert missing == []

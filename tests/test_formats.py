@@ -320,6 +320,18 @@ class TestStreamedCsv:
             write(0, np.zeros((4, 3)))
         assert len(list(tmp_path.iterdir())) == 5  # and fields.json
 
+    def test_a_run_removes_the_sample_files_of_an_earlier_longer_run(
+            self, tmp_path):
+        others = ["sample_000004.csv.part", "sample_7.csv", "notes.csv",
+                  "sample_000002.json"]
+        for name in ["sample_000002.csv", "sample_000003.csv",
+                     "sample_1000000.csv", *others]:
+            (tmp_path / name).write_text("old")
+        with field_csv_writer(tmp_path, 2, self.GRID, {"n": 2}) as write:
+            write(0, np.zeros((2, 3)))
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["sample_000000.csv", "sample_000001.csv", "fields.json", *others])
+
     def test_a_raising_block_removes_the_files_below_the_highest_index(
             self, tmp_path):
         # index 9 is above every row handed to write, so it is not touched

@@ -1,4 +1,5 @@
 import contextlib
+import itertools
 import math
 import threading
 import time
@@ -16,16 +17,14 @@ from circembed import (
     draw_normal,
     first_column,
     gaussian_kernel,
-    importance_ordering,
+    inv_normal_cdf,
     minimal_embedding,
-    qmc_map,
     sample,
     sampler,
     spectrum,
 )
-from conftest import (dense_extended_matrix, dense_grid_matrix,
-                      dense_orthogonal_factor, dense_transform, multi_indices,
-                      traced_peak)
+from conftest import (dense_grid_matrix, dense_orthogonal_factor,
+                      dense_transform, multi_indices, traced_peak)
 
 
 def chunks_of(size):
@@ -90,54 +89,6 @@ class TestDrawNormal:
         # numpy's own error named neither
         with pytest.raises(ValueError, match=f"seed={seed}, stream={stream}"):
             draw_normal(4, seed, stream)
-
-
-class TestQmcMap:
-    def test_center_maps_to_zero(self):
-        y = qmc_map(np.full(8, 0.5), np.arange(8))
-        assert np.array_equal(y, np.zeros(8))
-
-    def test_inverse_cdf_routing(self):
-        y = qmc_map(np.array([0.975, 0.5]), np.arange(2))
-        assert y[0] == pytest.approx(1.959963984540054, abs=1e-12)
-        assert y[1] == 0.0
-
-    def test_ordering_permutes(self):
-        point = np.array([0.9, 0.2, 0.5, 0.7])
-        y_id = qmc_map(point, np.arange(4))
-        perm = np.array([2, 0, 3, 1])
-        y_perm = qmc_map(point, perm)
-        assert sorted(y_id) == sorted(y_perm)
-        for j in range(4):
-            assert y_perm[perm[j]] == y_id[j]
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            qmc_map(np.array([0.0, 0.5]), np.arange(2))
-        with pytest.raises(ValueError, match="must have equal length"):
-            qmc_map(np.array([0.25, 0.5]), np.arange(3))
-
-
-class TestImportanceOrdering:
-    def test_distinct_strict_sort(self):
-        _, _, spec = exponential_spectrum(m=2)
-        order = importance_ordering(spec)
-        vals = spec.values_flat[order]
-        assert np.all(np.diff(vals) <= 0)
-        assert vals[0] == spec.values_flat.max()
-
-    def test_constant_spectrum_identity(self):
-        emb = Embedding(GridSpec(d=1, m0=2), m=2)
-        spec = Spectrum(values=np.full(4, 2.0), min_value=2.0, tolerance=0.0,
-                        embedding=emb)
-        assert np.array_equal(importance_ordering(spec), np.arange(4))
-
-    def test_matches_dense_oracle_sort(self):
-        k, emb, spec = exponential_spectrum(m=2)
-        dense = dense_extended_matrix(k, emb)
-        oracle_sorted = np.sort(np.linalg.eigvalsh(dense))[::-1]
-        ordered = spec.values_flat[importance_ordering(spec)]
-        assert np.allclose(ordered, oracle_sorted, atol=1e-12)
 
 
 class TestSample:
@@ -207,6 +158,49 @@ class TestSample:
             sample(spec, 0.0, np.zeros(emb.s - 1))
 
 
+class TestOwnInputs:
+    """Normal inputs of the caller's own, such as QMC points in (0, 1)^s
+    mapped through inv_normal_cdf, drive `sample` directly."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_the_centre_point_gives_the_mean(self, d):
+        _, emb, spec = exponential_spectrum(d=d, lam=0.5)
+        mean = np.linspace(-1.0, 1.0, emb.grid.n_points)
+        y = inv_normal_cdf(np.full(emb.s, 0.5))
+        assert np.array_equal(sample(spec, mean, y), mean)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_one_stratified_coordinate_excites_one_eigenvector(self, d):
+        # a point away from 1/2 only in the coordinate of the top
+        # eigenvalue gives that eigenvector, scaled by its root and the
+        # coordinate's normal quantile, on the physical rows
+        _, emb, spec = exponential_spectrum(d=d, m0=2, m=2)
+        top = int(np.argmax(spec.values_flat))
+        u = np.full(emb.s, 0.5)
+        u[top] = 0.975
+        out = sample(spec, 0.0, inv_normal_cdf(u))
+        q = dense_orthogonal_factor(emb)
+        keep = np.all(multi_indices(2 * emb.m, d) <= emb.grid.m0, axis=1)
+        expected = (q[:, top] * math.sqrt(spec.values_flat[top])
+                    * 1.959963984540054)[keep]
+        assert np.abs(out - expected).max() <= 1e-12
+
+    def test_a_symmetric_grid_of_points_gives_the_covariance(self):
+        # the midpoint grid {(i + 1/2)/6}^s maps to normals with no cross
+        # moments (each axis' quantiles are antisymmetric) and second
+        # moment c on every axis, so its fields' mean outer product is
+        # exactly c R
+        k, emb, spec = exponential_spectrum(d=1, m0=2, m=2)
+        assert spec.min_value > 0, "instance must be positive definite"
+        axis = inv_normal_cdf((np.arange(6) + 0.5) / 6)
+        c = float(np.mean(axis**2))
+        fields = np.array([sample(spec, 0.0, y) for y in
+                           itertools.product(axis, repeat=emb.s)])
+        emp = fields.T @ fields / fields.shape[0]
+        r = dense_grid_matrix(k, emb.grid)
+        assert np.abs(emp - c * r).max() <= 1e-12
+
+
 class TestFactorizationIdentity:
     @pytest.mark.parametrize("d,m0,m,nu", [
         (1, 2, 2, 0.5), (1, 4, 8, 1.5), (2, 2, 4, 0.5), (2, 4, 8, 1.5),
@@ -235,23 +229,6 @@ class TestFactorizationIdentity:
         b = b_ext[:grid.m0 + 1]
         r = dense_grid_matrix(k, grid)
         assert np.abs(b @ b.T - r).max() <= 1e-10
-
-
-class TestQmcPipeline:
-    def test_qmc_point_drives_largest_eigenvalue_direction(self):
-        # a point stratified only in its first coordinate must excite the
-        # top eigenvalue direction
-        _, emb, spec = exponential_spectrum(d=1, m0=2, m=2)
-        order = importance_ordering(spec)
-        point = np.full(emb.s, 0.5)
-        point[0] = 0.975
-        y = qmc_map(point, order)
-        assert y[order[0]] == pytest.approx(1.959963984540054, abs=1e-12)
-        out = sample(spec, 0.0, y)
-        top = np.zeros(emb.s)
-        top[order[0]] = y[order[0]]
-        expected = sample(spec, 0.0, top)
-        assert np.allclose(out, expected, atol=1e-15)
 
 
 class TestBatchSample:
