@@ -53,7 +53,7 @@ from .formats import (SAMPLE_CSV, field_binary_writer, field_csv_writer,
                       spectrum_sidecar, write_csv, write_json,
                       write_manifest, write_spectrum_csv)
 from .kernels import MaternKernel
-from .sampler import batch_sample_values, worker_count
+from .sampler import batch_sample_values, check_batch, worker_count
 from .validation import validate_samples
 
 EXIT_OK = 0
@@ -306,6 +306,7 @@ def cmd_sample(params: dict) -> int:
     written after it."""
     _require_out(params)
     n, seed, lognormal = params["n"], params["seed"], params["lognormal"]
+    check_batch(n, seed)  # before the search and the output directory
     mean = _parse_mean(params["mean"])
     kernel, spec = _search(params)
     grid = spec.embedding.grid

@@ -19,12 +19,13 @@ rfft's axis, in any d.  Its lines are drawn, scaled by the square roots
 of their eigenvalues and rfft'd in slabs of at most CHUNK_BYTES (one line
 at least) into a complex (s/(2m), m0+1) buffer, so no step holds a whole
 (2m)^d sample, or all its square roots, when it is larger than that.
-One thread per CPU the process may run on, at most, works at once, never
-more chunks than SAMPLE_BUDGET_BYTES holds, and at most one more chunk
-per thread waits, queued and holding no memory, so memory does not grow
-with the number of samples, and grows with the extension m only through
-that buffer.  Row i depends only on (seed, i), so the output is the same
-bit for bit at any chunking, slab size or worker count.
+The pool has one worker per CPU the process may run on, at most, and
+never more than SAMPLE_BUDGET_BYTES holds chunks of; each worker takes
+the next chunk from one shared sequence of chunk starts until none is
+left, and a chunk holds memory only while a worker runs it, so memory
+does not grow with the number of samples, and grows with the extension m
+only through that buffer.  Row i depends only on (seed, i), so the output
+is the same bit for bit at any chunking, slab size or worker count.
 
 A sample is its (m0+1)^d array of grid values: `sample` returns one,
 driven by the caller's s normal inputs (such as QMC points mapped through
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import scipy.fft
@@ -133,14 +134,17 @@ def _field_values(spec: Spectrum, mean, n: int, normals, lognormal: bool,
 
     Each chunk is drawn, scaled and transformed by one pool thread,
     several chunks at once, so `normals` and `sink` must be safe to run in
-    several threads at once.  The lines of each sample go through the
-    draws, the scaling and the rfft in slabs (`_slab_lines`) into a
-    complex (s/(2m), m0+1) buffer; the other axes' FFTs then run on the
-    chunk's buffer, shaped (2m)^(d-1) (m0+1) per sample, in axis order, as
-    on whole samples, so the values do not depend on the slab size.
-    A lognormal value that overflows float64 raises ValueError, and the
-    first error of a chunk or its sink stops the run: no other chunk
-    starts after it.
+    several threads at once: the caller starts in_flight workers, and each
+    takes the next chunk start, under a lock, until none is left.  The
+    lines of each sample go through the draws, the scaling and the rfft in
+    slabs (`_slab_lines`) into a complex (s/(2m), m0+1) buffer; the other
+    axes' FFTs then run on the chunk's buffer, shaped (2m)^(d-1) (m0+1)
+    per sample, in axis order, as on whole samples, so the values do not
+    depend on the slab size.
+    A lognormal value that overflows float64 raises ValueError.  An
+    error of a chunk or its sink, or an interrupt of the caller, stops the
+    run: no worker starts a chunk after it, and it propagates once the
+    chunks in progress have ended.
     """
     if spec.values.min() < 0.0:
         raise ValueError("spectrum has negative entries beyond the clamp; "
@@ -153,10 +157,10 @@ def _field_values(spec: Spectrum, mean, n: int, normals, lognormal: bool,
     mean_flat = resolve_mean(mean, grid.n_points)
     size = _chunk_size(emb)
 
-    starts = range(0, n, size)
     budget_chunks = SAMPLE_BUDGET_BYTES // (size * _row_bytes(emb))
-    in_flight = min(worker_count(), len(starts), max(1, budget_chunks))
-    failed = threading.Event()  # set by the first chunk that raises
+    in_flight = min(worker_count(), -(-n // size), max(1, budget_chunks))
+    starts = iter(range(0, n, size))  # taken by the workers under `lock`
+    lock, stop = threading.Lock(), threading.Event()
 
     def rfft_slab(draws, buffer, a: int, b: int) -> None:
         slab = np.empty((len(draws), b - a, two_m))
@@ -164,15 +168,6 @@ def _field_values(spec: Spectrum, mean, n: int, normals, lognormal: bool,
             draw(part, a)
         slab *= np.sqrt(eigs[a:b])
         buffer[:, a:b] = scipy.fft.rfft(slab, norm="ortho")[..., keep]
-
-    def run_chunk(lo: int) -> None:
-        if failed.is_set():  # a chunk raised: start no other
-            return
-        try:
-            sink(lo, chunk_rows(lo))
-        except BaseException:
-            failed.set()
-            raise
 
     def chunk_rows(lo: int) -> np.ndarray:
         hi = min(lo + size, n)
@@ -198,25 +193,24 @@ def _field_values(spec: Spectrum, mean, n: int, normals, lognormal: bool,
                 ) from None
         return rows
 
-    # chunks are submitted as others finish, so no more than 2 in_flight
-    # exist at once, whatever n is; the second one per thread is queued, so
-    # a thread that finishes a chunk starts the next without waiting for
-    # this loop, and holds no memory until it runs.  The first error stops
-    # the run: no chunk starts after it, and the queued ones are cancelled.
+    def work() -> None:
+        while not stop.is_set():
+            with lock:
+                lo = next(starts, None)
+            if lo is None:
+                return
+            try:
+                sink(lo, chunk_rows(lo))
+            except BaseException:
+                stop.set()  # a chunk raised: no worker starts another
+                raise
+
     with ThreadPoolExecutor(max_workers=in_flight) as pool:
         try:
-            running = set()
-            for lo in starts:
-                if len(running) == 2 * in_flight:
-                    done, running = wait(running, return_when=FIRST_COMPLETED)
-                    for future in done:
-                        future.result()
-                running.add(pool.submit(run_chunk, lo))
-            for future in running:
-                future.result()
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
+            for task in [pool.submit(work) for _ in range(in_flight)]:
+                task.result()
+        finally:  # also when the caller itself is interrupted
+            stop.set()
 
 
 def sample(spec: Spectrum, mean, y: np.ndarray,
@@ -242,6 +236,13 @@ def sample(spec: Spectrum, mean, y: np.ndarray,
     return out
 
 
+def check_batch(n: int, seed: int) -> None:
+    """The rule of `batch_sample_values`: n >= 1 and seed >= 0."""
+    if n < 1 or seed < 0:
+        raise ValueError("batch_sample_values: n must be >= 1 and seed >= 0 "
+                         f"(n={n}, seed={seed})")
+
+
 def batch_sample_values(spec: Spectrum, mean, n: int, seed: int,
                         lognormal: bool = False, sink=None):
     """n independent samples using streams 0..n-1 of the given seed, as
@@ -254,9 +255,7 @@ def batch_sample_values(spec: Spectrum, mean, n: int, seed: int,
     call returns None; the sampler then holds no more than its byte
     budget, whatever n is.
     """
-    if n < 1 or seed < 0:
-        raise ValueError("batch_sample_values: n must be >= 1 and seed >= 0 "
-                         f"(n={n}, seed={seed})")
+    check_batch(n, seed)
     out = None
     if sink is None:
         out = np.empty((n, spec.embedding.grid.n_points))

@@ -864,11 +864,15 @@ class TestSample:
     @pytest.mark.parametrize("n", ["0", "-2"])
     def test_sample_count_below_one_is_usage_error(self, n, tmp_path,
                                                    capsys):
-        code = main(["sample", "--d", "1", "--nu", "0.5", "--lambda", "0.5",
-                     "--m0", "4", "--n", n, "--out", str(tmp_path)])
+        # rejected before the search and before --out is made
+        out = tmp_path / "o1"
+        with mock.patch.object(cli, "_search", wraps=cli._search) as search:
+            code = main(["sample", "--d", "1", "--nu", "0.5", "--lambda",
+                         "0.5", "--m0", "4", "--n", n, "--out", str(out)])
         assert code == 2
         assert "n must be >= 1" in capsys.readouterr().err
-        assert not (tmp_path / "fields.bin").exists()
+        assert not out.exists()
+        search.assert_not_called()
 
     def test_count_too_large_to_allocate_is_usage_error(self, tmp_path,
                                                         capsys):
@@ -880,10 +884,15 @@ class TestSample:
         assert not (tmp_path / "fields.bin").exists()
 
     def test_negative_seed_is_usage_error(self, tmp_path, capsys):
-        err = usage_error(capsys, "sample", "--d", "1", "--nu", "0.5",
-                          "--lambda", "0.5", "--m0", "4", "--seed", "-1",
-                          "--out", str(tmp_path))
+        # rejected before the search and before --out is made
+        out = tmp_path / "o1"
+        with mock.patch.object(cli, "_search", wraps=cli._search) as search:
+            err = usage_error(capsys, "sample", "--d", "1", "--nu", "0.5",
+                              "--lambda", "0.5", "--m0", "4", "--seed", "-1",
+                              "--out", str(out))
         assert "seed >= 0 (n=1, seed=-1)" in err
+        assert not out.exists()
+        search.assert_not_called()
 
     def test_constant_mean(self, tmp_path, capsys):
         code, _ = run(capsys, "sample", "--d", "1", "--nu", "0.5",

@@ -340,10 +340,13 @@ class TestStreamedSlabs:
         assert sorted(seen) == list(range(23))
         assert got.tobytes() == want.tobytes()
 
-    def test_the_first_error_stops_the_run(self):
+    @pytest.mark.parametrize("error", [OSError("disk went away"),
+                                       KeyboardInterrupt()],
+                             ids=["OSError", "KeyboardInterrupt"])
+    def test_the_first_error_stops_the_run(self, error):
         # two threads and chunks of one sample: chunk 0's sink raises while
-        # chunk 1 is in flight, and the chunks queued behind them must not
-        # reach the sink
+        # chunk 1 is in flight, and the chunks after them must not reach
+        # the sink
         k = MaternKernel(1.0, 0.5, 0.5, 1)
         _, spec = minimal_embedding(k, GridSpec(d=1, m0=64), tol=0.0)
         raised, calls = threading.Event(), []
@@ -352,14 +355,46 @@ class TestStreamedSlabs:
             calls.append(lo)
             if lo == 0:
                 raised.set()
-                raise OSError("disk went away")
+                raise error
             raised.wait(5)
             time.sleep(0.1)  # chunk 0's error reaches the sampler first
 
-        with workers(2), chunks_of(1), \
-                pytest.raises(OSError, match="disk went away"):
+        with workers(2), chunks_of(1), pytest.raises(type(error)) as caught:
             batch_sample_values(spec, 0.0, 100, 1, sink=sink)
+        assert caught.value is error
         assert 0 in calls and len(calls) <= 2  # the chunks in flight
+
+    def test_no_more_chunks_or_threads_than_workers(self):
+        # chunks of one sample: a chunk holds memory from its first draw
+        # until its sink returns, and the memory budget relies on no more
+        # than `workers` such chunks at once, run by as many threads
+        _, _, spec = exponential_spectrum(d=2, m0=3, m=5, lam=0.5)
+        lock, started, held, most = threading.Lock(), [], 0, 0
+        generator, start = sampler._generator, threading.Thread.start
+
+        def first_draw(seed, stream):
+            nonlocal held, most
+            with lock:
+                held += 1
+                most = max(most, held)
+            return generator(seed, stream)
+
+        def sink(lo, rows):
+            nonlocal held
+            time.sleep(0.001)  # other chunks start meanwhile
+            with lock:
+                held -= 1
+
+        def counted_start(thread):
+            started.append(thread)
+            start(thread)
+
+        with workers(3), chunks_of(1), \
+                mock.patch.object(sampler, "_generator", first_draw), \
+                mock.patch.object(threading.Thread, "start", counted_start):
+            batch_sample_values(spec, 0.0, 60, 2, sink=sink)
+        assert held == 0 and 1 <= most <= 3
+        assert 1 <= len(started) <= 3
 
     def test_d3_peak_is_a_fraction_of_one_sample(self):
         # d=3, m0=16, m=61: one sample's normals are 14 MiB, and two whole
