@@ -50,7 +50,7 @@ from .sampler import (
     sample,
 )
 from .specialfn import inv_normal_cdf, log_gamma
-from .validation import ValidationReport, dense_covariance, validate_samples
+from .validation import ValidationReport, validate_samples
 
 __all__ = [
     "__version__",
@@ -68,5 +68,5 @@ __all__ = [
     "CustomStationaryKernel", "MaternKernel", "gaussian_kernel",
     "batch_sample_values", "draw_normal", "sample",
     "inv_normal_cdf", "log_gamma",
-    "ValidationReport", "dense_covariance", "validate_samples",
+    "ValidationReport", "validate_samples",
 ]

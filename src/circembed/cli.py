@@ -46,7 +46,7 @@ from .analysis import (BoundConstants, calibrate_constants,
                        continuous_eigenvalue, decay_report, decay_sequence,
                        gaussian_ell_bound, matern_ell_bound, pd_criterion,
                        qmc_criterion_sum, sampling_theorem_check)
-from .embedding import GridSpec, minimal_embedding
+from .embedding import GridSpec, minimal_embedding, resolve_mean
 from .errors import CircembedError
 from .formats import (SAMPLE_CSV, field_binary_writer, field_csv_writer,
                       read_field_binary, search_summary, sidecar_path,
@@ -308,6 +308,9 @@ def cmd_sample(params: dict) -> int:
     n, seed, lognormal = params["n"], params["seed"], params["lognormal"]
     check_batch(n, seed)  # before the search and the output directory
     mean = _parse_mean(params["mean"])
+    if np.ndim(mean):  # a mean file matches the grid before the search
+        _require(params, "d", "m0")
+        resolve_mean(mean, GridSpec(d=params["d"], m0=params["m0"]).n_points)
     kernel, spec = _search(params)
     grid = spec.embedding.grid
     out = _out_dir(params)
@@ -358,6 +361,11 @@ def cmd_bounds(params: dict) -> int:
     consts = BoundConstants(
         C1=params.get("c1"), C2=params.get("c2"), B=params.get("b"))
     if params.get("calibrate_from"):
+        given = [f"--{k}" for k in ("c1", "c2", "b")
+                 if params.get(k) is not None]
+        if given:  # checked before the CSV is read
+            raise ValueError(f"theory bounds: --calibrate-from and "
+                             f"{', '.join(given)} are alternatives; give one")
         with open(params["calibrate_from"], newline="") as fh:
             rows = [(int(r["d"]), _parse_nu(r["nu"]), float(r["lambda"]),
                      1.0 / float(r["m0"]), float(r["ell_min"]))

@@ -121,6 +121,26 @@ def _pwrite_all(fd: int, data, offset: int) -> None:
         view, offset = view[done:], offset + done
 
 
+def _check_fits(what: str, directory, nbytes: int, nfiles: int) -> None:
+    """Raise ValueError when `nfiles` files of `nbytes` bytes in all, named
+    `what` in the message, would not fit the whole file system of
+    `directory`, in bytes or in files, and OSError (ENOSPC) when they
+    would not fit its free space."""
+    stat = os.statvfs(directory)
+    total, free = stat.f_blocks * stat.f_frsize, stat.f_bavail * stat.f_frsize
+    # a file system that reports no file count does not limit it
+    files, free_files = (stat.f_files, stat.f_favail) if stat.f_files \
+        else (nfiles, nfiles)
+    if nbytes > total or nfiles > files:
+        raise ValueError(
+            f"{what} would need {nbytes} bytes at least, more than their "
+            f"file system holds ({total} bytes, {files} files)")
+    if nbytes > free or nfiles > free_files:
+        raise OSError(errno.ENOSPC, f"{what} need {nbytes} bytes at least, "
+                      f"and their file system has {free} bytes and "
+                      f"{free_files} files free")
+
+
 @contextlib.contextmanager
 def field_binary_writer(path, n: int, d: int, m0: int, sidecar: dict):
     """Stream n samples into a binary field file: yields write(lo, rows),
@@ -132,24 +152,17 @@ def field_binary_writer(path, n: int, d: int, m0: int, sidecar: dict):
     goes to `<path>.json` after the rows and before the `.part` file
     replaces `path`, so a sidecar that cannot be written leaves no field
     file.
-    Before creating anything, raises ValueError when the file is larger
-    than its whole file system, and OSError (ENOSPC) when the file system
-    has fewer free bytes than the file needs.
+    Before creating anything, raises ValueError when the file's bytes, or
+    two files (it and its sidecar), would not fit the whole file system,
+    and OSError (ENOSPC) when they would not fit its free space
+    (`_check_fits`).
     """
     if n < 1:
         raise ValueError(f"field_binary_writer: n must be >= 1 (n={n})")
     path = Path(path)
     npts = (m0 + 1) ** d
-    size = _HEADER.size + 8 * n * npts
-    stat = os.statvfs(path.parent)
-    if size > stat.f_blocks * stat.f_frsize:
-        raise ValueError(f"{path} would need {size} bytes, more than its "
-                         f"file system holds ({stat.f_blocks * stat.f_frsize}"
-                         f" bytes)")
-    free = stat.f_bavail * stat.f_frsize
-    if size > free:
-        raise OSError(errno.ENOSPC, f"{path} needs {size} bytes, and its "
-                      f"file system has {free} bytes free")
+    _check_fits(f"{path} and its sidecar", path.parent,
+                _HEADER.size + 8 * n * npts, 2)
 
     def write(lo: int, rows) -> None:
         rows = np.ascontiguousarray(rows, dtype="<f8")
@@ -241,21 +254,8 @@ def field_csv_writer(out_dir, n: int, grid: GridSpec, sidecar: dict):
     OSError (ENOSPC) when they would not fit its free space.
     """
     out_dir = Path(out_dir)
-    least = n * grid.n_points * (2 * grid.d + 3)
-    stat = os.statvfs(out_dir)
-    total, free = stat.f_blocks * stat.f_frsize, stat.f_bavail * stat.f_frsize
-    # a file system that reports no file count does not limit it
-    files, free_files = (stat.f_files, stat.f_favail) if stat.f_files \
-        else (n, n)
-    if least > total or n > files:
-        raise ValueError(
-            f"{n} CSV files in {out_dir} would need {least} bytes at least, "
-            f"more than their file system holds ({total} bytes, {files} "
-            f"files)")
-    if least > free or n > free_files:
-        raise OSError(errno.ENOSPC, f"{n} CSV files in {out_dir} need "
-                      f"{least} bytes at least, and their file system has "
-                      f"{free} bytes and {free_files} files free")
+    _check_fits(f"{n} CSV files in {out_dir}", out_dir,
+                n * grid.n_points * (2 * grid.d + 3), n)
     lock, top = threading.Lock(), 0
 
     def write(lo: int, rows) -> None:

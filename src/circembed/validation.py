@@ -10,8 +10,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .embedding import GridSpec, grid_points, resolve_mean
 
-__all__ = ["ValidationReport", "dense_covariance", "validate_samples",
-           "DENSE_POINTS_CAP"]
+__all__ = ["ValidationReport", "validate_samples", "DENSE_POINTS_CAP"]
 
 # Largest grid validated.  It bounds the n M^2 / 2 multiply-adds of the
 # empirical covariance and the (2 m0 + 1)^d lag table; the covariance is
@@ -57,15 +56,6 @@ def _lag_view(kernel, grid: GridSpec):
     # lag -m0; b = m0 - j gives the lag i - j
     windows = sliding_window_view(table, (m0 + 1,) * d)
     return table, windows[(Ellipsis,) + (slice(None, None, -1),) * d]
-
-
-def dense_covariance(kernel, grid: GridSpec) -> np.ndarray:
-    """Target covariance matrix R[i, j] = rho(h0 (k_i - k_j)) over the
-    lexicographic grid indices k: the contiguous copy of the lag table's
-    view (R is nested block Toeplitz).  Raises MemoryError above
-    DENSE_POINTS_CAP grid points."""
-    n = grid.n_points
-    return np.ascontiguousarray(_lag_view(kernel, grid)[1]).reshape(n, n)
 
 
 def _block_error(centered, lo, hi, cut, R, RT, variances):

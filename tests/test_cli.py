@@ -824,14 +824,16 @@ class TestSample:
     def test_too_little_free_space_exits_4_before_a_normal_is_drawn(
             self, tmp_path, capsys, monkeypatch):
         full = types.SimpleNamespace(f_bavail=1000, f_frsize=4,
-                                     f_blocks=10**9)
+                                     f_blocks=10**9, f_files=10**6,
+                                     f_favail=10**6)
         monkeypatch.setattr(os, "statvfs", lambda path: full)
         monkeypatch.setattr(cli, "batch_sample_values", self.never)
         got = main([*self.SMALL, "--n", "1000", "--out", str(tmp_path)])
         err = capsys.readouterr().err
         need = 24 + 8 * 1000 * 9
         assert got == 4
-        assert f"needs {need} bytes" in err and "has 4000 bytes free" in err
+        assert f"need {need} bytes at least" in err
+        assert "has 4000 bytes and 1000000 files free" in err
         assert list(tmp_path.iterdir()) == []
 
     def test_csv_count_too_large_for_the_file_system_is_usage_error(
@@ -941,10 +943,17 @@ class TestSample:
         assert not (tmp_path / "fields.bin").exists()
 
 
-@pytest.mark.parametrize("command", ["sample", "validate"])
-@pytest.mark.parametrize("mean,code", [("file", 4), ("const:nan", 2)])
+@pytest.mark.parametrize("command,mean,code,message", [
+    ("sample", "file", 4, "missing.txt not found"),
+    ("validate", "file", 4, "missing.txt not found"),
+    ("sample", "const:nan", 2, "the mean must be finite"),
+    ("validate", "const:nan", 2, "the mean must be finite"),
+    # `validate` learns its grid from the samples it reads
+    ("sample", "short", 2, "mean has 3 entries, grid has 5 points")],
+    ids=["file-4-sample", "file-4-validate", "const:nan-2-sample",
+         "const:nan-2-validate", "short-2-sample"])
 def test_mean_is_read_before_the_costly_work(
-        command, mean, code, tmp_path, capsys, monkeypatch):
+        command, mean, code, message, tmp_path, capsys, monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("the costly work ran")
 
@@ -952,13 +961,18 @@ def test_mean_is_read_before_the_costly_work(
     monkeypatch.setattr(cli, "read_field_binary", never)
     if mean == "file":
         mean = f"file:{tmp_path / 'missing.txt'}"
+    elif mean == "short":  # 3 values for the 5 points of --m0 4
+        (tmp_path / "short.txt").write_text("1\n2\n3\n")
+        mean = f"file:{tmp_path / 'short.txt'}"
     where = ["--samples", str(tmp_path / "fields.bin")] \
         if command == "validate" else ["--m0", "4"]
     got = main([command, "--d", "1", "--nu", "0.5", "--lambda", "0.5",
                 *where, "--mean", mean, "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert got == code and "Traceback" not in err, err
-    assert list(tmp_path.iterdir()) == []
+    assert message in err
+    assert [p.name for p in tmp_path.iterdir() if p.name != "short.txt"] \
+        == []
 
 
 @pytest.mark.parametrize("runs", [
@@ -1191,6 +1205,24 @@ class TestTheory:
         err = usage_error(capsys, "theory", "bounds", "--lambda", "0.5",
                           "--m0", "8", *flags)
         assert message in err
+
+    @pytest.mark.parametrize("flags,config,named", [
+        (["--c1", "1", "--c2", "3"], {}, "--c1, --c2"),
+        (["--c2", "3"], {}, "--c2"),
+        (["--b", "3"], {}, "--b"),
+        ([], {"c1": 1, "c2": 3}, "--c1, --c2"),
+        ([], {"b": 3}, "--b")],
+        ids=["c1-c2", "c2", "b", "config-c1-c2", "config-b"])
+    def test_bounds_calibration_and_constants_are_alternatives(
+            self, flags, config, named, tmp_path, capsys):
+        # the CSV does not exist: the conflict is found before it is read
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        err = usage_error(capsys, "theory", "bounds", "--nu", "1",
+                          "--lambda", "0.5", "--m0", "8", "--config",
+                          str(cfg), "--calibrate-from",
+                          str(tmp_path / "sweep.csv"), *flags)
+        assert f"--calibrate-from and {named} are alternatives" in err
 
     def test_bounds_calibrated_from_sweep(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -214,6 +214,15 @@ def test_grid_rows_are_lexicographic_across_blocks(d, rng):
         grid_points(np.arange(5), d).tolist(), values.tolist())]
 
 
+def file_system(monkeypatch, **fields):
+    """Make `os.statvfs` report a file system of 10^9 bytes and 10^6 files,
+    all free, with `fields` in their place."""
+    stat = {"f_blocks": 10**9, "f_bavail": 10**9, "f_frsize": 1,
+            "f_files": 10**6, "f_favail": 10**6, **fields}
+    monkeypatch.setattr(os, "statvfs",
+                        lambda path: types.SimpleNamespace(**stat))
+
+
 class TestStreamedBinary:
     def test_chunks_in_any_order_make_the_whole_file(self, tmp_path, rng):
         values = rng.normal(size=(7, 9))  # d=2, m0=2
@@ -248,29 +257,31 @@ class TestStreamedBinary:
                 write(lo, np.zeros(shape))
         assert list(tmp_path.iterdir()) == []
 
-    def test_too_little_free_space_is_an_io_error(self, tmp_path,
-                                                  monkeypatch):
-        need = struct.calcsize("<8sIIQ") + 8 * 4 * 3
-        full = types.SimpleNamespace(f_bavail=need - 1, f_frsize=1,
-                                     f_blocks=10**9)
-        monkeypatch.setattr(os, "statvfs", lambda path: full)
-        with pytest.raises(OSError, match=f"needs {need} bytes, and its "
-                           f"file system has {need - 1} bytes free"):
-            with field_binary_writer(tmp_path / "f.bin", 4, 1, 2,
-                                     {}) as write:
-                write(0, np.zeros((4, 3)))
+    # the header and 4 samples of 3 values, 120 bytes, and two files: the
+    # field file and its sidecar
+    @pytest.mark.parametrize("fields,error,message", [
+        ({"f_blocks": 119}, ValueError, "need 120 bytes at least, more than "
+         "their file system holds (119 bytes, 1000000 files)"),
+        ({"f_files": 1}, ValueError, "need 120 bytes at least, more than "
+         "their file system holds (1000000000 bytes, 1 files)"),
+        ({"f_bavail": 119}, OSError, "need 120 bytes at least, and their "
+         "file system has 119 bytes and 1000000 files free"),
+        ({"f_favail": 1}, OSError, "need 120 bytes at least, and their file "
+         "system has 1000000000 bytes and 1 files free"),
+        ({"f_favail": 0}, OSError, "need 120 bytes at least, and their file "
+         "system has 1000000000 bytes and 0 files free")],
+        ids=["bytes", "files", "free-bytes", "free-files", "no-free-files"])
+    def test_a_file_that_does_not_fit_is_rejected_before_it_is_made(
+            self, fields, error, message, tmp_path, monkeypatch):
+        file_system(monkeypatch, **fields)
+        with pytest.raises(error, match=re.escape(message)):
+            with field_binary_writer(tmp_path / "f.bin", 4, 1, 2, {}):
+                pytest.fail("the block ran")
         assert list(tmp_path.iterdir()) == []
 
 
 class TestStreamedCsv:
     GRID = GridSpec(1, 2)  # 3 points; the shortest line is "0,0\r\n"
-
-    @staticmethod
-    def file_system(monkeypatch, **fields):
-        stat = {"f_blocks": 10**9, "f_bavail": 10**9, "f_frsize": 1,
-                "f_files": 10**6, "f_favail": 10**6, **fields}
-        monkeypatch.setattr(os, "statvfs",
-                            lambda path: types.SimpleNamespace(**stat))
 
     def test_rows_in_any_order_make_one_file_each(self, tmp_path, rng):
         values = rng.standard_normal((4, 3))
@@ -307,7 +318,7 @@ class TestStreamedCsv:
         ids=["bytes", "files", "free-bytes", "free-files", "no-free-files"])
     def test_files_that_do_not_fit_are_rejected_before_any_is_made(
             self, fields, error, message, tmp_path, monkeypatch):
-        self.file_system(monkeypatch, **fields)
+        file_system(monkeypatch, **fields)
         with pytest.raises(error, match=re.escape(message)):
             with field_csv_writer(tmp_path, 4, self.GRID, {"n": 4}):
                 pytest.fail("the block ran")
@@ -315,7 +326,7 @@ class TestStreamedCsv:
 
     def test_a_file_system_that_counts_no_files_does_not_limit_them(
             self, tmp_path, monkeypatch):
-        self.file_system(monkeypatch, f_files=0, f_favail=0)
+        file_system(monkeypatch, f_files=0, f_favail=0)
         with field_csv_writer(tmp_path, 4, self.GRID, {"n": 4}) as write:
             write(0, np.zeros((4, 3)))
         assert len(list(tmp_path.iterdir())) == 5  # and fields.json

@@ -124,6 +124,31 @@ def test_the_constant_finder_sees_assignments_and_reads():
     assert {"A", "B"} <= _reads(tree) and not {"C", "D", "E"} & _reads(tree)
 
 
+def _private_definitions(tree) -> set:
+    """The `_`-prefixed functions and classes a module defines at its top
+    level."""
+    return {node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            and node.name.startswith("_")}
+
+
+def test_the_private_definition_finder_sees_top_level_names_only():
+    tree = ast.parse("def _f(): pass\nclass _C: pass\ndef g():\n"
+                     "    def _h(): pass\nasync def _a(): pass\n_V = 1\n")
+    assert _private_definitions(tree) == {"_f", "_C", "_a"}
+
+
+def test_every_private_function_and_class_is_read_in_the_package():
+    # a helper whose last caller was deleted is left behind as dead code
+    trees = [ast.parse(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py"))]
+    private = set().union(*map(_private_definitions, trees))
+    reads = set().union(*map(_reads, trees))
+    assert len(private) >= 20
+    assert sorted(private - reads) == []
+
+
 def test_every_module_constant_is_read_in_the_package():
     # a tuning constant whose use was deleted is left behind as a knob
     # that does nothing

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 from circembed import (CustomStationaryKernel, GridSpec, MaternKernel,
                        ValidationReport, batch_sample_values,
-                       dense_covariance, minimal_embedding, validate_samples,
-                       validation)
+                       minimal_embedding, validate_samples, validation)
 from conftest import dense_grid_matrix, traced_peak
 
 # derandomized and without an example database, so every run checks the
@@ -20,11 +19,18 @@ PROPERTY = settings(max_examples=60, deadline=None, derandomize=True,
                     database=None)
 
 
+def lag_matrix(kernel, grid: GridSpec) -> np.ndarray:
+    """The M x M target that `validate_samples` reads: a copy of
+    `validation._lag_view`'s R."""
+    return validation._lag_view(kernel, grid)[1].reshape(
+        (grid.n_points,) * 2)
+
+
 class TestDenseCovariance:
     def test_matches_reference_assembly(self):
         k = MaternKernel(1.0, 0.5, 1.5, 2)
         grid = GridSpec(d=2, m0=3)
-        assert np.allclose(dense_covariance(k, grid),
+        assert np.allclose(lag_matrix(k, grid),
                            dense_grid_matrix(k, grid), atol=1e-15)
 
     @PROPERTY
@@ -34,7 +40,7 @@ class TestDenseCovariance:
     def test_lag_table_equals_pairwise_assembly(self, d, m0, nu, lam):
         k = MaternKernel(1.0, lam, nu, d, allow_small_nu=True)
         grid = GridSpec(d=d, m0=m0)
-        R = dense_covariance(k, grid)
+        R = lag_matrix(k, grid)
         assert np.array_equal(R, dense_grid_matrix(k, grid))
         assert np.array_equal(R, R.T)
 
@@ -44,7 +50,7 @@ class TestDenseCovariance:
         k = CustomStationaryKernel(
             rho_fn=lambda x: np.exp(-(x[:, 0] + 0.5 * x[:, 1]) ** 2), d=2)
         grid = GridSpec(d=2, m0=4)
-        R = dense_covariance(k, grid)
+        R = lag_matrix(k, grid)
         assert np.array_equal(R, dense_grid_matrix(k, grid))
         # lag (1, 1) from (0, 0) to (1, 1), lag (1, -1) from (0, 1) to (1, 0)
         assert R[6, 0] != R[5, 1]
@@ -59,20 +65,21 @@ class TestDenseCovariance:
             return kappa(self, r)
 
         monkeypatch.setattr(MaternKernel, "kappa", counting)
-        dense_covariance(k, GridSpec(d=3, m0=5))
+        validation._lag_view(k, GridSpec(d=3, m0=5))
         assert calls == [11**3]
 
     def test_size_cap(self):
         k = MaternKernel(1.0, 0.5, 1.5, 3)
         with pytest.raises(MemoryError):
-            dense_covariance(k, GridSpec(d=3, m0=32))
+            validation._lag_view(k, GridSpec(d=3, m0=32))
 
 
 def dense_reference(values, kernel, grid, mean=0.0) -> ValidationReport:
-    """`validate_samples` computed against the dense R, as before the lag
-    table became the target."""
+    """`validate_samples` computed against the dense R assembled pair by
+    pair (`dense_grid_matrix`), as before the lag table became the
+    target."""
     n = values.shape[0]
-    R = dense_covariance(kernel, grid)
+    R = dense_grid_matrix(kernel, grid)
     cov_tol = float(7.0 * (1.0 + np.abs(R).max()) / math.sqrt(n))
     mean_tol = float(4.0 * math.sqrt(R.diagonal().max() / n))
     emp_mean = values.mean(axis=0)
@@ -203,7 +210,7 @@ class TestValidateSamples:
         if kind == "constant":  # degenerate: zero variance everywhere
             values = np.full((n, grid.n_points), mean)
         else:
-            w, V = np.linalg.eigh(dense_covariance(kernel, grid))
+            w, V = np.linalg.eigh(dense_grid_matrix(kernel, grid))
             factor = V * np.sqrt(np.maximum(w, 0.0))
             z = np.random.default_rng(seed).standard_normal(
                 (n, grid.n_points))
@@ -244,7 +251,7 @@ class TestValidateSamples:
         if nu == "shifted":  # the largest error lies below the diagonal
             centered = values - values.mean(axis=0)
             err = np.abs(centered.T @ centered / (len(values) - 1)
-                         - dense_covariance(kernel, grid))
+                         - dense_grid_matrix(kernel, grid))
             assert np.tril(err, -1).max() > np.triu(err).max()
         got = validate_samples(values, kernel, grid)
         want = dense_reference(values, kernel, grid)
