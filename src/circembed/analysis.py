@@ -468,11 +468,20 @@ def calibrate_constants(sweep_results: Sequence[tuple]) -> tuple:
     C2 >= 2 sqrt(2)).  Rows with nu = inf calibrate B as the smallest
     value making 1 + lam max(sqrt(2) lam/h0, B) dominate.
 
+    nu must be > 0, and lam, h0 and ell finite and > 0 (NaN fails each),
+    as for `matern_ell_bound`, or ValueError names the row.
+
     Returns (BoundConstants, stats) where stats reports per-family slack.
     """
     rows = list(sweep_results)
     if not rows:
         raise ValueError("calibrate_constants: empty input")
+    for i, (_, nu, lam, h0, ell) in enumerate(rows):
+        if not (nu > 0 and all(0 < v < math.inf for v in (lam, h0, ell))):
+            raise ValueError(
+                f"calibrate_constants: row {i} needs nu > 0 and a finite "
+                f"lam, h0 and ell > 0, not nu={nu!r}, lam={lam!r}, "
+                f"h0={h0!r}, ell={ell!r}")
     finite = [(d, nu, lam, h0, ell) for (d, nu, lam, h0, ell) in rows
               if not math.isinf(nu)]
     gauss = [(d, nu, lam, h0, ell) for (d, nu, lam, h0, ell) in rows

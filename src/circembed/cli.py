@@ -13,10 +13,10 @@ Subcommands:
 Each flag is declared once, with the CLI's default if it has one, in a
 parent parser shared by the commands that read it; every search runs
 through `_search`, and a searching command's report starts from
-`formats.search_summary`.  A JSON config (--config) may set any flag by its
-destination (`lam`, `m_max`, `out`); explicit flags override it, and a
-value (each element of a list) is read as the flag's own text would be
-(`_value`).  No call changes the parser, which is built once.  A library
+`formats.search_summary`.  A JSON config (--config) sets only flags, each
+by its destination (`lam`, `m_max`, `out`); explicit flags override it,
+and a value (each element of a sweep grid list) is read as the flag's own
+text would be (`_value`).  No call changes the parser, built once.  A library
 setting that neither gives is not passed on, so its one default is the
 library's, and an explicit 0 meets the checks of the code that reads it.
 Exit codes: 0 success, 2 flag/usage error (also an input too large to
@@ -65,8 +65,8 @@ SWEEP_COLUMNS = ["d", "nu", "lambda", "m0", "ell_min", "m", "s", "seconds",
                  "error"]
 DERIVED_COLUMNS = ["d", "nu", "lambda", "m0", "log2_m0", "log_nu", "log_ell"]
 DECAY_COLUMNS = ["j", "sqrt_lambda_over_s"]
-# config keys a command reads as lists: the sweep's grid, the decay window
-LIST_KEYS = {"sweep": ("d", "nu", "lam", "m0"), "eig-decay": ("fit_range",)}
+# the sweep's grid: the only config keys read as lists
+GRID = ("d", "nu", "lam", "m0")
 # the settings of `minimal_embedding` that every searching command passes on
 SEARCH = ("tol", "m_max", "schedule")
 
@@ -97,22 +97,26 @@ def _value(parser: argparse.ArgumentParser, action: argparse.Action, value):
 
 
 def _parameters(argv) -> tuple:
-    """The command's function and parameters: the config's values (other
-    keys stay as given, below `command`) with argv's flags in their place,
-    and each value no flag replaced read by `_value`.  A list is accepted
-    only where the command reads one (`LIST_KEYS`), an object nowhere."""
+    """The command's function and parameters: the config's values, each
+    key a flag's destination, with argv's flags in their place, and each
+    value no flag replaced read by `_value`.  A list is accepted only for
+    the sweep's `GRID`, an object nowhere."""
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
     config = {} if args.config is None else json.loads(args.config.read_text())
     if not isinstance(config, dict):
         raise ValueError(f"--config {args.config} must hold a JSON object")
-    flags = {action.dest: action for action in args.parser._actions}
-    given = {k: v for k, v in config.items() if k in flags and v is not None}
+    flags = {action.dest: action for action in args.parser._actions
+             if action.dest not in ("config", "help")}
+    if unknown := sorted(config.keys() - flags.keys()):
+        raise ValueError(f"--config {args.config}: {args.command} has no flag "
+                         f"for the key(s) {', '.join(map(repr, unknown))}")
+    given = {k: v for k, v in config.items() if v is not None}
     read = vars(args.parser.parse_args(argv[len(args.command.split()):],
                                        argparse.Namespace(**given)))
-    params = {key: value for key, value in {**config, **read}.items()
+    params = {key: value for key, value in read.items()
               if value is not None and key not in ("config", "func", "parser")}
-    listed = LIST_KEYS.get(args.command, ())
+    listed = GRID if args.command == "sweep" else ()
     for key, value in params.items():
         if isinstance(value, dict) \
                 or isinstance(value, list) and key not in listed:
@@ -226,12 +230,11 @@ def cmd_sweep(params: dict) -> int:
     _require_out(params)
     if params["threads"] < 1:
         raise ValueError("sweep: threads must be >= 1")
-    keys = LIST_KEYS["sweep"]
-    for key in keys:
+    for key in GRID:
         if params.get(key) in (None, []):
             raise ValueError(f"sweep config must list values for '{key}'")
-    lists = [v if isinstance(v, list) else [v] for v in map(params.get, keys)]
-    points = [{**params, **dict(zip(keys, point))}
+    lists = [v if isinstance(v, list) else [v] for v in map(params.get, GRID)]
+    points = [{**params, **dict(zip(GRID, point))}
               for point in itertools.product(*lists)]
     # no more threads than points or CPUs, whatever --threads asks for
     workers = min(params["threads"], len(points), worker_count())
@@ -263,10 +266,8 @@ def cmd_eig_decay(params: dict) -> int:
     if (lo is None) != (hi is None):
         raise ValueError("eig-decay: --fit-lo and --fit-hi go together; "
                          f"{'--fit-lo' if lo is None else '--fit-hi'} is missing")
-    if lo is not None:
-        params["fit_range"] = [lo, hi]
     kernel, spec = _search(params)
-    rep = decay_report(spec, kernel.nu, fit_range=params.get("fit_range"))
+    rep = decay_report(spec, kernel.nu, None if lo is None else [lo, hi])
     decay_path = write_csv(
         _out_dir(params) / "decay.csv", DECAY_COLUMNS,
         ([j, v] for j, v in enumerate(decay_sequence(spec).tolist(), 1)))
@@ -356,6 +357,32 @@ def cmd_pd_criterion(params: dict) -> int:
     return EXIT_OK
 
 
+def _calibration_rows(path: Path) -> list:
+    """(d, nu, lam, h0, ell_min) of each sweep CSV row without an error; a
+    field that is missing or does not parse is named by file, line and
+    column."""
+    columns = {"d": int, "nu": _parse_nu, "lambda": float,
+               "m0": lambda text: 1.0 / float(text), "ell_min": float}
+    rows = []
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        for row in reader:
+            if row.get("error"):
+                continue
+            fields = []
+            for column, read in columns.items():
+                where = f"{path}, line {reader.line_num}, column '{column}'"
+                if row.get(column) is None:  # no such column, or short row
+                    raise ValueError(f"{where}: missing")
+                try:
+                    fields.append(read(row[column]))
+                except (ValueError, ZeroDivisionError):
+                    raise ValueError(f"{where}: {row[column]!r} is not a "
+                                     "valid value") from None
+            rows.append(tuple(fields))
+    return rows
+
+
 def cmd_bounds(params: dict) -> int:
     report = {}
     consts = BoundConstants(
@@ -366,11 +393,8 @@ def cmd_bounds(params: dict) -> int:
         if given:  # checked before the CSV is read
             raise ValueError(f"theory bounds: --calibrate-from and "
                              f"{', '.join(given)} are alternatives; give one")
-        with open(params["calibrate_from"], newline="") as fh:
-            rows = [(int(r["d"]), _parse_nu(r["nu"]), float(r["lambda"]),
-                     1.0 / float(r["m0"]), float(r["ell_min"]))
-                    for r in csv.DictReader(fh) if not r.get("error")]
-        consts, stats = calibrate_constants(rows)
+        consts, stats = calibrate_constants(
+            _calibration_rows(params["calibrate_from"]))
         report["calibration"] = {**dataclasses.asdict(consts), "stats": stats}
     nu = params.get("nu")
     if nu is not None:

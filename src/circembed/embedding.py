@@ -97,6 +97,15 @@ def grid_points(axis: np.ndarray, d: int) -> np.ndarray:
     return np.stack([g.reshape(-1) for g in grids], axis=-1)
 
 
+def lag_table(kernel, grid: GridSpec) -> np.ndarray:
+    """rho(h0 l) on the signed lags l in {-m0..m0}^d, from one `kernel.rho`
+    call and assuming no symmetry of rho; shape (2 m0 + 1,)*d, lag l at
+    index m0 + l."""
+    lags = grid_points(np.arange(-grid.m0, grid.m0 + 1), grid.d)
+    return np.asarray(kernel.rho(grid.h0 * lags), dtype=float).reshape(
+        (2 * grid.m0 + 1,) * grid.d)
+
+
 def resolve_mean(mean, n_points: int) -> np.ndarray:
     """The mean vector over a grid of n_points points from a constant, an
     array of n_points entries (any shape) or None (zero)."""
@@ -199,6 +208,11 @@ class _FoldedBlocks:
     quarter growth of m, and a doubling search at each m it jumps to.
     Between rebuilds a block costs no kernel evaluation and no copy.
 
+    A kernel that is not isotropic is first evaluated once on the grid's
+    signed lags (`lag_table`), and must be symmetric in each coordinate
+    there, within its `eval_rel_error`, or ValueError is raised: the
+    reflection about ell takes rho(h) for rho(|h|) componentwise.
+
     Memory: the lattice holds (L+1)^d floats, at most about (5/4)^d
     blocks of the largest m asked for (1.95 in d = 3).  A rebuild holds
     the old lattice beside the new one and, for an isotropic kernel, the
@@ -212,6 +226,15 @@ class _FoldedBlocks:
     def __init__(self, kernel, grid: GridSpec, limit: int):
         if kernel.d != grid.d:
             raise ValueError(f"kernel has d={kernel.d}, grid has d={grid.d}")
+        if not kernel.is_isotropic:  # the blocks hold rho at |lag| only
+            table = lag_table(kernel, grid)
+            mirror = np.abs(np.arange(-grid.m0, grid.m0 + 1)) + grid.m0
+            gap = np.abs(table - table[np.ix_(*[mirror] * grid.d)]).max()
+            if gap > kernel.eval_rel_error * np.abs(table).max():
+                raise ValueError(
+                    f"rho(h) differs from rho(|h|), componentwise, by "
+                    f"{gap:.3g} on the grid's lags: the embedding needs a "
+                    f"kernel symmetric in each coordinate")
         self.kernel, self.grid, self.limit = kernel, grid, limit
         self.lattice = None
 

@@ -9,6 +9,8 @@ tail integrals of these profiles are theory and live in `analysis`.
 Every kernel states its capabilities as the properties `is_gaussian`,
 `is_isotropic` and `eval_rel_error`.  A kernel without a spectral density
 says so in one way only: its `spectral_density` raises CapabilityError.
+A kernel that is not isotropic is checked where its symmetry is used: the
+embedding needs rho symmetric in each coordinate, validation rho even.
 
 Conventions
 -----------
@@ -215,8 +217,11 @@ class CustomStationaryKernel:
     `rho_fn` must accept an (n, d) array of lags and return n covariance
     values; `rho_hat_fn` (optional) does the same for frequencies, and
     without it `spectral_density` raises CapabilityError.  Both take the
-    shapes that `MaternKernel` takes.  The caller is responsible for rho
-    being symmetric in each coordinate, which the embedding relies on.
+    shapes that `MaternKernel` takes.  rho must be even (rho(-h) =
+    rho(h)), as a covariance is, for `validate_samples`, and symmetric in
+    each coordinate (rho(h) = rho(|h|) componentwise) for the embedding;
+    each checks its condition on the grid's signed lags, within
+    `eval_rel_error`, and raises ValueError where it fails.
     """
 
     rho_fn: Callable[[np.ndarray], np.ndarray]

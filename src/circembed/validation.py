@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .embedding import GridSpec, grid_points, resolve_mean
+from .embedding import GridSpec, lag_table, resolve_mean
 
 __all__ = ["ValidationReport", "validate_samples", "DENSE_POINTS_CAP"]
 
@@ -39,41 +39,19 @@ class ValidationReport:
 
 
 def _lag_view(kernel, grid: GridSpec):
-    """(table, R): rho(h0 l) on the signed lags l in {-m0..m0}^d, from one
-    `kernel.rho` call and assuming no symmetry of rho in any coordinate,
-    and the read-only view R[i, j] = table[k_i - k_j] with axes
-    (i_1..i_d, j_1..j_d).  Slicing i_1 and j_1 gives the target of a block
-    of whole axis-0 planes with no copy.  MemoryError above
-    DENSE_POINTS_CAP."""
+    """(table, R): the `lag_table` and the read-only view R[i, j] =
+    table[k_i - k_j] with axes (i_1..i_d, j_1..j_d).  Slicing i_1 and j_1
+    gives the target of a block of whole axis-0 planes with no copy.
+    MemoryError above DENSE_POINTS_CAP."""
     d, m0, n = grid.d, grid.m0, grid.n_points
     if n > DENSE_POINTS_CAP:
         raise MemoryError(f"the grid has {n} points, above the cap of "
                           f"{DENSE_POINTS_CAP} points for a dense covariance")
-    lags = grid_points(np.arange(-m0, m0 + 1), d)
-    table = np.asarray(kernel.rho(grid.h0 * lags),
-                       dtype=float).reshape((2 * m0 + 1,) * d)
+    table = lag_table(kernel, grid)
     # windows[i, b] = table[i + b] over 2d axes, with table indexed from
     # lag -m0; b = m0 - j gives the lag i - j
     windows = sliding_window_view(table, (m0 + 1,) * d)
     return table, windows[(Ellipsis,) + (slice(None, None, -1),) * d]
-
-
-def _block_error(centered, lo, hi, cut, R, RT, variances):
-    """max |E - R| over the block rows lo:hi of the empirical covariance E
-    from column lo on, where `cut` slices R to that block; with RT[i, j] =
-    R[j, i] not None, also max |E - RT| there, the error of E's lower
-    triangle, through one temporary block.  E's diagonal goes to
-    variances[lo:hi]."""
-    block = centered[:, lo:hi].T @ centered[:, lo:]
-    block /= centered.shape[0] - 1
-    variances[lo:hi] = block[:, :hi - lo].diagonal()
-    err = block.reshape(R[cut].shape)  # a view: block minus R in place
-    lower = 0.0
-    if RT is not None:
-        diff = np.subtract(err, RT[cut])
-        lower = np.abs(diff, out=diff).max()
-    err -= R[cut]
-    return np.maximum(lower, np.abs(block, out=block).max())
 
 
 def validate_samples(values: np.ndarray, kernel, grid: GridSpec,
@@ -86,12 +64,12 @@ def validate_samples(values: np.ndarray, kernel, grid: GridSpec,
 
     Neither R nor the M x M empirical covariance E is built.  E is formed
     in block rows of whole axis-0 planes, as many as fit BLOCK_BYTES and
-    at least one, and only from the diagonal on: E is symmetric, so the
-    lower triangle's error |E_ji - R_ji| is |E_ij - R_ji|, the upper
-    triangle's error wherever the lag table is even (rho(-h) = rho(h), as
-    for every covariance).  Only a table that is not even is also
-    compared with the transposed target.  A single block is C^T C, which
-    numpy computes as a symmetric product."""
+    at least one, and only from the diagonal on: E and R are symmetric,
+    since the lag table of a covariance is even (rho(-h) = rho(h)).  A
+    table that is not even, beyond `kernel.eval_rel_error` times its
+    largest |value|, is no covariance's and raises ValueError, before the
+    samples are counted.  A single block is C^T C, which numpy computes
+    as a symmetric product."""
     values = np.asarray(values, dtype=float)
     if values.ndim != 2:
         raise ValueError("validate_samples: expected a (n_samples, M) array")
@@ -101,18 +79,20 @@ def validate_samples(values: np.ndarray, kernel, grid: GridSpec,
             f"validate_samples: samples have {M} points, grid has "
             f"{grid.n_points}")
     table, R = _lag_view(kernel, grid)
+    scale = np.abs(table).max()
+    if np.abs(table - np.flip(table)).max() > kernel.eval_rel_error * scale:
+        raise ValueError("validate_samples: rho(-h) != rho(h) on the grid's "
+                         "lags, so the kernel is not a covariance")
     if n < MIN_SAMPLES:
         raise ValueError(f"validate_samples: need at least {MIN_SAMPLES} "
                          f"samples, got {n}")
     d, m0 = grid.d, grid.m0
     mean_target = resolve_mean(mean, M)
-    cov_tol = float(7.0 * (1.0 + np.abs(table).max()) / math.sqrt(n))
+    cov_tol = float(7.0 * (1.0 + scale) / math.sqrt(n))
     mean_tol = float(4.0 * math.sqrt(table[(m0,) * d] / n))
 
     emp_mean = values.mean(axis=0)
     centered = values - emp_mean
-    RT = None if np.array_equal(table, np.flip(table)) else R.transpose(
-        tuple(range(d, 2 * d)) + tuple(range(d)))
     plane = M // (m0 + 1)
     rows = plane * max(1, BLOCK_BYTES // (8 * plane * M))
     rest = (slice(None),) * (d - 1)
@@ -122,8 +102,14 @@ def validate_samples(values: np.ndarray, kernel, grid: GridSpec,
         hi = min(lo + rows, M)
         a = lo // plane
         cut = (slice(a, hi // plane),) + rest + (slice(a, None),) + rest
-        max_cov_err = np.maximum(max_cov_err, _block_error(
-            centered, lo, hi, cut, R, RT, variances))
+        # the block rows lo:hi of E from column lo on, minus R in place
+        block = centered[:, lo:hi].T @ centered[:, lo:]
+        block /= n - 1
+        variances[lo:hi] = block[:, :hi - lo].diagonal()
+        err = block.reshape(R[cut].shape)  # a view of block
+        err -= R[cut]
+        max_cov_err = np.maximum(max_cov_err, np.abs(block, out=block).max())
+        del block, err  # one block at a time
     max_cov_err = float(max_cov_err)
     # the sample variances (divisor n)
     variances *= (n - 1) / n

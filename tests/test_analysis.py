@@ -594,6 +594,21 @@ class TestCalibrateConstants:
         with pytest.raises(ValueError):
             calibrate_constants([(1, 1.0, 0.5, 0.125, 2.0)])
 
+    @pytest.mark.parametrize("at,value", [
+        (1, 0.0), (1, -1.0), (1, math.nan), (2, 0.0), (2, math.inf),
+        (2, math.nan), (3, 0.0), (3, math.inf), (3, -0.125), (4, 0.0),
+        (4, math.inf), (4, math.nan)])
+    def test_a_row_outside_the_hypotheses_is_named(self, at, value):
+        # h0 = 0 (m0 = inf) and lam = 0 ended in ZeroDivisionError
+        rows = [[2, nu, 0.5, 1.0 / m0, 1.0 + nu + m0 / 16]
+                for nu in (1.0, 2.0) for m0 in (8, 16)]
+        rows[2][at] = value
+        name = ["nu", "lam", "h0", "ell"][at - 1]
+        with pytest.raises(ValueError, match=f"row 2 needs nu > 0 and a "
+                           f"finite lam, h0 and ell > 0, not .*{name}="
+                           f"{value!r}"):
+            calibrate_constants([tuple(r) for r in rows])
+
 
 class TestNormOrderedLattice:
     """The lattice ranking the envelope checks below rely on."""

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 import time
 import types
@@ -1107,6 +1108,9 @@ def test_non_finite_floats_are_written_as_text():
         "a": "-inf", "b": ["nan"], "c": "inf", "d": 1.5}
 
 
+NO_FIT_RANGE = "eig-decay has no flag for the key(s) 'fit_range'"
+
+
 class TestEigDecay:
     def test_csv_and_report(self, tmp_path, capsys):
         code, payload = run(capsys, "eig-decay", "--d", "1", "--nu", "1.5",
@@ -1129,16 +1133,23 @@ class TestEigDecay:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("config,flags,message", [
-        ({"fit_range": 5}, [], "two finite numbers, not 5"),
-        ({"fit_range": [1]}, [], "two finite numbers, not [1]"),
-        ({"fit_range": {"a": 1}}, [], "'fit_range' must be a list"),
-        ({"fit_range": [1, "x"]}, [], "two finite numbers, not [1, 'x']"),
+        # fit_range names no flag: the window is --fit-lo and --fit-hi
+        ({"fit_range": 5}, [], NO_FIT_RANGE),
+        ({"fit_range": [1]}, [], NO_FIT_RANGE),
+        ({"fit_range": {"a": 1}}, [], NO_FIT_RANGE),
+        ({"fit_range": [1, "x"]}, [], NO_FIT_RANGE),
         ({}, ["--fit-lo", "3", "--fit-hi", "1e400"],
          "two finite numbers, not [3.0, inf]"),
         ({}, ["--fit-lo", "10"], "--fit-hi is missing"),
         ({}, ["--fit-hi", "100"], "--fit-lo is missing"),
+        ({"fit_lo": 3, "fit_hi": 1e400}, [],
+         "two finite numbers, not [3.0, inf]"),
+        ({"fit_lo": 10}, [], "--fit-hi is missing"),
+        ({"fit_lo": 3, "fit_hi": [9]}, [],
+         "'fit_hi' must be a single value for eig-decay, not a list"),
     ], ids=["number", "one-item", "object", "string-item", "infinite-hi",
-            "lo-only", "hi-only"])
+            "lo-only", "hi-only", "config-infinite-hi", "config-lo-only",
+            "config-hi-list"])
     def test_bad_fit_range_is_usage_error(self, config, flags, message,
                                           tmp_path, capsys):
         cfg = tmp_path / "fit.json"
@@ -1236,6 +1247,49 @@ class TestTheory:
         assert code == 0
         assert payload["report"]["calibration"]["C2"] >= 2 * math.sqrt(2) - 1e-12
         assert "matern_ell_bound" in payload["report"]
+
+    @pytest.mark.parametrize("column,text,message", [
+        ("m0", "0", "line 4, column 'm0': '0' is not a valid value"),
+        ("m0", "x", "line 4, column 'm0': 'x' is not a valid value"),
+        ("nu", "", "line 4, column 'nu': '' is not a valid value"),
+        ("m0", None, "line 4, column 'm0': missing"),
+        ("nu", None, "line 4, column 'nu': missing"),
+        ("m0", "inf", "row 2 needs nu > 0 and a finite lam, h0 and ell > 0, "
+         "not nu=2.0, lam=0.5, h0=0.0, ell=2.4"),
+        ("lambda", "0", "lam=0.0"),
+        ("ell_min", "inf", "ell=inf"),
+        ("nu", "nan", "nu=nan"),
+    ], ids=["m0-zero", "m0-text", "nu-empty", "m0-short-row", "nu-short-row",
+            "m0-inf", "lambda-zero", "ell-inf", "nu-nan"])
+    def test_bounds_bad_calibration_row_is_named(self, column, text, message,
+                                                 tmp_path, capsys):
+        # m0 0 and inf and lambda 0 ended in a ZeroDivisionError traceback
+        header = ["d", "nu", "lambda", "m0", "ell_min", "error"]
+        rows = [["1", "1.0", "0.5", "8", "1.9", ""],
+                ["1", "1.0", "0.5", "16", "2.1", ""],
+                ["1", "2.0", "0.5", "8", "2.4", ""],
+                ["1", "2.0", "0.5", "16", "2.8", ""]]
+        at = header.index(column)
+        if text is None:  # a row that ends before the column
+            rows[2] = rows[2][:at]
+        else:
+            rows[2][at] = text
+        path = tmp_path / "sweep.csv"
+        path.write_text("\n".join(",".join(r) for r in [header, *rows]))
+        err = usage_error(capsys, "theory", "bounds", "--calibrate-from",
+                          str(path))
+        assert message in err
+        if "line" in message:
+            assert f"{path}, {message}" in err
+
+    def test_bounds_calibration_without_a_column_names_it(self, tmp_path,
+                                                          capsys):
+        # a missing column exited 2 with only "error: 'm0'"
+        path = tmp_path / "sweep.csv"
+        path.write_text("d,nu,lambda,ell_min,error\n1,1.0,0.5,2.0,\n")
+        err = usage_error(capsys, "theory", "bounds", "--calibrate-from",
+                          str(path))
+        assert f"{path}, line 2, column 'm0': missing" in err
 
     def test_continuous_eigs(self, capsys):
         code, payload = run(capsys, "theory", "continuous-eigs", "--d", "1",
@@ -1475,12 +1529,42 @@ class TestConfigIsReadLikeFlags:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"command": "sweep", "func": "x",
                                    "parser": "y", "note": "kept"}))
-        code, payload = run(capsys, "min-ell", "--config", str(cfg),
-                            "--d", "1", "--nu", "0.5", "--lambda", "1",
-                            "--m0", "4", "--tol", "0")
-        assert code == 0 and payload["report"]["m"] == 4
-        assert payload["parameters"]["command"] == "min-ell"
-        assert payload["parameters"]["note"] == "kept"
+        err = usage_error(capsys, "min-ell", "--config", str(cfg),
+                          "--d", "1", "--nu", "0.5", "--lambda", "1",
+                          "--m0", "4", "--tol", "0")
+        assert "min-ell has no flag for the key(s) 'command', 'func', " \
+            "'note', 'parser'" in err
+
+    @pytest.mark.parametrize("argv,config,named", [
+        (["min-ell", "--d", "1", "--nu", "0.5", "--lambda", "1", "--m0",
+          "4"], {"m-max": 8}, "'m-max'"),
+        (["sample", "--d", "1", "--nu", "0.5", "--m0", "4"],
+         {"lamda": 0.5, "n": 2}, "'lamda'"),
+        (["sweep"], {"d": [1], "nu": [0.5], "lam": [1.0], "m0": [4],
+                     "thread": 2}, "'thread'"),
+        (["eig-decay", "--d", "1", "--nu", "1.5", "--lambda", "0.5",
+          "--m0", "8"], {"fit_range": [2, 9]}, "'fit_range'"),
+        (["validate", "--d", "1", "--nu", "0.5", "--lambda", "1"],
+         {"m0": 4, "samples": "fields.bin"}, "'m0'"),
+        (["theory", "qmc-sum", "--d", "1", "--nu", "0.5", "--lambda", "1",
+          "--m0", "4", "--p", "0.7"], {"config": "x", "help": 1},
+         "'config', 'help'"),
+    ], ids=["min-ell-m-max", "sample-lamda", "sweep-thread",
+            "eig-decay-fit-range", "validate-m0", "qmc-sum-config-help"])
+    def test_a_key_that_names_no_flag_exits_2_before_the_work(
+            self, argv, config, named, tmp_path, monkeypatch, capsys):
+        # {"m-max": 8} was recorded and ignored: the search ran with no
+        # m_max; now no search runs and --out is not made
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        monkeypatch.setattr(cli, "_search",
+                            mock.Mock(side_effect=AssertionError))
+        words = argv[:2] if argv[0] == "theory" else argv[:1]
+        err = rejected(capsys, *argv, "--config", str(cfg), "--out", str(out))
+        assert f"--config {cfg}: {' '.join(words)} has no flag for the " \
+            f"key(s) {named}" in err
+        assert not out.exists()
 
     def test_config_must_be_an_object(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -1504,6 +1588,44 @@ class TestConfigIsReadLikeFlags:
         assert {key: payload["parameters"][key] for key in
                 ("xi", "k_trunc", "r_trunc")} == {
             "xi": "0", "k_trunc": 64, "r_trunc": 64}
+
+
+def _commands(parser):
+    """The `command` of every subparser, `theory bounds` style."""
+    for action in parser._actions:
+        if isinstance(action.choices, dict):
+            for sub in action.choices.values():
+                if sub.get_default("command"):
+                    yield sub.get_default("command")
+                yield from _commands(sub)
+
+
+def _readme_configs():
+    """(command, config) of each ```json block in README's "Command line"
+    section, the command the first one named in the paragraph before."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md"
+              ).read_text()
+    section = readme.split("\n## Command line\n")[1].split("\n#")[0]
+    names = "|".join(sorted(_commands(cli.build_parser()), key=len,
+                            reverse=True))
+    found = []
+    for block in re.finditer(r"```json\n(.*?)```", section, re.S):
+        paragraph = section[:block.start()].rstrip().split("\n\n")[-1]
+        command = re.search(rf"(?<![\w-])({names})(?![\w-])", paragraph)
+        found.append(pytest.param(command and command[1],
+                                  json.loads(block[1]),
+                                  id=command and command[1]))
+    return found
+
+
+@pytest.mark.parametrize("command,config", _readme_configs())
+def test_readme_config_example_is_read_by_its_command(command, config,
+                                                      tmp_path):
+    assert len(_readme_configs()) >= 2 and command is not None
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    _, params = cli._parameters([*command.split(), "--config", str(cfg)])
+    assert params["command"] == command and set(config) <= set(params)
 
 
 class TestOneParser:

@@ -112,6 +112,38 @@ class TestFirstColumn:
             expected = rho_ext(k, h0 * np.array([i, j], dtype=float), ell)
             assert col[i, j] == pytest.approx(expected, rel=1e-14)
 
+    @pytest.mark.parametrize("off,gap", [(8.0, "0.0855"), (30.0, "0.523")])
+    def test_kernel_not_symmetric_in_each_coordinate_is_refused(self, off,
+                                                                 gap):
+        # exp(-x^T A x / 2) is even, but with A off-diagonal rho(x1, -x2) !=
+        # rho(x1, x2): reflected about ell, it gave a circulant 0.0855 away
+        # from R (off 8), or a search calling a positive definite kernel
+        # not positive definite (off 30)
+        A = np.array([[40.0, off], [off, 40.0]])
+        kernel = CustomStationaryKernel(rho_fn=lambda x: np.exp(
+            -0.5 * np.einsum("ni,ij,nj->n", x, A, x)), d=2)
+        grid = GridSpec(d=2, m0=4)
+        message = f"by {gap} on the grid's lags: the embedding needs a " \
+                  "kernel symmetric in each coordinate"
+        with pytest.raises(ValueError, match=message):
+            minimal_embedding(kernel, grid, tol=1e-12)
+        with pytest.raises(ValueError, match=message):
+            first_column(kernel, Embedding(grid, 6))
+
+    def test_kernel_symmetric_within_its_rounding_is_embedded(self):
+        # a relative wobble within eval_rel_error is rounding, not asymmetry
+        eps = np.finfo(float).eps
+
+        def rho(x):
+            return np.exp(-np.abs(x).sum(axis=-1))
+
+        wobbly = CustomStationaryKernel(
+            rho_fn=lambda x: rho(x) * (1.0 + 2 * eps * (x[:, 0] < 0)), d=2)
+        assert wobbly.eval_rel_error == 4 * eps
+        emb = Embedding(GridSpec(d=2, m0=4), 6)
+        assert np.array_equal(first_column(wobbly, emb), first_column(
+            CustomStationaryKernel(rho_fn=rho, d=2), emb))
+
     def test_kernel_and_grid_dimensions_must_agree(self):
         k = MaternKernel(1.0, 0.5, 1.5, 2)
         with pytest.raises(ValueError, match="kernel has d=2, grid has d=1"):
@@ -482,8 +514,10 @@ class TestRadialTable:
                                    schedule=schedule)
         monkeypatch.undo()
         sides = sorted({side for side, _, _ in taken})
-        # one lattice per side, and one kernel evaluation per lattice
-        assert len(sides) >= 3 and len(evaluations) == len(sides)
+        # one lattice per side, and one kernel evaluation per lattice; a
+        # kernel that is not isotropic first meets its symmetry check
+        assert len(sides) >= 3
+        assert len(evaluations) == len(sides) + (not isotropic)
         assert sides[-1] >= emb.m > sides[-2]
         for side, m, block in taken:
             want = corner(first_column(kernel, Embedding(grid, m)), m)

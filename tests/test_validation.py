@@ -236,7 +236,7 @@ class TestValidateSamples:
                               + table_bytes + 2**17)
 
     @pytest.mark.parametrize("planes", [1, 2, 3, "all"])
-    @pytest.mark.parametrize("nu", [0.5, 1.5, math.inf, "tilted", "shifted"])
+    @pytest.mark.parametrize("nu", [0.5, 1.5, math.inf, "tilted"])
     @pytest.mark.parametrize("d,m0", [(1, 63), (2, 7), (3, 4)])
     def test_blocks_agree_with_dense_reference(self, monkeypatch, d, m0, nu,
                                                planes):
@@ -245,14 +245,9 @@ class TestValidateSamples:
         plane = M // (m0 + 1)
         planes = m0 + 1 if planes == "all" else planes
         monkeypatch.setattr(validation, "BLOCK_BYTES", 8 * planes * plane * M)
-        kernel = {"tilted": _tilted_kernel, "shifted": _shifted_kernel}.get(
-            nu, lambda d: MaternKernel(1.0, 0.3, nu, d))(d)
+        kernel = (_tilted_kernel(d) if nu == "tilted"
+                  else MaternKernel(1.0, 0.3, nu, d))
         values = np.random.default_rng([d, m0]).standard_normal((1000, M))
-        if nu == "shifted":  # the largest error lies below the diagonal
-            centered = values - values.mean(axis=0)
-            err = np.abs(centered.T @ centered / (len(values) - 1)
-                         - dense_grid_matrix(kernel, grid))
-            assert np.tril(err, -1).max() > np.triu(err).max()
         got = validate_samples(values, kernel, grid)
         want = dense_reference(values, kernel, grid)
         got_bits, want_bits = _bits(got), _bits(want)
@@ -270,6 +265,26 @@ class TestValidateSamples:
                 bad[500, point] = math.nan
                 assert math.isnan(
                     validate_samples(bad, kernel, grid).max_cov_error)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_a_lag_table_that_is_not_even_is_refused(self, d):
+        # rho(-h) != rho(h): no covariance, so no target; refused before
+        # the sample count (one sample here)
+        grid = GridSpec(d=d, m0=3)
+        with pytest.raises(ValueError, match=re.escape(
+                "rho(-h) != rho(h) on the grid's lags, so the kernel is "
+                "not a covariance")):
+            validate_samples(np.zeros((1, grid.n_points)),
+                             _shifted_kernel(d), grid)
+
+    def test_a_table_even_within_its_rounding_is_accepted(self, good_run):
+        # a relative wobble within eval_rel_error is rounding, not asymmetry
+        k, grid, values = good_run
+        eps = np.finfo(float).eps
+        wobbly = CustomStationaryKernel(
+            rho_fn=lambda x: k.rho(x) * (1.0 + 2 * eps * (x[:, 0] > 0)), d=1)
+        assert wobbly.eval_rel_error == 4 * eps
+        assert validate_samples(values, wobbly, grid).passed
 
     def test_cap_is_checked_before_sample_count(self):
         # one sample on 4225 points: the cap, not the sample count, refuses
